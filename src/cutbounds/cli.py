@@ -557,7 +557,7 @@ def _reorder_columns(system: LinearSystem, axes) -> LinearSystem:
         return system
     order = [system.variables.index(name) for name in axes]
     rows = tuple(
-        Row(tuple(row.coeffs[i] for i in order), row.rhs, row.strict)
+        Row(tuple(row.coeffs[i] for i in order), row.rhs)
         for row in system.rows
     )
     return LinearSystem(tuple(axes), rows, tuple(system.nonneg[i] for i in order))

@@ -5,18 +5,24 @@ implicit nonnegativity.  Everything is Fraction arithmetic: projections
 (Fourier-Motzkin), feasibility, 2-D vertex enumeration, and containment
 are exact, which keeps golden-file comparisons byte-stable.
 
+One exact LP oracle, `_dual_lp` (simplex, Bland's rule), decides
+feasibility, containment (one LP per outer row, any dimension) and tier 4
+below.  It always ends with an exact verdict: no size budget, no "unknown".
+
 Redundancy removal after each elimination runs in tiers:
 
   1. drop rows that hold identically (including under nonnegativity),
   2. merge duplicates and positive multiples (canonical integer scaling),
   3. drop rows implied by a single other row (exact multiplier search),
   3b. drop rows implied by the sum of two other rows at unit multipliers,
-  4. when at most 64 rows remain, drop every row whose strict violation
-     is infeasible against the rest (full irredundancy).
+  4. in sorted order, drop each row the rows still left imply over free
+     variables (or that sits beside rows with no common point), by LP.
 
-Tier 4 runs a bounded feasibility subroutine; when an intermediate system
-inside that subroutine outgrows its row budget, the row under test is
-conservatively kept.
+Tier 4 alone leaves an irredundant system, but which one depends on the
+rows it gets, since it drops rows one at a time and ignores nonnegativity.
+Tiers 1-3b fix that choice, and the `fm-derivation` golden table is one:
+without 3b its row `2R0+Rsp <= 3C1+5C2+2C3` comes out as `3R0+2Rsp <=
+6C1+9C2+3C3`, and a tier 4 counting `C2 >= 0` would drop that row.
 """
 
 from __future__ import annotations
@@ -31,12 +37,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .errors import ParameterError, UnboundedRegionError
 
 Rational = Union[Fraction, int, str]
-
-FULL_REDUNDANCY_ROW_LIMIT = 64
-FEASIBILITY_ROW_BUDGET = 2000
-DOMINATION_ROW_LIMIT = 200
-CONTAINS_VARIABLE_LIMIT = 4
-
 
 def parse_rational(text) -> Fraction:
     try:
@@ -54,11 +54,10 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Row:
-    """One inequality: coeffs . x <= rhs, or < rhs when strict."""
+    """One inequality: coeffs . x <= rhs."""
 
     coeffs: tuple[Fraction, ...]
     rhs: Fraction
-    strict: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
@@ -89,9 +88,8 @@ class LinearSystem:
         for row in self.rows:
             if not isinstance(row, Row) or len(row.coeffs) != n:
                 raise ParameterError("row width must match the variable list")
-            if all(c == 0 for c in row.coeffs):
-                if row.rhs < 0 or (row.strict and row.rhs <= 0):
-                    flagged = True
+            if all(c == 0 for c in row.coeffs) and row.rhs < 0:
+                flagged = True
         object.__setattr__(self, "infeasible", flagged)
 
     @classmethod
@@ -135,7 +133,7 @@ def satisfies(sys: LinearSystem, point: Mapping[str, Rational]) -> bool:
         values.append(x)
     for row in sys.rows:
         total = sum(c * x for c, x in zip(row.coeffs, values))
-        if total > row.rhs or (row.strict and total == row.rhs):
+        if total > row.rhs:
             return False
     return True
 
@@ -150,9 +148,7 @@ def _scale(row: Row) -> Row:
     g = gcd(*ints)
     if g == 0:
         g = 1
-    return Row(
-        tuple(Fraction(v, g) for v in ints[:-1]), Fraction(ints[-1], g), row.strict
-    )
+    return Row(tuple(Fraction(v, g) for v in ints[:-1]), Fraction(ints[-1], g))
 
 
 def _holds_identically(row: Row, nonneg: tuple[bool, ...]) -> bool:
@@ -161,7 +157,7 @@ def _holds_identically(row: Row, nonneg: tuple[bool, ...]) -> bool:
         if c > 0 or (c < 0 and not flag):
             return False
     # the lhs cannot exceed 0 anywhere in the orthant
-    return row.rhs > 0 or (row.rhs == 0 and not row.strict)
+    return row.rhs >= 0
 
 
 def _tiers_basic(
@@ -176,15 +172,13 @@ def _tiers_basic(
     for row in rows:
         row = _scale(row)
         if all(c == 0 for c in row.coeffs):
-            if row.rhs < 0 or (row.strict and row.rhs <= 0):
+            if row.rhs < 0:
                 infeasible = True
             continue
         if _holds_identically(row, nonneg):
             continue
-        key = (row.coeffs, row.rhs)
-        if key not in seen or (row.strict and not seen[key].strict):
-            seen[key] = row
-    ordered = sorted(seen.values(), key=lambda r: (r.coeffs, r.rhs, r.strict))
+        seen[(row.coeffs, row.rhs)] = row
+    ordered = sorted(seen.values(), key=lambda r: (r.coeffs, r.rhs))
     return ordered, infeasible
 
 
@@ -192,8 +186,7 @@ def _single_row_implies(s: Row, r: Row, nonneg: tuple[bool, ...]) -> bool:
     """Does row s alone (plus nonnegativity) force row r?
 
     Searches for a multiplier lam > 0 with lam*a_s >= a_r componentwise
-    (equality on free variables) and lam*b_s <= b_r (strictly when r is
-    strict but s is not).
+    (equality on free variables) and lam*b_s <= b_r.
     """
     lo, hi = Fraction(0), None
     for a, c, flag in zip(s.coeffs, r.coeffs, nonneg):
@@ -214,26 +207,19 @@ def _single_row_implies(s: Row, r: Row, nonneg: tuple[bool, ...]) -> bool:
             return False
     if hi is not None and (lo > hi or hi <= 0):
         return False
-    strict_needed = r.strict and not s.strict
-
-    def value_ok(value: Fraction) -> bool:
-        return value < r.rhs if strict_needed else value <= r.rhs
-
     if s.rhs == 0:
-        return value_ok(Fraction(0))
+        return r.rhs >= 0
     if s.rhs < 0:
         if hi is None:
             return True  # lam arbitrarily large drives lam*b_s below any bound
-        return value_ok(hi * s.rhs)
+        return hi * s.rhs <= r.rhs
     if lo > 0:
-        return value_ok(lo * s.rhs)
+        return lo * s.rhs <= r.rhs
     return r.rhs > 0  # lam can approach 0 from above, lam*b_s approaches 0
 
 
 def _pair_implies(a: Row, b: Row, r: Row, nonneg: tuple[bool, ...]) -> bool:
     """Unit-multiplier two-row domination: a + b forces r."""
-    if a.strict or b.strict or r.strict:
-        return False
     if a.rhs + b.rhs > r.rhs:
         return False
     for ca, cb, cr, flag in zip(a.coeffs, b.coeffs, r.coeffs, nonneg):
@@ -278,63 +264,101 @@ def _tier_pair_domination(rows: list[Row], nonneg: tuple[bool, ...]) -> list[Row
     return [r for r, gone in zip(rows, removed) if not gone]
 
 
-def _strictly_feasible(
-    rows: Sequence[Row],
-    nonneg: tuple[bool, ...],
-    include_nonneg: bool = True,
-) -> Optional[bool]:
-    """Exact feasibility of a (possibly strict) system; None on blowup.
+# ---------------------------------------------------------------------------
+# exact linear programming
 
-    Eliminates every variable in turn, cheap tiers between rounds; at the
-    end only constant rows remain and consistency is a direct check.
-    Nonnegative variables are materialized as rows up front unless
-    `include_nonneg` is off (redundancy checks judge rows alone).
+
+_INFEASIBLE = "infeasible"
+_UNBOUNDED = "unbounded"
+
+
+def _pivot(tableau: list, basis: list, z: list, r: int, k: int) -> None:
+    pivot_row = tableau[r] = [v / tableau[r][k] for v in tableau[r]]
+    for row in (*tableau, z):
+        f = row[k]
+        if f and row is not pivot_row:
+            row[:] = [a - f * b if b else a for a, b in zip(row, pivot_row)]
+    basis[r] = k
+
+
+def _run_simplex(tableau: list, basis: list, z: list, phase_one: bool) -> bool:
+    """Pivot until no reduced cost in `z` is negative; False if unbounded.
+
+    Bland's rule (lowest entering column, lowest leaving basis index on a
+    ratio tie) cannot cycle.  Phase one also stops once its objective, the
+    artificials' sum -z[-1], is zero.
     """
-    n = len(nonneg)
-    free = (False,) * n
-    work = list(rows)
-    if include_nonneg:
-        for i, flag in enumerate(nonneg):
-            if flag:
-                work.append(
-                    Row(
-                        tuple(Fraction(-1 if j == i else 0) for j in range(n)),
-                        Fraction(0),
-                    )
-                )
-    work, infeasible = _tiers_basic(work, free)
-    if infeasible:
-        return False
-    remaining = list(range(n))
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda idx: (
-                sum(1 for r in work if r.coeffs[idx] > 0)
-                * sum(1 for r in work if r.coeffs[idx] < 0),
-                idx,
-            ),
-        )
-        remaining.remove(best)
-        pos = [r for r in work if r.coeffs[best] > 0]
-        neg = [r for r in work if r.coeffs[best] < 0]
-        passthrough = [r for r in work if r.coeffs[best] == 0]
-        combined = []
-        for p in pos:
-            for q in neg:
-                cp, cq = p.coeffs[best], -q.coeffs[best]
-                coeffs = tuple(cq * x + cp * y for x, y in zip(p.coeffs, q.coeffs))
-                combined.append(
-                    Row(coeffs, cq * p.rhs + cp * q.rhs, p.strict or q.strict)
-                )
-        work, infeasible = _tiers_basic(passthrough + combined, free)
-        if infeasible:
+    while not (phase_one and z[-1] == 0):
+        k = next((k for k, d in enumerate(z[:-1]) if d < 0), None)
+        if k is None:
+            return True
+        leave = None
+        for r, row in enumerate(tableau):
+            if row[k] > 0:
+                key = (row[-1] / row[k], basis[r])
+                if leave is None or key < leave[0]:
+                    leave = (key, r)
+        if leave is None:
             return False
-        if len(work) > FEASIBILITY_ROW_BUDGET:
-            return None
-        if len(work) <= DOMINATION_ROW_LIMIT:
-            work = _tier_single_domination(work, free)
+        _pivot(tableau, basis, z, leave[1], k)
     return True
+
+
+def _dual_lp(rows: Sequence[Row], c: Sequence[Fraction]):
+    """min lam.b s.t. sum_i lam_i a_i = c, lam >= 0, over rows (a_i, b_i).
+
+    The Farkas dual of max c.x over {x free : a_i.x <= b_i}: returns that
+    maximum; _UNBOUNDED when the rows admit no x; _INFEASIBLE when c is no
+    nonnegative combination of the a_i (the maximum is then unbounded, or
+    the rows infeasible).  One tableau row per variable; the artificial
+    basis of phase one (indices m..) is not stored and never re-enters.
+    """
+    m = len(rows)
+    tableau = []
+    for j, target in enumerate(c):
+        sign = -1 if target < 0 else 1
+        tableau.append([sign * r.coeffs[j] for r in rows] + [sign * Fraction(target)])
+    basis = list(range(m, m + len(tableau)))
+    z = [-sum(column) for column in zip(*tableau)]
+    _run_simplex(tableau, basis, z, phase_one=True)
+    if z[-1] != 0:
+        return _INFEASIBLE
+    for r in reversed(range(len(tableau))):
+        if basis[r] >= m:  # an artificial left at zero: pivot it out
+            k = next((k for k, v in enumerate(tableau[r][:-1]) if v), None)
+            if k is None:
+                del tableau[r], basis[r]  # the equality was redundant
+            else:
+                _pivot(tableau, basis, z, r, k)
+    z = [r.rhs for r in rows] + [Fraction(0)]
+    for row, i in zip(tableau, basis):
+        cost = rows[i].rhs
+        if cost:
+            z = [a - cost * b for a, b in zip(z, row)]
+    if not _run_simplex(tableau, basis, z, phase_one=False):
+        return _UNBOUNDED
+    return -z[-1]
+
+
+def _implies(rows: Sequence[Row], row: Row) -> bool:
+    """Do `rows`, over free variables, force `row` (or admit no point)?"""
+    best = _dual_lp(rows, row.coeffs)
+    if best is _INFEASIBLE:
+        # the maximum is unbounded unless the rows are infeasible, which
+        # needs a negative right-hand side (else the origin satisfies them)
+        zero = [0] * len(row.coeffs)
+        return any(r.rhs < 0 for r in rows) and _dual_lp(rows, zero) is _UNBOUNDED
+    return best is _UNBOUNDED or best <= row.rhs
+
+
+def _orthant_rows(sys: LinearSystem) -> list[Row]:
+    """The rows -x_i <= 0 of the nonnegative variables."""
+    n = len(sys.variables)
+    return [
+        Row(tuple(Fraction(-1 if j == i else 0) for j in range(n)), Fraction(0))
+        for i, flag in enumerate(sys.nonneg)
+        if flag
+    ]
 
 
 def _reduce_rows(
@@ -345,24 +369,14 @@ def _reduce_rows(
         return work, True
     work = _tier_single_domination(work, nonneg)
     work = _tier_pair_domination(work, nonneg)
-    if len(work) <= FULL_REDUNDANCY_ROW_LIMIT:
-        # implication by the remaining rows alone (nonnegativity-implied
-        # rows were the earlier tiers' job); a row survives when its
-        # strict negation stays feasible against the rest
-        i = 0
-        while i < len(work):
-            row = work[i]
-            others = work[:i] + work[i + 1 :]
-            negation = Row(
-                tuple(-c for c in row.coeffs), -row.rhs, strict=not row.strict
-            )
-            verdict = _strictly_feasible(
-                others + [negation], nonneg, include_nonneg=False
-            )
-            if verdict is False:
-                work.pop(i)
-            else:
-                i += 1  # feasible or unknown: the row does real work, keep it
+    # tier 4: implication by the remaining rows alone, in sorted order
+    # (nonnegativity-implied rows were the earlier tiers' job)
+    i = 0
+    while i < len(work):
+        if _implies(work[:i] + work[i + 1 :], work[i]):
+            work.pop(i)
+        else:
+            i += 1
     return work, False
 
 
@@ -379,12 +393,9 @@ def canonicalize(sys: LinearSystem) -> LinearSystem:
 
 
 def feasible(sys: LinearSystem) -> bool:
-    if sys.infeasible:
-        return False
-    verdict = _strictly_feasible(sys.rows, sys.nonneg)
-    if verdict is None:
-        raise ParameterError("feasibility check exceeded its size budget")
-    return verdict
+    """Exact: does some point satisfy every row and nonnegativity flag?"""
+    rows = list(sys.rows) + _orthant_rows(sys)
+    return _dual_lp(rows, [0] * len(sys.variables)) is not _UNBOUNDED
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +404,9 @@ def feasible(sys: LinearSystem) -> bool:
 
 def fourier_motzkin(sys: LinearSystem, var: str) -> LinearSystem:
     """Eliminate one variable exactly; output is reduced (tiers 1-4).
+
+    Tiers 1-3b thin the pairwise combinations; tier 4 then runs one exact
+    LP per surviving row, however many rows survive.
 
     The variable keeps its slot in the variable list (its coefficients all
     become zero), so eliminating a variable absent from every row is the
@@ -406,17 +420,13 @@ def fourier_motzkin(sys: LinearSystem, var: str) -> LinearSystem:
     pos = [r for r in sys.rows if r.coeffs[idx] > 0]
     neg = [r for r in sys.rows if r.coeffs[idx] < 0]
     passthrough = [r for r in sys.rows if r.coeffs[idx] == 0]
-    if sys.nonneg[idx]:
-        zeros = tuple(
-            Fraction(-1 if i == idx else 0) for i in range(len(sys.variables))
-        )
-        neg.append(Row(zeros, Fraction(0)))
+    neg += [r for r in _orthant_rows(sys) if r.coeffs[idx] < 0]  # var >= 0
     combined = []
     for p in pos:
         for q in neg:
             cp, cq = p.coeffs[idx], -q.coeffs[idx]
             coeffs = tuple(cq * x + cp * y for x, y in zip(p.coeffs, q.coeffs))
-            combined.append(Row(coeffs, cq * p.rhs + cp * q.rhs, p.strict or q.strict))
+            combined.append(Row(coeffs, cq * p.rhs + cp * q.rhs))
     rows, infeasible = _reduce_rows(passthrough + combined, sys.nonneg)
     return _with_rows(sys, rows, infeasible)
 
@@ -465,7 +475,7 @@ def project(
     kept_order = [v for v in current.variables if v in keep]
     index = [current.variables.index(v) for v in kept_order]
     rows = tuple(
-        Row(tuple(r.coeffs[i] for i in index), r.rhs, r.strict) for r in current.rows
+        Row(tuple(r.coeffs[i] for i in index), r.rhs) for r in current.rows
     )
     return LinearSystem(
         tuple(kept_order), rows, tuple(current.nonneg[i] for i in index)
@@ -517,7 +527,7 @@ def substitute(
                 dense[index[v]] += a
         for name, a in expr.items():
             dense[index[name]] += c * a
-        return Row(tuple(dense), row.rhs - c * const, row.strict)
+        return Row(tuple(dense), row.rhs - c * const)
 
     rows = [translate(r) for r in sys.rows]
     if sys.nonneg[var_idx]:
@@ -633,25 +643,8 @@ def contains(outer: LinearSystem, inner: LinearSystem) -> bool:
     """Exact region containment: inner a subset of outer."""
     if outer.variables != inner.variables or outer.nonneg != inner.nonneg:
         raise ParameterError("containment needs identical variable lists")
-    n = len(outer.variables)
-    if n == 2:
-        names = outer.variables
-        return all(
-            satisfies(outer, {names[0]: x, names[1]: y})
-            for x, y in vertices_2d(inner)
-        )
-    if n > CONTAINS_VARIABLE_LIMIT:
-        raise ParameterError(
-            f"containment supports 2 variables or at most {CONTAINS_VARIABLE_LIMIT}"
-        )
-    for row in canonicalize(outer).rows:
-        negation = Row(tuple(-c for c in row.coeffs), -row.rhs, strict=not row.strict)
-        verdict = _strictly_feasible(list(inner.rows) + [negation], inner.nonneg)
-        if verdict is None:
-            raise ParameterError("containment check exceeded its size budget")
-        if verdict:
-            return False
-    return True
+    rows = list(inner.rows) + _orthant_rows(inner)
+    return all(_implies(rows, row) for row in canonicalize(outer).rows)
 
 
 def corner_points_symmetric(

@@ -130,6 +130,21 @@ class TestFeasible:
     def test_free_variable_allows_negative(self):
         assert feasible(sys_of(("x",), [({"x": 1}, -1)], nonneg={"x": False}))
 
+    def test_seven_variables_and_twenty_three_rows(self):
+        # the first system random.Random(3) draws with 6-9 variables, 14-24
+        # rows, coefficients in -2..2 and right-hand sides in 0..6
+        rng = random.Random(3)
+        n, m = rng.randint(6, 9), rng.randint(14, 24)
+        names = [f"x{j}" for j in range(n)]
+        rows = [
+            ({v: rng.randint(-2, 2) for v in names}, rng.randint(0, 6))
+            for _ in range(m)
+        ]
+        sys = sys_of(names, rows)
+        assert (n, m) == (7, 23)
+        assert satisfies(sys, dict.fromkeys(names, 0))
+        assert feasible(sys)
+
     def test_sandwich_infeasible(self):
         sys = sys_of(
             ("x", "y"),
@@ -226,6 +241,21 @@ class TestFourierMotzkin:
             )
         )
         assert out == expected
+
+    def test_row_beside_rows_with_no_common_point_is_dropped(self):
+        # x <= 0 and x >= 1 have no common point, so they imply y <= 0,
+        # although (0, 1) is no nonnegative combination of their normals
+        sys = sys_of(
+            ("x", "y", "z"),
+            [({"x": 1}, 0), ({"x": -1}, -1), ({"y": 1}, 0)],
+            nonneg={"x": False, "y": False},
+        )
+        out = fourier_motzkin(sys, "z")
+        assert out.rows == (
+            Row((F(-1), F(0), F(0)), F(-1)),
+            Row((F(1), F(0), F(0)), F(0)),
+        )
+        assert not feasible(out)
 
     def test_elimination_order_does_not_change_result(self):
         sub = substitute(cutset_k3_symbolic(), "R1", {"Rsp": 1, "R2": -1, "R3": -1})
@@ -361,11 +391,18 @@ class TestContains:
         with pytest.raises(ParameterError):
             contains(a, b)
 
-    def test_too_many_variables_rejected(self):
+    def test_five_variables(self):
         vs = ("a", "b", "c", "d", "e")
-        big = sys_of(vs, [({"a": 1}, 1)])
-        with pytest.raises(ParameterError):
-            contains(big, big)
+        cube = sys_of(vs, [({v: 1}, 1) for v in vs])
+        assert contains(sys_of(vs, [(dict.fromkeys(vs, 1), 5)]), cube)
+        # the corner (1, 1, 1, 1, 1) leaves the tighter halfspace
+        assert not contains(sys_of(vs, [(dict.fromkeys(vs, 1), 4)]), cube)
+        assert contains(cube, cube)
+
+    def test_unbounded_inner_in_two_dimensions(self):
+        strip = sys_of(("x", "y"), [({"x": 1}, 1)])
+        assert contains(sys_of(("x", "y"), [({"x": 1}, 2)]), strip)
+        assert not contains(sys_of(("x", "y"), [({"y": 1}, 5)]), strip)
 
     def test_empty_inner_is_contained(self):
         outer = sys_of(("x", "y"), [({"x": 1}, 1)])
