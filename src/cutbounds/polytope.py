@@ -1,13 +1,22 @@
 """Exact-rational linear inequality systems over named variables.
 
 Systems are conjunctions of rows `sum a_i x_i <= b` with per-variable
-implicit nonnegativity.  Everything is Fraction arithmetic: projections
-(Fourier-Motzkin), feasibility, 2-D vertex enumeration, and containment
-are exact, which keeps golden-file comparisons byte-stable.
+implicit nonnegativity.  Projections (Fourier-Motzkin), feasibility, 2-D
+vertex enumeration and containment are exact, which keeps golden-file
+comparisons byte-stable.
 
-One exact LP oracle, `_dual_lp` (simplex, Bland's rule), decides
-feasibility, containment (one LP per outer row, any dimension) and tier 4
-below.  It always ends with an exact verdict: no size budget, no "unknown".
+Arithmetic is on Python ints wherever it can be.  A `Row` holds each
+integral value as an `int` (other values stay `Fraction`; the two compare
+and hash alike), and canonical scaling turns every row into a coprime
+integer vector, so elimination and the redundancy tiers never build a
+`Fraction`.  `Fraction` remains only where a true rational enters or
+leaves: rows given with fractional values, the optimum an LP returns, and
+the vertices and rays of a 2-D region.
+
+One exact LP oracle, `_dual_lp` (a fraction-free simplex, Bland's rule),
+decides feasibility, containment (one LP per outer row, any dimension)
+and tier 4 below.  It always ends with an exact verdict: no size budget,
+no "unknown".
 
 Redundancy removal after each elimination runs in tiers:
 
@@ -45,7 +54,7 @@ def parse_rational(text) -> Fraction:
         raise ParameterError(f"not a rational number: {text!r}") from None
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Union[Fraction, int]) -> str:
     value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
@@ -54,14 +63,22 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Row:
-    """One inequality: coeffs . x <= rhs."""
+    """One inequality: coeffs . x <= rhs; integral values are stored as ints."""
 
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
+    coeffs: tuple[Union[Fraction, int], ...]
+    rhs: Union[Fraction, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
+        object.__setattr__(self, "rhs", _exact(self.rhs))
+
+
+def _exact(value) -> Union[Fraction, int]:
+    """`value` as an exact number: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
@@ -103,12 +120,12 @@ class LinearSystem:
         index = {v: i for i, v in enumerate(variables)}
         built = []
         for coeffs, rhs in rows:
-            dense = [Fraction(0)] * len(variables)
+            dense = [0] * len(variables)
             for name, value in coeffs.items():
                 if name not in index:
                     raise ParameterError(f"row references unknown variable {name!r}")
-                dense[index[name]] = Fraction(value)
-            built.append(Row(tuple(dense), Fraction(rhs)))
+                dense[index[name]] = value
+            built.append(Row(tuple(dense), rhs))
         if nonneg is None:
             flags = (True,) * len(variables)
         elif isinstance(nonneg, Mapping):
@@ -117,7 +134,7 @@ class LinearSystem:
             flags = tuple(bool(f) for f in nonneg)
         return cls(variables, tuple(built), flags)
 
-    def coeff_map(self, row: Row) -> dict[str, Fraction]:
+    def coeff_map(self, row: Row) -> dict[str, Union[Fraction, int]]:
         return {v: c for v, c in zip(self.variables, row.coeffs) if c != 0}
 
 
@@ -142,13 +159,19 @@ def satisfies(sys: LinearSystem, point: Mapping[str, Rational]) -> bool:
 # canonical form and redundancy tiers
 
 
+def _integral(values) -> tuple[list[int], int]:
+    """The values times their least common denominator, and that factor."""
+    denom = lcm(*(v.denominator for v in values))
+    if denom == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
 def _scale(row: Row) -> Row:
-    denom = lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs))
-    ints = [int(c * denom) for c in row.coeffs] + [int(row.rhs * denom)]
-    g = gcd(*ints)
-    if g == 0:
-        g = 1
-    return Row(tuple(Fraction(v, g) for v in ints[:-1]), Fraction(ints[-1], g))
+    """The row as a coprime integer vector (a positive multiple of it)."""
+    ints, _ = _integral((*row.coeffs, row.rhs))
+    g = gcd(*ints) or 1
+    return Row(tuple(v // g for v in ints[:-1]), ints[-1] // g)
 
 
 def _holds_identically(row: Row, nonneg: tuple[bool, ...]) -> bool:
@@ -186,35 +209,34 @@ def _single_row_implies(s: Row, r: Row, nonneg: tuple[bool, ...]) -> bool:
     """Does row s alone (plus nonnegativity) force row r?
 
     Searches for a multiplier lam > 0 with lam*a_s >= a_r componentwise
-    (equality on free variables) and lam*b_s <= b_r.
+    (equality on free variables) and lam*b_s <= b_r.  The bounds lo <= lam
+    <= hi are kept as pairs (numerator, positive denominator) and compared
+    by cross-multiplication, so integer rows need no division.
     """
-    lo, hi = Fraction(0), None
+    lo_n, lo_d = 0, 1
+    hi_n = hi_d = None
     for a, c, flag in zip(s.coeffs, r.coeffs, nonneg):
-        if not flag:
-            if a == 0:
-                if c != 0:
-                    return False
-            else:
-                lam = c / a
-                lo = max(lo, lam)
-                hi = lam if hi is None else min(hi, lam)
-        elif a > 0:
-            lo = max(lo, c / a)
-        elif a < 0:
-            bound = c / a
-            hi = bound if hi is None else min(hi, bound)
-        elif c > 0:
-            return False
-    if hi is not None and (lo > hi or hi <= 0):
+        if a == 0:
+            if c > 0 or (c and not flag):
+                return False
+            continue
+        n, d = (c, a) if a > 0 else (-c, -a)  # lam vs c/a, as n/d with d > 0
+        if a > 0 or not flag:  # lam >= c/a
+            if n * lo_d > lo_n * d:
+                lo_n, lo_d = n, d
+        if a < 0 or not flag:  # lam <= c/a
+            if hi_n is None or n * hi_d < hi_n * d:
+                hi_n, hi_d = n, d
+    if hi_n is not None and (lo_n * hi_d > hi_n * lo_d or hi_n <= 0):
         return False
     if s.rhs == 0:
         return r.rhs >= 0
     if s.rhs < 0:
-        if hi is None:
+        if hi_n is None:
             return True  # lam arbitrarily large drives lam*b_s below any bound
-        return hi * s.rhs <= r.rhs
-    if lo > 0:
-        return lo * s.rhs <= r.rhs
+        return hi_n * s.rhs <= r.rhs * hi_d
+    if lo_n > 0:
+        return lo_n * s.rhs <= r.rhs * lo_d
     return r.rhs > 0  # lam can approach 0 from above, lam*b_s approaches 0
 
 
@@ -273,11 +295,23 @@ _UNBOUNDED = "unbounded"
 
 
 def _pivot(tableau: list, basis: list, z: list, r: int, k: int) -> None:
-    pivot_row = tableau[r] = [v / tableau[r][k] for v in tableau[r]]
+    """Pivot on (r, k) without division.
+
+    Each row, `z` too, is stored as a positive multiple of the true tableau
+    row.  The pivot row is only sign-flipped so that p = its k-th entry is
+    positive; each other row becomes p*row - row[k]*pivot_row, divided by
+    its gcd.
+    """
+    pivot_row = tableau[r]
+    if pivot_row[k] < 0:
+        pivot_row = tableau[r] = [-v for v in pivot_row]
+    p = pivot_row[k]
     for row in (*tableau, z):
         f = row[k]
         if f and row is not pivot_row:
-            row[:] = [a - f * b if b else a for a, b in zip(row, pivot_row)]
+            new = [p * a - f * b for a, b in zip(row, pivot_row)]
+            g = gcd(*new)
+            row[:] = [v // g for v in new] if g > 1 else new
     basis[r] = k
 
 
@@ -286,7 +320,8 @@ def _run_simplex(tableau: list, basis: list, z: list, phase_one: bool) -> bool:
 
     Bland's rule (lowest entering column, lowest leaving basis index on a
     ratio tie) cannot cycle.  Phase one also stops once its objective, the
-    artificials' sum -z[-1], is zero.
+    artificials' sum, is zero.  Only signs and cross-multiplied ratios are
+    read, so the rows' positive factors do not matter.
     """
     while not (phase_one and z[-1] == 0):
         k = next((k for k, d in enumerate(z[:-1]) if d < 0), None)
@@ -294,30 +329,43 @@ def _run_simplex(tableau: list, basis: list, z: list, phase_one: bool) -> bool:
             return True
         leave = None
         for r, row in enumerate(tableau):
-            if row[k] > 0:
-                key = (row[-1] / row[k], basis[r])
-                if leave is None or key < leave[0]:
-                    leave = (key, r)
+            a = row[k]
+            if a > 0:
+                if leave is None:
+                    leave, best = r, row
+                    continue
+                # row[-1]/a against best[-1]/best[k], denominators positive
+                lhs, rhs = row[-1] * best[k], best[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, best = r, row
         if leave is None:
             return False
-        _pivot(tableau, basis, z, leave[1], k)
+        _pivot(tableau, basis, z, leave, k)
     return True
 
 
-def _dual_lp(rows: Sequence[Row], c: Sequence[Fraction]):
+def _dual_lp(rows: Sequence[Row], c: Sequence[Union[Fraction, int]]):
     """min lam.b s.t. sum_i lam_i a_i = c, lam >= 0, over rows (a_i, b_i).
 
     The Farkas dual of max c.x over {x free : a_i.x <= b_i}: returns that
-    maximum; _UNBOUNDED when the rows admit no x; _INFEASIBLE when c is no
-    nonnegative combination of the a_i (the maximum is then unbounded, or
-    the rows infeasible).  One tableau row per variable; the artificial
-    basis of phase one (indices m..) is not stored and never re-enters.
+    maximum as a Fraction; _UNBOUNDED when the rows admit no x;
+    _INFEASIBLE when c is no nonnegative combination of the a_i (the
+    maximum is then unbounded, or the rows infeasible).  One tableau row
+    per variable; the artificial basis of phase one (indices m..) is not
+    stored and never re-enters.
+
+    Each row (a_i, b_i), and c, is first scaled to integers by a positive
+    factor.  That scales tableau columns and the right-hand side, which
+    changes no reduced-cost sign and no ratio-test choice: the pivots and
+    the optimum (divided by c's factor) are those of the rational LP.
     """
-    m = len(rows)
+    columns = [_integral((*r.coeffs, r.rhs))[0] for r in rows]
+    c, c_scale = _integral(c)
+    m = len(columns)
     tableau = []
     for j, target in enumerate(c):
         sign = -1 if target < 0 else 1
-        tableau.append([sign * r.coeffs[j] for r in rows] + [sign * Fraction(target)])
+        tableau.append([sign * col[j] for col in columns] + [sign * target])
     basis = list(range(m, m + len(tableau)))
     z = [-sum(column) for column in zip(*tableau)]
     _run_simplex(tableau, basis, z, phase_one=True)
@@ -330,14 +378,21 @@ def _dual_lp(rows: Sequence[Row], c: Sequence[Fraction]):
                 del tableau[r], basis[r]  # the equality was redundant
             else:
                 _pivot(tableau, basis, z, r, k)
-    z = [r.rhs for r in rows] + [Fraction(0)]
+    # z = cost - sum_r cost_i * row_r / row_r[i] (i = basis[r]), over the
+    # lcm of the basic entries so that it stays integral
+    costs = [col[-1] for col in columns]
+    scale = lcm(*(row[i] for row, i in zip(tableau, basis)))
+    z = [scale * b for b in costs] + [0]
     for row, i in zip(tableau, basis):
-        cost = rows[i].rhs
-        if cost:
-            z = [a - cost * b for a, b in zip(z, row)]
+        f = costs[i] * (scale // row[i])
+        if f:
+            z = [a - f * b for a, b in zip(z, row)]
     if not _run_simplex(tableau, basis, z, phase_one=False):
         return _UNBOUNDED
-    return -z[-1]
+    # the optimum is sum_r cost_i * rhs_r / row_r[i], divided by c's scale
+    scale = lcm(*(row[i] for row, i in zip(tableau, basis)))
+    total = sum(costs[i] * row[-1] * (scale // row[i]) for row, i in zip(tableau, basis))
+    return Fraction(total, scale * c_scale)
 
 
 def _implies(rows: Sequence[Row], row: Row) -> bool:
@@ -355,7 +410,7 @@ def _orthant_rows(sys: LinearSystem) -> list[Row]:
     """The rows -x_i <= 0 of the nonnegative variables."""
     n = len(sys.variables)
     return [
-        Row(tuple(Fraction(-1 if j == i else 0) for j in range(n)), Fraction(0))
+        Row(tuple(-1 if j == i else 0 for j in range(n)), 0)
         for i, flag in enumerate(sys.nonneg)
         if flag
     ]
@@ -382,7 +437,7 @@ def _reduce_rows(
 
 def _with_rows(sys: LinearSystem, rows, infeasible: bool) -> LinearSystem:
     if infeasible:
-        rows = [Row(tuple(Fraction(0) for _ in sys.variables), Fraction(-1))]
+        rows = [Row((0,) * len(sys.variables), -1)]
     return LinearSystem(sys.variables, tuple(rows), sys.nonneg)
 
 
@@ -431,6 +486,19 @@ def fourier_motzkin(sys: LinearSystem, var: str) -> LinearSystem:
     return _with_rows(sys, rows, infeasible)
 
 
+def _pairings(sys: LinearSystem, var: str) -> tuple[int, int]:
+    """(positive rows * negative rows, column) of `var`: the greedy order key."""
+    idx = sys.variables.index(var)
+    pos = neg = 0
+    for row in sys.rows:
+        c = row.coeffs[idx]
+        if c > 0:
+            pos += 1
+        elif c < 0:
+            neg += 1
+    return pos * neg, idx
+
+
 def project(
     sys: LinearSystem, keep: Sequence[str], order: Optional[Sequence[str]] = None
 ) -> LinearSystem:
@@ -454,22 +522,7 @@ def project(
         if order is not None:
             var = order.pop(0)
         else:
-            var = min(
-                pending,
-                key=lambda v: (
-                    sum(
-                        1
-                        for r in current.rows
-                        if r.coeffs[current.variables.index(v)] > 0
-                    )
-                    * sum(
-                        1
-                        for r in current.rows
-                        if r.coeffs[current.variables.index(v)] < 0
-                    ),
-                    current.variables.index(v),
-                ),
-            )
+            var = min(pending, key=lambda v: _pairings(current, v))
         pending.remove(var)
         current = fourier_motzkin(current, var)
     kept_order = [v for v in current.variables if v in keep]
@@ -521,7 +574,7 @@ def substitute(
 
     def translate(row: Row) -> Row:
         c = row.coeffs[var_idx]
-        dense = [Fraction(0)] * n
+        dense = [0] * n
         for v, a in zip(sys.variables, row.coeffs):
             if v != var:
                 dense[index[v]] += a
@@ -531,7 +584,7 @@ def substitute(
 
     rows = [translate(r) for r in sys.rows]
     if sys.nonneg[var_idx]:
-        dense = [Fraction(0)] * n
+        dense = [0] * n
         for name, a in expr.items():
             dense[index[name]] -= a
         rows.append(Row(tuple(dense), const))
@@ -597,7 +650,8 @@ def vertices_2d(sys: LinearSystem) -> list[tuple[Fraction, Fraction]]:
             ray=ray,
         )
 
-    lines = [(r.coeffs[0], r.coeffs[1], r.rhs) for r in sys.rows]
+    # Fractions, so that the intersections below divide exactly
+    lines = [tuple(map(Fraction, (*r.coeffs, r.rhs))) for r in sys.rows]
     if sys.nonneg[0]:
         lines.append((Fraction(-1), Fraction(0), Fraction(0)))
     if sys.nonneg[1]:

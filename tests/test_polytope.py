@@ -24,6 +24,7 @@ from cutbounds.errors import ParameterError, UnboundedRegionError
 from cutbounds.polytope import (
     LinearSystem,
     Row,
+    _dual_lp,
     canonicalize,
     contains,
     corner_points_symmetric,
@@ -152,6 +153,14 @@ class TestFeasible:
             nonneg={"x": False, "y": False},
         )
         assert not feasible(sys)
+
+
+class TestDualLp:
+    def test_rational_rows_and_objective(self):
+        # max 3/4 x s.t. x/2 <= 1/3 and -x <= 5 is 1/2, at x = 2/3
+        rows = [Row((F(1, 2),), F(1, 3)), Row((-1,), 5)]
+        best = _dual_lp(rows, [F(3, 4)])
+        assert best == F(1, 2) and isinstance(best, Fraction)
 
 
 class TestSubstitute:
@@ -326,6 +335,13 @@ class TestVertices:
             (F(5, 2), F(9, 2)),
             (F(0), F(7)),
         ]
+
+    def test_non_dyadic_vertices_are_fractions(self):
+        # 2.5 == F(5, 2), so only a type check catches a float leaking out
+        sys = sys_of(("x", "y"), [({"x": 3, "y": 1}, 2), ({"x": 1, "y": 3}, 2)])
+        verts = vertices_2d(sys)
+        assert verts == [(F(0), F(0)), (F(2, 3), F(0)), (F(1, 2), F(1, 2)), (F(0), F(2, 3))]
+        assert all(isinstance(v, Fraction) for point in verts for v in point)
 
     def test_unbounded_region_names_a_ray(self):
         sys = sys_of(("x", "y"), [({"x": 1, "y": -1}, 0)])

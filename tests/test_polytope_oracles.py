@@ -12,9 +12,14 @@ the solutions that satisfy the system lists all of them.  From that list:
   projects into the result and every vertex of the result lifts back into
   the system (the result is the projection, so it is bounded too).
 
+The domination tiers are checked against the LP instead: whenever tier 3
+or 3b says some rows force a row, the LP must agree.
+
 Box bounds may coincide, and a random row may come with its negation, so
 points, segments and implicit equalities are drawn as well as full-
-dimensional regions; variables may be free.
+dimensional regions; variables may be free.  Coefficients and right-hand
+sides are rationals with denominators 1-4, so the LP's integer scaling of
+rows and objectives is exercised.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ from hypothesis import strategies as st
 from cutbounds.polytope import (
     LinearSystem,
     Row,
+    _implies,
+    _orthant_rows,
+    _pair_implies,
+    _scale,
+    _single_row_implies,
     contains,
     feasible,
     fourier_motzkin,
@@ -41,6 +51,11 @@ PROFILE = settings(max_examples=60, deadline=None, derandomize=True, database=No
 coefficient = st.integers(-3, 3)
 
 
+def rational(low, high):
+    """Rationals in [low, high] with denominators 1-4 (integers included)."""
+    return st.fractions(low, high, max_denominator=4)
+
+
 @st.composite
 def bounded_systems(draw):
     n = draw(st.integers(2, 4))
@@ -48,13 +63,13 @@ def bounded_systems(draw):
     nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     rows = []
     for i in range(n):
-        lo = draw(st.integers(-3, 3))
-        hi = draw(st.integers(lo, lo + 4))
-        rows.append(Row(tuple(F(j == i) for j in range(n)), F(hi)))
-        rows.append(Row(tuple(-F(j == i) for j in range(n)), F(-lo)))
+        lo = draw(rational(-3, 3))
+        hi = lo + draw(rational(0, 4))
+        rows.append(Row(tuple(F(j == i) for j in range(n)), hi))
+        rows.append(Row(tuple(-F(j == i) for j in range(n)), -lo))
     for _ in range(draw(st.integers(0, 3))):
-        coeffs = tuple(F(draw(coefficient)) for _ in range(n))
-        rhs = F(draw(st.integers(-4, 6)))
+        coeffs = tuple(draw(rational(-3, 3)) for _ in range(n))
+        rhs = draw(rational(-4, 6))
         rows.append(Row(coeffs, rhs))
         if draw(st.booleans()):  # an implicit equality
             rows.append(Row(tuple(-c for c in coeffs), -rhs))
@@ -64,7 +79,7 @@ def bounded_systems(draw):
 def _solve(matrix, rhs):
     """Exact solution of a square system, or None when it is singular."""
     n = len(matrix)
-    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    a = [[F(v) for v in row] + [F(b)] for row, b in zip(matrix, rhs)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
@@ -182,7 +197,7 @@ def _lifts(sys: LinearSystem, idx: int, fixed: dict) -> bool:
     low = F(0) if sys.nonneg[idx] else None
     high = None
     for row in sys.rows:
-        rest = row.rhs - sum(row.coeffs[i] * x for i, x in fixed.items())
+        rest = F(row.rhs) - sum(row.coeffs[i] * x for i, x in fixed.items())
         c = row.coeffs[idx]
         if c == 0:
             if rest < 0:
@@ -192,3 +207,58 @@ def _lifts(sys: LinearSystem, idx: int, fixed: dict) -> bool:
         else:
             low = rest / c if low is None else max(low, rest / c)
     return low is None or high is None or low <= high
+
+
+@st.composite
+def tier_cases(draw, sources):
+    """`sources` random canonical rows, a target row and nonneg flags.
+
+    Half of the targets are built to be forced: a positive multiple of the
+    first source (tier 3) or the sum of two sources (tier 3b), loosened on
+    nonnegative columns and in the right-hand side.
+    """
+    n = draw(st.integers(1, 4))
+    nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+    def random_row():
+        coeffs = tuple(draw(rational(-3, 3)) for _ in range(n))
+        return _scale(Row(coeffs, draw(rational(-4, 6))))
+
+    rows = [random_row() for _ in range(sources)]
+    forced = draw(st.booleans())
+    if not forced:
+        return rows, random_row(), nonneg, False
+    lam = draw(rational(F(1, 4), 3)) if sources == 1 else 1
+    coeffs = [lam * sum(r.coeffs[j] for r in rows) for j in range(n)]
+    for j, flag in enumerate(nonneg):
+        if flag:
+            coeffs[j] -= draw(rational(0, 2))
+    rhs = lam * sum(r.rhs for r in rows) + draw(rational(0, 2))
+    target = Row(tuple(coeffs), rhs)
+    return rows, _scale(target) if sources == 1 else target, nonneg, True
+
+
+def _orthant(n, nonneg):
+    return _orthant_rows(LinearSystem(tuple("xyzw"[:n]), (), nonneg))
+
+
+@PROFILE
+@given(tier_cases(1))
+def test_single_row_domination_is_sound(case):
+    (s,), r, nonneg, forced = case
+    found = _single_row_implies(s, r, nonneg)
+    if found:
+        assert _implies([s] + _orthant(len(nonneg), nonneg), r)
+    if forced:
+        assert found
+
+
+@PROFILE
+@given(tier_cases(2))
+def test_pair_domination_is_sound(case):
+    (a, b), r, nonneg, forced = case
+    found = _pair_implies(a, b, r, nonneg)
+    if found:
+        assert _implies([a, b] + _orthant(len(nonneg), nonneg), r)
+    if forced:
+        assert found
