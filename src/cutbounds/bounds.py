@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ParameterError, PreconditionError
 from .setcalc import ElementSet, SubsetFamily, _check_indices, _level_mask
@@ -23,6 +23,7 @@ MAX_BETA_SET_SIZE = 6
 MAX_SEARCH_SINKS = 4
 
 ENUMERATION_RULES = ("csb", "gcsb3", "cor3")
+BOUND_RULES = ENUMERATION_RULES + ("cor2", "thm2")
 
 
 def _format_set(values: Iterable[int]) -> str:
@@ -99,15 +100,16 @@ class BoundTerm:
 
     level: int
     indices: frozenset
-    weight: Fraction
+    weight: Union[Fraction, int]
 
 
 @dataclass(frozen=True)
 class BoundInequality:
     """Canonical weighted term list plus a human-readable origin tag.
 
-    Equality and hashing ignore the provenance, so two builders producing
-    the same inequality compare equal regardless of the route taken.
+    The weights of the canonical list are coprime positive ints.  Equality
+    and hashing ignore the provenance, so two builders producing the same
+    inequality compare equal regardless of the route taken.
     """
 
     terms: tuple
@@ -140,7 +142,7 @@ class BoundInequality:
             key=lambda kv: (len(kv[0][1]), tuple(sorted(kv[0][1])), kv[0][0]),
         )
         final = tuple(
-            BoundTerm(level, indices, weight * scale_up / scale_down)
+            BoundTerm(level, indices, int(weight * scale_up) // scale_down)
             for (level, indices), weight in ordered
         )
         return cls(final, provenance)
@@ -317,19 +319,17 @@ class InstantiatedInequality:
     provenance: str
 
     def signature(self):
-        """Scale-free canonical form used to recognize duplicates."""
-        values = list(self.rate_coeffs.values()) + list(self.capacity_coeffs.values())
-        if not values:
+        """Scale-free canonical form used to recognize duplicates: the
+        coefficients scaled to coprime integers, sorted by label."""
+        rate = sorted(self.rate_coeffs.items())
+        items = rate + sorted(self.capacity_coeffs.items())
+        if not items:
             return ((), ())
-        scale_up = math.lcm(*(Fraction(v).denominator for v in values))
-        units = [int(Fraction(v) * scale_up) for v in values]
-        factor = Fraction(scale_up, math.gcd(*units))
-        return (
-            tuple(sorted((label, Fraction(v) * factor) for label, v in self.rate_coeffs.items())),
-            tuple(
-                sorted((label, Fraction(v) * factor) for label, v in self.capacity_coeffs.items())
-            ),
-        )
+        scale = math.lcm(*(v.denominator for _, v in items))
+        units = [v.numerator * (scale // v.denominator) for _, v in items]
+        g = math.gcd(*units)
+        canonical = [(label, u // g) for (label, _), u in zip(items, units)]
+        return tuple(canonical[: len(rate)]), tuple(canonical[len(rate):])
 
     def lhs_value(self, rates: Mapping) -> Fraction:
         total = Fraction(0)
@@ -350,7 +350,8 @@ def instantiate(
 
     Each term adds its weight to every message in the corresponding demand
     level and to every arc in the corresponding cut level.  When capacities
-    are given, the numeric right side is accumulated as well.
+    (ints or Fractions, None for unbounded) are given, the numeric right
+    side is accumulated as well.
     """
     if cut_family.size != msg_family.size:
         raise ParameterError("cut and message families must have the same sink count")
@@ -363,18 +364,19 @@ def instantiate(
             while mask:
                 low = mask & -mask
                 label = family.ground.label(low.bit_length() - 1)
-                coeffs[label] = coeffs.get(label, Fraction(0)) + aterm.weight
+                coeffs[label] = coeffs.get(label, 0) + aterm.weight
                 mask ^= low
     rhs = None
     if capacities is not None:
-        rhs = Fraction(0)
-        for label, coeff in cap.items():
+        for label in cap:
             if label not in capacities:
                 raise ParameterError(f"no capacity given for arc {label!r}")
-        if any(capacities[label] is None for label in cap):
-            rhs = None
-        else:
-            rhs = sum((coeff * Fraction(capacities[label]) for label, coeff in cap.items()), Fraction(0))
+        values = [capacities[label] for label in cap]
+        if None not in values:
+            # one Fraction per row: sum over the capacities' common denominator
+            scale = math.lcm(*(v.denominator for v in values))
+            units = (v.numerator * (scale // v.denominator) for v in values)
+            rhs = Fraction(sum(c * u for c, u in zip(cap.values(), units)), scale)
     return InstantiatedInequality(
         rate_coeffs=rate,
         capacity_coeffs=cap,
@@ -388,18 +390,25 @@ def _ordered_subsets(K: int):
         yield from itertools.combinations(range(1, K + 1), size)
 
 
+def check_rules(rules: Iterable[str], known: Sequence[str]) -> tuple:
+    """The rule names as a tuple; raises ParameterError on the first one not
+    in `known`."""
+    rules = tuple(rules)
+    for rule in rules:
+        if rule not in known:
+            raise ParameterError(
+                f"unknown rule {rule!r}, expected one of {', '.join(known)}"
+            )
+    return rules
+
+
 def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
     """All bounds produced by the named rules for K sinks, deduplicated by
     canonical term list with the first origin kept.  Deterministic order:
     rules as given, sink subsets by size then lexicographically."""
     if not 1 <= K <= 16:
         raise ParameterError("the sink count must be between 1 and 16")
-    rules = tuple(rules)
-    for rule in rules:
-        if rule not in ENUMERATION_RULES:
-            raise ParameterError(
-                f"unknown rule {rule!r}, expected one of {', '.join(ENUMERATION_RULES)}"
-            )
+    rules = check_rules(rules, ENUMERATION_RULES)
     out: list = []
     seen: set = set()
 
@@ -428,10 +437,16 @@ def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
     return out
 
 
-def thm2_search(cut_family: SubsetFamily, msg_family: SubsetFamily) -> list:
+def thm2_search(
+    cut_family: SubsetFamily,
+    msg_family: SubsetFamily,
+    capacities: Optional[Mapping] = None,
+) -> list:
     """Instantiate every valid parameterization of the general bound on the
-    given families, deduplicated by signature.  The search space grows as
-    roughly 8^K subset triples, so the sink count is capped."""
+    given families, deduplicated by signature; `capacities` is passed on to
+    `instantiate`.  A parameterization whose canonical term list was already
+    seen is skipped before instantiation.  The search space grows as roughly
+    8^K subset triples, so the sink count is capped."""
     if cut_family.size != msg_family.size:
         raise ParameterError("cut and message families must have the same sink count")
     K = cut_family.size
@@ -439,6 +454,7 @@ def thm2_search(cut_family: SubsetFamily, msg_family: SubsetFamily) -> list:
         raise ParameterError(f"the search is limited to {MAX_SEARCH_SINKS} sinks")
     rows: list = []
     seen: set = set()
+    seen_terms: set = set()
     subsets = list(_ordered_subsets(K))
     for set_g in subsets:
         for set_u in subsets:
@@ -459,9 +475,54 @@ def thm2_search(cut_family: SubsetFamily, msg_family: SubsetFamily) -> list:
                             )
                         except PreconditionError:
                             continue
-                        row = instantiate(bound, cut_family, msg_family)
+                        if bound.terms in seen_terms:
+                            continue
+                        seen_terms.add(bound.terms)
+                        row = instantiate(bound, cut_family, msg_family, capacities)
                         sig = row.signature()
                         if sig not in seen:
                             seen.add(sig)
                             rows.append(row)
     return rows
+
+
+def _beta_bounds(K: int):
+    """The cor2 bounds: every split set Q within {2..|U|} of every sink set U
+    of at most MAX_BETA_SET_SIZE sinks, U by size then lexicographically."""
+    for size in range(1, min(K, MAX_BETA_SET_SIZE) + 1):
+        for subset in itertools.combinations(range(1, K + 1), size):
+            pool = range(2, size + 1)
+            for q_size in range(size):
+                for qs in itertools.combinations(pool, q_size):
+                    yield beta_bound(subset, qs)
+
+
+def bound_rows(
+    rules: Sequence[str],
+    cut_family: SubsetFamily,
+    msg_family: SubsetFamily,
+    capacities: Optional[Mapping] = None,
+) -> list:
+    """Instantiated rows of the named rules (any of BOUND_RULES), sorted by
+    signature.
+
+    Rules are walked in the order given, so the first rule to produce a row
+    names its provenance.  A bound whose canonical term list was already
+    seen is skipped before instantiation, and of the rows left the first
+    per signature is kept.  `capacities` is passed on to `instantiate`.
+    """
+    K = cut_family.size
+    picked: dict = {}
+    seen: set = set()
+    for rule in check_rules(rules, BOUND_RULES):
+        if rule == "thm2":
+            for row in thm2_search(cut_family, msg_family, capacities):
+                picked.setdefault(row.signature(), row)
+            continue
+        bounds = _beta_bounds(K) if rule == "cor2" else enumerate_bounds(K, (rule,))
+        for bound in bounds:
+            if bound.terms not in seen:
+                seen.add(bound.terms)
+                row = instantiate(bound, cut_family, msg_family, capacities)
+                picked.setdefault(row.signature(), row)
+    return [picked[sig] for sig in sorted(picked)]

@@ -23,19 +23,16 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from math import comb
 
 from .bounds import (
+    BOUND_RULES,
     ENUMERATION_RULES,
-    MAX_BETA_SET_SIZE,
     alpha_beta_identity,
-    beta_bound,
-    enumerate_bounds,
-    instantiate,
-    thm2_search,
+    bound_rows,
+    check_rules,
 )
 from .errors import (
     CutVerificationError,
@@ -78,7 +75,6 @@ from .setfn import (
 
 _DOC_KEYS = ("nodes", "arcs", "source", "sinks", "messages", "demands")
 _ARC_KEYS = ("from", "to", "capacity")
-_REPORT_RULES = ENUMERATION_RULES + ("cor2", "thm2")
 
 
 # ---------------------------------------------------------------------------
@@ -207,54 +203,6 @@ def _write_text(text: str, destination) -> None:
     os.replace(staging, destination)
 
 
-def _numeric_rhs(row, capacities):
-    total = Fraction(0)
-    for label, coeff in row.capacity_coeffs.items():
-        value = capacities[label]
-        if value is None:
-            return None
-        total += coeff * value
-    return total
-
-
-def _sink_subsets(K: int, max_size: int):
-    for size in range(1, min(K, max_size) + 1):
-        yield from itertools.combinations(range(1, K + 1), size)
-
-
-def _report_rows(net: BroadcastNetwork, rules, cuts):
-    """Instantiated rows for the requested rules, deduplicated by scale-free
-    signature (first origin wins) and sorted by that signature."""
-    cut_family, msg_family = cut_and_message_families(net, cuts)
-    capacities = {arc.label: arc.capacity for arc in net.arcs}
-    picked = []
-    seen = set()
-
-    def push(row):
-        signature = row.signature()
-        if signature not in seen:
-            seen.add(signature)
-            picked.append((signature, row))
-
-    for rule in rules:
-        if rule in ENUMERATION_RULES:
-            for bound in enumerate_bounds(net.K, (rule,)):
-                push(instantiate(bound, cut_family, msg_family, capacities))
-        elif rule == "cor2":
-            for subset in _sink_subsets(net.K, MAX_BETA_SET_SIZE):
-                pool = range(2, len(subset) + 1)
-                for q_size in range(len(subset)):
-                    for qs in itertools.combinations(pool, q_size):
-                        bound = beta_bound(subset, qs)
-                        push(instantiate(bound, cut_family, msg_family, capacities))
-        else:  # thm2; the search instantiates internally, so attach the rhs
-            for row in thm2_search(cut_family, msg_family):
-                push(replace(row, rhs_value=_numeric_rhs(row, capacities)))
-
-    picked.sort(key=lambda pair: pair[0])
-    return [row for _, row in picked]
-
-
 def _row_payload(net: BroadcastNetwork, row) -> dict:
     rates = {
         label: format_rational(row.rate_coeffs[label])
@@ -266,26 +214,22 @@ def _row_payload(net: BroadcastNetwork, row) -> dict:
         for arc in net.arcs
         if arc.label in row.capacity_coeffs
     }
-    rhs = None if row.rhs_value is None else format_rational(row.rhs_value)
     return {
         "provenance": row.provenance,
         "rate_coeffs": rates,
         "capacity_coeffs": caps,
-        "rhs_value": rhs,
     }
 
 
 def cmd_bounds(args) -> int:
     net = load_network_document(args.net_file)
-    rules = tuple(token.strip() for token in args.rules.split(","))
-    for rule in rules:
-        if rule not in _REPORT_RULES:
-            raise ParameterError(
-                f"unknown rule {rule!r}, expected one of {', '.join(_REPORT_RULES)}"
-            )
-    cuts = _load_cuts(net, args.cuts)
-    rows = _report_rows(net, rules, cuts)
-    payload = [_row_payload(net, row) for row in rows]
+    rules = check_rules((token.strip() for token in args.rules.split(",")), BOUND_RULES)
+    cut_family, msg_family = cut_and_message_families(net, _load_cuts(net, args.cuts))
+    capacities = {arc.label: arc.capacity for arc in net.arcs}
+    payload = []
+    for row in bound_rows(rules, cut_family, msg_family, capacities):
+        rhs = None if row.rhs_value is None else format_rational(row.rhs_value)
+        payload.append({**_row_payload(net, row), "rhs_value": rhs})
     _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
@@ -531,24 +475,22 @@ def _symmetric_cutset_system(K: int, caps) -> LinearSystem:
     return project(folded, ("R0", "Rsp"))
 
 
-def _file_region_system(net: BroadcastNetwork, which: str) -> LinearSystem:
-    """Outer-bound system over the network's message rates, using minimum
-    cuts; `which` picks the plain cut-set rows or the full generalized set."""
+def _file_region_system(
+    net: BroadcastNetwork, which: str, families=None
+) -> LinearSystem:
+    """Outer-bound system over the network's message rates: the rows with a
+    finite right side.  `which` picks the plain cut-set rows or the full
+    generalized set; `families` are the (cut, message) families, by default
+    those of the minimum cuts."""
     rules = ("csb",) if which == "cutset" else ENUMERATION_RULES
-    cuts = [min_cut(net, k) for k in range(1, net.K + 1)]
-    cut_family, msg_family = cut_and_message_families(net, cuts)
+    if families is None:
+        families = cut_and_message_families(net, _load_cuts(net, None))
     capacities = {arc.label: arc.capacity for arc in net.arcs}
-    rows = []
-    seen = set()
-    for bound in enumerate_bounds(net.K, rules):
-        row = instantiate(bound, cut_family, msg_family, capacities)
-        if row.rhs_value is None:
-            continue
-        signature = row.signature()
-        if signature in seen:
-            continue
-        seen.add(signature)
-        rows.append((row.rate_coeffs, row.rhs_value))
+    rows = [
+        (row.rate_coeffs, row.rhs_value)
+        for row in bound_rows(rules, *families, capacities)
+        if row.rhs_value is not None
+    ]
     return LinearSystem.from_rows(net.messages, rows)
 
 
@@ -588,9 +530,11 @@ def cmd_region(args) -> int:
 
     else:
         net = load_network_document(args.net_file)
+        families = cut_and_message_families(net, _load_cuts(net, None))
 
         def build(which: str) -> LinearSystem:
-            return _reorder_columns(project(_file_region_system(net, which), axes), axes)
+            system = _file_region_system(net, which, families)
+            return _reorder_columns(project(system, axes), axes)
 
     primary = build(args.bounds)
     points = vertices_2d(primary)
@@ -638,31 +582,9 @@ def _load_golden(name: str) -> str:
 
 def _regen_k3_complete() -> dict:
     net = complete_combination_network(3)
-    cuts = [min_cut(net, k) for k in range(1, 4)]
-    cut_family, msg_family = cut_and_message_families(net, cuts)
-    entries = []
-    for bound in enumerate_bounds(3, ("csb", "gcsb3")):
-        row = instantiate(bound, cut_family, msg_family)
-        entries.append((row.signature(), row))
-    entries.sort(key=lambda pair: pair[0])
-    rows = []
-    for _, row in entries:
-        rows.append(
-            {
-                "provenance": row.provenance,
-                "rate_coeffs": {
-                    label: format_rational(row.rate_coeffs[label])
-                    for label in net.messages
-                    if label in row.rate_coeffs
-                },
-                "capacity_coeffs": {
-                    arc.label: format_rational(row.capacity_coeffs[arc.label])
-                    for arc in net.arcs
-                    if arc.label in row.capacity_coeffs
-                },
-            }
-        )
-    return {"rows": rows}
+    families = cut_and_message_families(net, _load_cuts(net, None))
+    rows = bound_rows(("csb", "gcsb3"), *families)
+    return {"rows": [_row_payload(net, row) for row in rows]}
 
 
 def _regen_k3_symmetric() -> dict:

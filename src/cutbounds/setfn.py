@@ -153,6 +153,22 @@ def entropy_function(dist: JointDistribution) -> SetFunction:
     return SetFunction.from_table(ground, table)
 
 
+def _exchanges(f: SetFunction):
+    """(f(S+a), f(S+b), f(S+a+b), f(S)) for every S and every pair a < b
+    outside S."""
+    n = f.ground.size
+    for base in range(1 << n):
+        f0 = f._value(base)
+        for a in range(n):
+            if base >> a & 1:
+                continue
+            fa = f._value(base | 1 << a)
+            for b in range(a + 1, n):
+                if base >> b & 1:
+                    continue
+                yield fa, f._value(base | 1 << b), f._value(base | 1 << a | 1 << b), f0
+
+
 def is_submodular(f: SetFunction, tolerance: float = 0.0) -> bool:
     """Check f(S+a) + f(S+b) >= f(S+a+b) + f(S) for all S and a, b not in S.
 
@@ -163,43 +179,14 @@ def is_submodular(f: SetFunction, tolerance: float = 0.0) -> bool:
     """
     if f.is_modular_backed:
         return True
-    n = f.ground.size
-    for base in range(1 << n):
-        for a in range(n):
-            if base >> a & 1:
-                continue
-            fa = f._value(base | 1 << a)
-            for b in range(a + 1, n):
-                if base >> b & 1:
-                    continue
-                joined = f._value(base | 1 << a | 1 << b)
-                if fa + f._value(base | 1 << b) + tolerance < joined + f._value(base):
-                    return False
-    return True
+    return not any(fa + fb + tolerance < fab + f0 for fa, fb, fab, f0 in _exchanges(f))
 
 
 def is_modular(f: SetFunction, tolerance: float = 0.0) -> bool:
     """Like :func:`is_submodular` but requires the exchange to be an equality."""
     if f.is_modular_backed:
         return True
-    n = f.ground.size
-    for base in range(1 << n):
-        for a in range(n):
-            if base >> a & 1:
-                continue
-            fa = f._value(base | 1 << a)
-            for b in range(a + 1, n):
-                if base >> b & 1:
-                    continue
-                gap = (
-                    fa
-                    + f._value(base | 1 << b)
-                    - f._value(base | 1 << a | 1 << b)
-                    - f._value(base)
-                )
-                if abs(gap) > tolerance:
-                    return False
-    return True
+    return not any(abs(fa + fb - fab - f0) > tolerance for fa, fb, fab, f0 in _exchanges(f))
 
 
 def _check_function_family(f: SetFunction, family: SubsetFamily) -> None:

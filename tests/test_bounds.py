@@ -9,9 +9,12 @@ identities tying the general builder back to the named special cases.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutbounds.bounds import (
     BoundInequality,
@@ -21,6 +24,7 @@ from cutbounds.bounds import (
     alpha_beta_identity,
     beta,
     beta_bound,
+    bound_rows,
     cutset_bound,
     enumerate_bounds,
     gcsb3,
@@ -463,6 +467,60 @@ class TestThm2Search:
         with pytest.raises(ParameterError):
             thm2_search(fam, fam)
 
+    def test_capacities_give_right_sides(self):
+        cut, msg = cn3_families()
+        caps = {a: Fraction(i + 1, 2) for i, a in enumerate(ARCS)}
+        caps["a1"] = None
+        rows = thm2_search(cut, msg, caps)
+        assert [r.signature() for r in rows] == [r.signature() for r in thm2_search(cut, msg)]
+        assert {r.rhs_value is None for r in rows} == {True, False}
+        for row in rows:
+            if "a1" in row.capacity_coeffs:
+                assert row.rhs_value is None
+            else:
+                expect = sum(c * caps[a] for a, c in row.capacity_coeffs.items())
+                assert row.rhs_value == expect
+
+
+class TestBoundRows:
+    def test_matches_instantiating_every_bound(self):
+        cut, msg = cn3_families()
+        caps = {a: 1 for a in ARCS}
+        rows = bound_rows(("csb", "gcsb3", "cor3"), cut, msg, caps)
+        by_sig = {}
+        for b in enumerate_bounds(3, ("csb", "gcsb3", "cor3")):
+            row = instantiate(b, cut, msg, caps)
+            by_sig.setdefault(row.signature(), row)
+        assert [r.signature() for r in rows] == sorted(by_sig)
+        for row in rows:
+            first = by_sig[row.signature()]
+            assert row.provenance == first.provenance
+            assert row.rhs_value == first.rhs_value
+
+    def test_rule_order_picks_provenance(self):
+        cut, msg = cn3_families()
+        thm2_first = bound_rows(("thm2", "csb"), cut, msg)
+        csb_first = bound_rows(("csb", "thm2"), cut, msg)
+        assert [r.signature() for r in thm2_first] == [r.signature() for r in csb_first]
+        csb_sigs = {r.signature() for r in bound_rows(("csb",), cut, msg)}
+        for a, b in zip(thm2_first, csb_first):
+            if a.signature() in csb_sigs:
+                assert a.provenance.startswith("thm2(")
+                assert b.provenance.startswith("csb(")
+
+    def test_cor2_rows_without_capacities(self):
+        cut, msg = cn3_families()
+        rows = bound_rows(("cor2",), cut, msg)
+        assert rows and all(r.rhs_value is None for r in rows)
+        assert all(r.provenance.startswith("cor2(") for r in rows)
+        sigs = [r.signature() for r in rows]
+        assert sigs == sorted(set(sigs))
+
+    def test_unknown_rule(self):
+        cut, msg = cn3_families()
+        with pytest.raises(ParameterError, match="banana"):
+            bound_rows(("csb", "banana"), cut, msg)
+
 
 class TestSymmetryInvariant:
     """Identical set operations on both sides: instantiating with the same
@@ -496,6 +554,29 @@ class TestSymmetryInvariant:
             assert row.rate_coeffs == row.capacity_coeffs
 
 
+def reference_signature(row):
+    """The signature's canonical form as first defined, in Fractions: the
+    coefficients times lcm(denominators) / gcd(scaled values)."""
+    values = list(row.rate_coeffs.values()) + list(row.capacity_coeffs.values())
+    if not values:
+        return ((), ())
+    scale_up = math.lcm(*(Fraction(v).denominator for v in values))
+    units = [int(Fraction(v) * scale_up) for v in values]
+    factor = Fraction(scale_up, math.gcd(*units))
+    return (
+        tuple(sorted((label, Fraction(v) * factor) for label, v in row.rate_coeffs.items())),
+        tuple(sorted((label, Fraction(v) * factor) for label, v in row.capacity_coeffs.items())),
+    )
+
+
+nonzero_coefficient = st.one_of(
+    st.integers(-12, 12), st.fractions(-12, 12, max_denominator=4)
+).filter(lambda v: v != 0)
+coefficient_maps = st.dictionaries(
+    st.sampled_from(("a", "b", "c", "d", "e")), nonzero_coefficient, max_size=4
+)
+
+
 class TestSignature:
     def test_signature_ignores_scale(self):
         cut, msg = cn3_families()
@@ -507,6 +588,28 @@ class TestSignature:
             provenance="other",
         )
         assert row.signature() == doubled.signature()
+
+    def test_integral_rows_give_int_signatures(self):
+        cut, msg = cn3_families()
+        for b in enumerate_bounds(3, ("csb", "gcsb3", "cor3")):
+            assert all(type(t.weight) is int for t in b.terms)
+            row = instantiate(b, cut, msg)
+            for side in row.signature():
+                assert all(type(v) is int for _, v in side)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(coefficient_maps, coefficient_maps), min_size=1, max_size=6))
+    def test_signature_matches_fraction_reference(self, maps):
+        rows = [
+            InstantiatedInequality(rate, cap, None, "")
+            for rate, cap in maps
+            if rate or cap
+        ]
+        for row in rows:
+            assert row.signature() == reference_signature(row)
+        assert sorted(rows, key=lambda r: r.signature()) == sorted(
+            rows, key=reference_signature
+        )
 
     def test_lhs_value(self):
         cut, msg = cn3_families()

@@ -268,6 +268,39 @@ class TestCmdBounds:
 
         assert {sig(r) for r in csb_rows} <= {sig(r) for r in thm2_rows}
 
+    def test_rule_order_picks_provenance(self, tmp_path, capsys):
+        path = write_doc(tmp_path, complete3_doc())
+        reports = {}
+        for rules in ("csb", "thm2,csb", "csb,thm2"):
+            assert cli.main(["bounds", path, "--rules", rules]) == 0
+            reports[rules] = json.loads(capsys.readouterr().out)
+
+        def coefficients(row):
+            return row["rate_coeffs"], row["capacity_coeffs"], row["rhs_value"]
+
+        thm2_first, csb_first = reports["thm2,csb"], reports["csb,thm2"]
+        assert [coefficients(r) for r in thm2_first] == [coefficients(r) for r in csb_first]
+        shared = [coefficients(r) for r in reports["csb"]]
+        picked = [(a, b) for a, b in zip(thm2_first, csb_first) if coefficients(a) in shared]
+        assert len(picked) == len(shared)
+        for a, b in picked:
+            assert a["provenance"].startswith("thm2(")
+            assert b["provenance"].startswith("csb(")
+
+    def test_thm2_right_sides_on_a_document_with_unbounded_arcs(self, tmp_path, capsys):
+        doc = complete3_doc()
+        for i, arc in enumerate(doc["arcs"][:7]):
+            arc["capacity"] = f"{i + 2}/3"
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["bounds", path, "--rules", "thm2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        capacities = {f"a{i}": arc["capacity"] for i, arc in enumerate(doc["arcs"])}
+        assert len(report) > 15
+        for row in report:
+            # minimum cuts never hold an unbounded arc, so every side is finite
+            total = sum(F(c) * F(capacities[a]) for a, c in row["capacity_coeffs"].items())
+            assert F(row["rhs_value"]) == total, row["provenance"]
+
     def test_unknown_rule_exit2(self, tmp_path):
         path = write_doc(tmp_path, k1_doc())
         assert cli.main(["bounds", path, "--rules", "csb,banana"]) == 2
@@ -442,6 +475,41 @@ class TestCmdRegion:
         )
         assert code == 0
         assert out.read_text() == "x,y\n0,0\n1,0\n1,2\n0,2\n"
+
+    def test_compare_reuses_the_minimum_cuts(self, tmp_path, capsys, monkeypatch):
+        path = write_doc(tmp_path, complete3_doc())
+        calls = []
+        original = cli.min_cut
+
+        def counted(net, k):
+            calls.append(k)
+            return original(net, k)
+
+        monkeypatch.setattr(cli, "min_cut", counted)
+        args = ["region", path, "--axes", "W1,W2", "--bounds", "cutset", "--compare", "gcsb"]
+        assert cli.main(args) == 0
+        assert calls == [1, 2, 3]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("gcsb contains cutset: ")
+        assert lines[-1] == "cutset contains gcsb: yes"
+
+    def test_file_system_rows_are_the_finite_report_rows(self, tmp_path, capsys):
+        doc = complete3_doc()
+        for i, arc in enumerate(doc["arcs"][:7]):
+            arc["capacity"] = f"{i + 2}/3"
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["bounds", path, "--rules", "csb,gcsb3,cor3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        net = cli.load_network_document(path)
+        system = cli._file_region_system(net, "gcsb")
+        assert system.variables == tuple(net.messages)
+        from_report = sorted(
+            (tuple(F(row["rate_coeffs"].get(m, "0")) for m in net.messages), F(row["rhs_value"]))
+            for row in report
+            if row["rhs_value"] is not None
+        )
+        from_system = sorted((tuple(row.coeffs), row.rhs) for row in system.rows)
+        assert from_system == from_report
 
     def test_unconstrained_message_unbounded_exit4(self, tmp_path, capsys):
         path = write_doc(tmp_path, two_sink_doc(extra_message=True))
