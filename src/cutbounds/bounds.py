@@ -310,8 +310,10 @@ def gcsbK(
 class InstantiatedInequality:
     """A bound evaluated on a concrete network: nonzero per-message rate
     coefficients, nonzero per-arc capacity coefficients, and optionally the
-    numeric right side under given capacities (None when some arc on the
-    right is unbounded)."""
+    numeric right side under given capacities.  It is None without
+    capacities, or when an arc on the right is unbounded (capacity None):
+    verified cuts (`network.make_cut`, `network.min_cut`) never hold such an
+    arc, so only a library caller's own cut family can."""
 
     rate_coeffs: dict
     capacity_coeffs: dict
@@ -351,7 +353,8 @@ def instantiate(
     Each term adds its weight to every message in the corresponding demand
     level and to every arc in the corresponding cut level.  When capacities
     (ints or Fractions, None for unbounded) are given, the numeric right
-    side is accumulated as well.
+    side is accumulated as well; it stays None when an arc on the right is
+    unbounded, which only a library caller's own cut family can hold.
     """
     if cut_family.size != msg_family.size:
         raise ParameterError("cut and message families must have the same sink count")

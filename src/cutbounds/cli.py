@@ -226,10 +226,11 @@ def cmd_bounds(args) -> int:
     rules = check_rules((token.strip() for token in args.rules.split(",")), BOUND_RULES)
     cut_family, msg_family = cut_and_message_families(net, _load_cuts(net, args.cuts))
     capacities = {arc.label: arc.capacity for arc in net.arcs}
-    payload = []
-    for row in bound_rows(rules, cut_family, msg_family, capacities):
-        rhs = None if row.rhs_value is None else format_rational(row.rhs_value)
-        payload.append({**_row_payload(net, row), "rhs_value": rhs})
+    # verified cuts hold no unbounded arc, so every right side is finite
+    payload = [
+        {**_row_payload(net, row), "rhs_value": format_rational(row.rhs_value)}
+        for row in bound_rows(rules, cut_family, msg_family, capacities)
+    ]
     _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
@@ -478,10 +479,10 @@ def _symmetric_cutset_system(K: int, caps) -> LinearSystem:
 def _file_region_system(
     net: BroadcastNetwork, which: str, families=None
 ) -> LinearSystem:
-    """Outer-bound system over the network's message rates: the rows with a
-    finite right side.  `which` picks the plain cut-set rows or the full
-    generalized set; `families` are the (cut, message) families, by default
-    those of the minimum cuts."""
+    """Outer-bound system over the network's message rates.  `which` picks
+    the plain cut-set rows or the full generalized set; `families` are the
+    (cut, message) families, by default those of the minimum cuts.  Every
+    right side is finite: verified cuts never hold an unbounded arc."""
     rules = ("csb",) if which == "cutset" else ENUMERATION_RULES
     if families is None:
         families = cut_and_message_families(net, _load_cuts(net, None))
@@ -489,7 +490,6 @@ def _file_region_system(
     rows = [
         (row.rate_coeffs, row.rhs_value)
         for row in bound_rows(rules, *families, capacities)
-        if row.rhs_value is not None
     ]
     return LinearSystem.from_rows(net.messages, rows)
 

@@ -1,10 +1,15 @@
 """Set functions over a ground set and the chained exchange-gap evaluators.
 
 Two backings are supported: modular functions given by per-element weights,
-and explicit tables indexed by subset mask (entropy tables in particular).
-The gap evaluators return  lhs - rhs  of the corresponding combination
-inequality, so a nonnegative result certifies one instance and an exactly
-zero result is expected whenever the function is modular.
+and tables indexed by subset mask (explicit value lists, or entropy tables
+that compute each marginal on first lookup).  The gap evaluators return
+lhs - rhs  of the corresponding combination inequality, so a nonnegative
+result certifies one instance and an exactly zero result is expected
+whenever the function is modular.
+
+Float sums go through :func:`_left_sum`, never ``builtins.sum``: from
+Python 3.12 on the builtin compensates float sums, which would change the
+last bits of every sampled gap from one interpreter to the next.
 """
 
 from __future__ import annotations
@@ -31,12 +36,22 @@ PMF_CLAMP = 1e-15
 Number = Union[int, float, Fraction]
 
 
+def _left_sum(values):
+    """Sum from 0, left to right, one plain `+` per value: what
+    ``builtins.sum`` computes on Python 3.10 and 3.11."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 class SetFunction:
     """Nonnegative set function with f(empty) = 0.
 
     Construct via :meth:`modular` or :meth:`from_table`.  Modular functions
     keep exact Fraction weights so that gap computations cancel exactly;
-    table-backed functions evaluate by direct lookup.
+    table-backed functions evaluate by lookup (a sequence, or a mapping
+    that may fill itself on a missing mask).
     """
 
     __slots__ = ("ground", "_weights", "_table")
@@ -115,7 +130,7 @@ class JointDistribution:
             )
         if any(p < 0 for p in pmf):
             raise ParameterError("pmf entries must be nonnegative")
-        if abs(sum(pmf) - 1.0) > PMF_SUM_TOLERANCE:
+        if abs(_left_sum(pmf) - 1.0) > PMF_SUM_TOLERANCE:
             raise ParameterError("pmf must sum to 1")
 
 
@@ -124,33 +139,48 @@ def random_joint_distribution(rng, variable_count: int) -> JointDistribution:
     if not 1 <= variable_count <= MAX_VARIABLES:
         raise ParameterError(f"variable_count must be between 1 and {MAX_VARIABLES}")
     raw = [rng.expovariate(1.0) for _ in range(1 << variable_count)]
-    total = sum(raw)
+    total = _left_sum(raw)
     pmf = [w / total for w in raw]
     # discard sub-noise mass so downstream logs stay well conditioned
     pmf = [0.0 if p < PMF_CLAMP else p for p in pmf]
-    total = sum(pmf)
+    total = _left_sum(pmf)
     return JointDistribution(variable_count, tuple(p / total for p in pmf))
 
 
-def entropy_function(dist: JointDistribution) -> SetFunction:
-    """Shannon entropy (bits) of each marginal, as a table-backed function."""
-    m = dist.variable_count
-    ground = GroundSet(m)
-    table = [0.0] * (1 << m)
-    for amask in range(1, 1 << m):
+class _EntropyTable(dict):
+    """Shannon entropy (bits) of each marginal of a pmf, keyed by subset
+    mask and computed on first lookup; the empty set is preloaded as 0."""
+
+    __slots__ = ("_support",)
+
+    def __init__(self, pmf):
+        super().__init__({0: 0.0})
+        self._support = tuple((outcome, p) for outcome, p in enumerate(pmf) if p > 0.0)
+
+    def __missing__(self, amask: int) -> float:
         marginal: dict = {}
-        for outcome, p in enumerate(dist.pmf):
-            if p > 0.0:
-                key = outcome & amask
-                marginal[key] = marginal.get(key, 0.0) + p
+        for outcome, p in self._support:
+            key = outcome & amask
+            marginal[key] = marginal.get(key, 0.0) + p
         h = 0.0
         for p in marginal.values():
             h -= p * math.log2(p)
         # rounding can push a deterministic marginal a hair below zero
         if -1e-9 < h < 0.0:
             h = 0.0
-        table[amask] = h
-    return SetFunction.from_table(ground, table)
+        if h < 0:
+            raise ParameterError("set function values must be nonnegative")
+        self[amask] = h
+        return h
+
+
+def entropy_function(dist: JointDistribution) -> SetFunction:
+    """Shannon entropy (bits) of each marginal, as a table-backed function.
+
+    A gap reads a handful of the 2^m marginals, so each is computed when
+    first looked up and then kept.
+    """
+    return SetFunction(GroundSet(dist.variable_count), table=_EntropyTable(dist.pmf))
 
 
 def _exchanges(f: SetFunction):
@@ -200,8 +230,8 @@ def multiway_gap(f: SetFunction, family: SubsetFamily, indices: Iterable[int]):
     _check_function_family(f, family)
     positions = _check_indices(family, indices)
     masks = family.masks
-    lhs = sum(f._value(masks[p]) for p in positions)
-    rhs = sum(
+    lhs = _left_sum(f._value(masks[p]) for p in positions)
+    rhs = _left_sum(
         f._value(_level_mask(masks, positions, r))
         for r in range(1, len(positions) + 1)
     )
@@ -243,14 +273,14 @@ def prefix_multiway_gap(
     pads = {
         r: _level_mask(masks, prefix[:r], cutoff + 1) for r in range(cutoff + 1, count + 1)
     }
-    lhs = sum(f._value(masks[r - 1] | amask) for r in range(1, cutoff + 1))
-    lhs += sum(
+    lhs = _left_sum(f._value(masks[r - 1] | amask) for r in range(1, cutoff + 1))
+    lhs += _left_sum(
         f._value(masks[r - 1] | pads[r] | amask) for r in range(cutoff + 1, count + 1)
     )
-    rhs = sum(
+    rhs = _left_sum(
         f._value(_level_mask(masks, prefix, r) | amask) for r in range(1, cutoff + 1)
     )
-    rhs += sum(f._value(pads[r] | amask) for r in range(cutoff + 1, count + 1))
+    rhs += _left_sum(f._value(pads[r] | amask) for r in range(cutoff + 1, count + 1))
     return lhs - rhs
 
 
@@ -290,13 +320,13 @@ def cross_level_gap(
             f"({ElementSet(ground, anchor).member_labels()}) is not contained in "
             f"level {t_prefix} of T ({ElementSet(ground, target).member_labels()})"
         )
-    lhs = sum(f._value(masks[p]) for p in pos_t)
+    lhs = _left_sum(f._value(masks[p]) for p in pos_t)
     lhs += t_prefix * f._value(anchor)
-    rhs = sum(
+    rhs = _left_sum(
         f._value(_level_mask(masks, pos_t, r)) + f._value(masks[pos_t[r - 1]] & anchor)
         for r in range(1, t_prefix + 1)
     )
-    rhs += sum(
+    rhs += _left_sum(
         f._value(
             masks[pos_t[r - 1]]
             & (anchor | _level_mask(masks, pos_t[:r], t_prefix + 1))

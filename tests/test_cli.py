@@ -366,6 +366,16 @@ class TestCmdVerify:
         gap = float(out.split("min_gap=")[1].split()[0])
         assert gap >= -1e-9
 
+    def test_readme_example_output_is_pinned(self, capsys):
+        # the README example, bit for bit: the gap sums fold left to right,
+        # so Python 3.12's compensated builtin sum cannot change the digits
+        code = cli.main(["verify", "--lemma", "cor1", "--trials", "200", "--seed", "5"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "check=cor1 backend=entropy trials=200 ground=5 seed=5 tolerance=1e-09\n"
+            "min_gap=-8.881784197001252e-16 violations=0\n"
+        )
+
     @pytest.mark.parametrize("token", ["1", "2", "cor1", "multiway"])
     def test_modular_gap_exactly_zero(self, token, capsys):
         code, out = self.entropy_run(token, capsys, extra=["--modular"])

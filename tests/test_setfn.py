@@ -8,14 +8,18 @@ Z3 = Z1 xor Z2, whose entropy table is 1 on singletons and 2 elsewhere.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutbounds.errors import GroundMismatchError, ParameterError, PreconditionError
-from cutbounds.setcalc import ElementSet, GroundSet, SubsetFamily
+from cutbounds.setcalc import ElementSet, GroundSet, SubsetFamily, intersect_level
 from cutbounds.setfn import (
+    MAX_VARIABLES,
     JointDistribution,
     SetFunction,
     cross_level_gap,
@@ -148,6 +152,80 @@ class TestEntropyFunction:
                 for add in range(n):
                     big = small | 1 << add
                     assert f(ElementSet(g, small)) <= f(ElementSet(g, big)) + 1e-9
+
+
+def eager_entropy_table(dist: JointDistribution) -> list:
+    """Reference: every marginal entropy, computed up front in mask order."""
+    m = dist.variable_count
+    table = [0.0] * (1 << m)
+    for amask in range(1, 1 << m):
+        marginal: dict = {}
+        for outcome, p in enumerate(dist.pmf):
+            if p > 0.0:
+                key = outcome & amask
+                marginal[key] = marginal.get(key, 0.0) + p
+        h = 0.0
+        for p in marginal.values():
+            h -= p * math.log2(p)
+        if -1e-9 < h < 0.0:
+            h = 0.0
+        table[amask] = h
+    return table
+
+
+@st.composite
+def distributions(draw):
+    """Pmfs over 1..6 bits: sampled ones (with the sampler's clamped zero
+    entries), sparse ones with many exact zeros, and point masses."""
+    m = draw(st.integers(1, MAX_VARIABLES))
+    size = 1 << m
+    kind = draw(st.sampled_from(("sampled", "sparse", "point")))
+    if kind == "sampled":
+        return random_joint_distribution(random.Random(draw(st.integers(0, 2**32))), m)
+    if kind == "point":
+        pmf = [0.0] * size
+        pmf[draw(st.integers(0, size - 1))] = 1.0
+        return JointDistribution(m, tuple(pmf))
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-16, 1.0)), min_size=size, max_size=size
+        )
+    )
+    weights[draw(st.integers(0, size - 1))] += 1.0
+    total = sum(weights)
+    return JointDistribution(m, tuple(w / total for w in weights))
+
+
+class TestLazyEntropyTable:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(distributions(), st.data())
+    @example(JointDistribution(1, (1.0, 0.0)), None)
+    @example(JointDistribution(3, (0.1, 0.2, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0)), None)
+    def test_matches_eager_table(self, dist, data):
+        reference = eager_entropy_table(dist)
+        size = len(reference)
+        order = range(size) if data is None else data.draw(st.permutations(range(size)))
+        f = entropy_function(dist)
+        for mask in order:
+            value = f._value(mask)
+            assert value == reference[mask]
+            assert repr(value) == repr(reference[mask])
+        eager = SetFunction.from_table(GroundSet(dist.variable_count), reference)
+        for tolerance in (0.0, 1e-9):
+            lazy = entropy_function(dist)
+            assert is_submodular(lazy, tolerance) == is_submodular(eager, tolerance)
+            lazy = entropy_function(dist)
+            assert is_modular(lazy, tolerance) == is_modular(eager, tolerance)
+
+    def test_gap_fills_only_the_masks_it_reads(self):
+        rng = random.Random(21)
+        for _ in range(20):
+            f = random_entropy(rng, 6)
+            family = random_family(rng, f.ground, 4)
+            multiway_gap(f, family, [1, 2, 3, 4])
+            read = set(family.masks)
+            read |= {intersect_level(family, [1, 2, 3, 4], r).mask for r in range(1, 5)}
+            assert set(f._table) == read | {0}
 
 
 class TestSubmodularityChecks:
