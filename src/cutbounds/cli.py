@@ -6,18 +6,20 @@ Four subcommands share one exit-code contract:
     1  a verification campaign found violations, or a regenerated table
        differs from its stored golden copy
     2  malformed input: unreadable documents, schema violations, unknown
-       rules or axes, parameters outside their domain
+       rules or axes, parameters outside their domain, unwritable output
+       paths
     3  a supplied arc set fails cut verification, or a sink admits no
        finite cut at all
     4  the requested region slice is unbounded along some ray
 
 Output files are written atomically (temp file plus rename), so a failing
-run never leaves a partial report behind.
+run never leaves a partial report behind, not even its temp file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -198,9 +200,16 @@ def _write_text(text: str, destination) -> None:
         sys.stdout.write(text)
         return
     staging = f"{destination}.partial"
-    with open(staging, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(staging, destination)
+    try:
+        with open(staging, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(staging, destination)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(staging)
+        raise ParameterError(
+            f"cannot write {destination}: {exc.strerror or exc}"
+        ) from None
 
 
 def _row_payload(net: BroadcastNetwork, row) -> dict:
@@ -440,40 +449,29 @@ def _parse_symmetric(tokens):
     return K, caps
 
 
-def _symmetric_gcsb_system(K: int, caps) -> LinearSystem:
-    # closed form: row m is K*R0 + m*Rsp <= sum_i max(m,i)*binom(K,i)*C_i
-    rows = []
-    for m in range(1, K + 1):
-        rhs = sum(
-            (max(m, i) * comb(K, i) * caps[i - 1] for i in range(1, K + 1)),
-            Fraction(0),
-        )
-        rows.append(({"R0": K, "Rsp": m}, rhs))
-    return LinearSystem.from_rows(("R0", "Rsp"), rows)
+def _symmetric_system(K: int, caps, which: str) -> LinearSystem:
+    """Region of the symmetric instance over (R0, Rsp), Rsp = R1 + .. + RK.
 
-
-def _symmetric_cutset_system(K: int, caps) -> LinearSystem:
-    """Cut-set region of the symmetric instance, reduced to (R0, Rsp).
-
-    Starts from one row per sink subset, folds the private rates into
-    their sum Rsp, and projects the rest away.
+    Row s (s = 1..K) is K*R0 + s*Rsp <= sum_i w(s,i)*C_i, where a size-i
+    mixer weighs max(s,i)*binom(K,i) in the gcsb family (level s) and
+    K*(binom(K,i) - binom(K-s,i)) in the cut-set family (a union of s
+    basic cuts).  The cut-set rows are exact: the full system is invariant
+    under permutations of R1..RK and convex, so averaging a feasible point
+    over them keeps it feasible with every Rk = Rsp/K.
     """
-    variables = ("R0",) + tuple(f"R{k}" for k in range(1, K + 1))
-    rows = []
-    for size in range(1, K + 1):
-        rhs = sum(
-            ((comb(K, i) - comb(K - size, i)) * caps[i - 1] for i in range(1, K + 1)),
-            Fraction(0),
+    def weight(s: int, i: int) -> int:
+        if which == "gcsb":
+            return max(s, i) * comb(K, i)
+        return K * (comb(K, i) - comb(K - s, i))
+
+    rows = [
+        (
+            {"R0": K, "Rsp": s},
+            sum((weight(s, i) * caps[i - 1] for i in range(1, K + 1)), Fraction(0)),
         )
-        for subset in itertools.combinations(range(1, K + 1), size):
-            coeffs = {"R0": 1}
-            coeffs.update({f"R{k}": 1 for k in subset})
-            rows.append((coeffs, rhs))
-    system = LinearSystem.from_rows(variables, rows)
-    expression = {"Rsp": Fraction(1)}
-    expression.update({f"R{k}": Fraction(-1) for k in range(2, K + 1)})
-    folded = substitute(system, "R1", expression)
-    return project(folded, ("R0", "Rsp"))
+        for s in range(1, K + 1)
+    ]
+    return LinearSystem.from_rows(("R0", "Rsp"), rows)
 
 
 def _file_region_system(
@@ -524,9 +522,7 @@ def cmd_region(args) -> int:
             raise ParameterError("the symmetric closed forms are over axes R0,Rsp")
 
         def build(which: str) -> LinearSystem:
-            if which == "gcsb":
-                return _symmetric_gcsb_system(K, caps)
-            return _symmetric_cutset_system(K, caps)
+            return _symmetric_system(K, caps, which)
 
     else:
         net = load_network_document(args.net_file)
@@ -590,7 +586,7 @@ def _regen_k3_complete() -> dict:
 def _regen_k3_symmetric() -> dict:
     caps = [Fraction(1)] * 3
     corners = corner_points_symmetric(3, caps)
-    points = vertices_2d(_symmetric_gcsb_system(3, caps))
+    points = vertices_2d(_symmetric_system(3, caps, "gcsb"))
     as_strings = lambda pts: [
         [format_rational(x), format_rational(y)] for x, y in pts
     ]
@@ -796,3 +792,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -36,7 +36,6 @@ without 3b its row `2R0+Rsp <= 3C1+5C2+2C3` comes out as `3R0+2Rsp <=
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -722,12 +721,3 @@ def corner_points_symmetric(
         y = sum((comb(K, i) * caps[i - 1] for i in range(1, r)), Fraction(0))
         points.append((x, y))
     return points
-
-
-def write_vertices_csv(points, destination) -> None:
-    """Write "x,y" rows of exact rationals ("p/q", integers bare)."""
-    with open(destination, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["x", "y"])
-        for x, y in points:
-            writer.writerow([format_rational(x), format_rational(y)])

@@ -9,7 +9,11 @@ the closed forms, and exit codes from the documented mapping
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -313,6 +317,20 @@ class TestCmdBounds:
         assert cli.main(["bounds", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("where", ["missing-dir/r.json", "r.json"])
+    def test_unwritable_out_exit2(self, tmp_path, capsys, where):
+        path = write_doc(tmp_path, k1_doc())
+        out = tmp_path / where
+        if where == "r.json":
+            out.mkdir()  # a directory cannot be replaced by the report
+        assert cli.main(["bounds", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        # no staging file is left behind
+        leftover = sorted(p.name for p in tmp_path.iterdir())
+        assert leftover == (["net.json", "r.json"] if where == "r.json" else ["net.json"])
+
     def test_cuts_file(self, tmp_path, capsys):
         path = write_doc(tmp_path, k1_doc())
         cuts = tmp_path / "cuts.json"
@@ -531,6 +549,39 @@ class TestCmdRegion:
         assert not out.exists()
         assert "unbounded" in capsys.readouterr().err
 
+    def test_symmetric_sixteen_sinks_cutset_compare(self, capsys):
+        # row s=1 gives R0 <= 2^15, row s=K gives R0 + Rsp <= 2^16 - 1
+        code = cli.main(
+            ["region", "--symmetric", "16", *["1"] * 16,
+             "--bounds", "cutset", "--compare", "gcsb"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "x,y",
+            "0,0",
+            "32768,0",
+            "458753/15,524272/15",
+            "0,65535",
+            "gcsb contains cutset: no",
+            "cutset contains gcsb: yes",
+        ]
+
+    @pytest.mark.parametrize("where", ["missing-dir/v.csv", "v.csv"])
+    def test_unwritable_emit_exit2(self, tmp_path, capsys, where):
+        out = tmp_path / where
+        if where == "v.csv":
+            out.mkdir()  # a directory cannot be replaced by the CSV
+        code = cli.main(
+            ["region", "--symmetric", "3", "1", "1", "1", "--emit", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        # no staging file is left behind
+        leftover = [p.name for p in tmp_path.iterdir()]
+        assert leftover == (["v.csv"] if where == "v.csv" else [])
+
     def test_unknown_axis_exit2(self, tmp_path):
         path = write_doc(tmp_path, two_sink_doc())
         assert cli.main(["region", path, "--axes", "WA,WZ"]) == 2
@@ -615,3 +666,19 @@ class TestMain:
 
     def test_entrypoint_exists(self):
         assert callable(cli.entrypoint)
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "cutbounds.cli", "paper", "--case", "k3-symmetric"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "k3-symmetric: match\n"

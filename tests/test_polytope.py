@@ -36,7 +36,6 @@ from cutbounds.polytope import (
     satisfies,
     substitute,
     vertices_2d,
-    write_vertices_csv,
 )
 
 F = Fraction
@@ -474,8 +473,3 @@ class TestCsv:
         assert parse_rational("5/2") == F(5, 2)
         with pytest.raises(ParameterError):
             parse_rational("five")
-
-    def test_written_file(self, tmp_path):
-        path = tmp_path / "verts.csv"
-        write_vertices_csv([(F(0), F(0)), (F(5, 2), F(9, 2))], path)
-        assert path.read_text() == "x,y\n0,0\n5/2,9/2\n"
