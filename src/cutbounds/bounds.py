@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ParameterError, PreconditionError
-from .setcalc import ElementSet, SubsetFamily, _check_indices, _level_mask
+from .setcalc import ElementSet, SubsetFamily, _check_indices, _level_mask, _level_table
 
 MAX_BETA_SET_SIZE = 6
 MAX_SEARCH_SINKS = 4
@@ -52,13 +52,18 @@ def alpha(Q, q: int, r: int, r_q: Optional[int] = None) -> Fraction:
         raise ParameterError("split position must be at least 1")
     if not 1 <= r <= r_q:
         raise ParameterError(f"level must be between 1 and {r_q}, got {r}")
+    return Fraction(*_alpha_ratio(qs, r, r_q))
+
+
+def _alpha_ratio(qs: tuple, r: int, r_q: int) -> tuple:
+    """Numerator and denominator of alpha at split position r_q, unvalidated;
+    the split point itself enters only through r_q."""
     if r in qs:
-        return Fraction(0)
+        return 0, 1
     numerator = math.prod(p - 1 for p in qs if p < r) * math.prod(
         p for p in qs if r < p <= r_q
     )
-    denominator = r_q * math.prod(p - 1 for p in qs if p <= r_q)
-    return Fraction(numerator, denominator)
+    return numerator, r_q * math.prod(p - 1 for p in qs if p <= r_q)
 
 
 def beta(Q, r: int) -> Fraction:
@@ -66,13 +71,16 @@ def beta(Q, r: int) -> Fraction:
     qs = _validate_split_points(Q)
     if r < 1:
         raise ParameterError("level must be at least 1")
+    return Fraction(_beta_weight(qs, r))
+
+
+def _beta_weight(qs: tuple, r: int) -> int:
+    """beta as an int, unvalidated."""
     if not qs:
-        return Fraction(1)
+        return 1
     if r in qs:
-        return Fraction(0)
-    return Fraction(
-        math.prod(p - 1 for p in qs if p < r) * math.prod(p for p in qs if p > r)
-    )
+        return 0
+    return math.prod(p - 1 for p in qs if p < r) * math.prod(p for p in qs if p > r)
 
 
 def alpha_beta_identity(Q, r: int) -> bool:
@@ -117,6 +125,8 @@ class BoundInequality:
 
     @classmethod
     def build(cls, terms, provenance: str = "") -> "BoundInequality":
+        """Merge, scale and order the terms.  Weights may be any
+        nonnegative rationals; `int` weights are summed as ints."""
         merged: dict = {}
         for t in terms:
             indices = frozenset(t.indices)
@@ -126,26 +136,31 @@ class BoundInequality:
                 raise ParameterError(
                     f"level {t.level} is out of range for a set of {len(indices)} indices"
                 )
-            weight = Fraction(t.weight)
+            weight = t.weight if type(t.weight) is int else Fraction(t.weight)
             if weight < 0:
                 raise ParameterError("term weights must be nonnegative")
             key = (t.level, indices)
-            merged[key] = merged.get(key, Fraction(0)) + weight
-        alive = {k: w for k, w in merged.items() if w != 0}
-        if not alive:
+            merged[key] = merged.get(key, 0) + weight
+        if not any(merged.values()):
             raise ParameterError("a bound needs at least one term with positive weight")
-        scale_up = math.lcm(*(w.denominator for w in alive.values()))
-        units = [int(w * scale_up) for w in alive.values()]
-        scale_down = math.gcd(*units)
-        ordered = sorted(
-            alive.items(),
-            key=lambda kv: (len(kv[0][1]), tuple(sorted(kv[0][1])), kv[0][0]),
-        )
-        final = tuple(
-            BoundTerm(level, indices, int(weight * scale_up) // scale_down)
-            for (level, indices), weight in ordered
-        )
-        return cls(final, provenance)
+        scale = math.lcm(*(w.denominator for w in merged.values()))
+        units = {key: int(w * scale) for key, w in merged.items()}
+        return cls(_canonical_terms(units), provenance)
+
+
+def _term_order(item) -> tuple:
+    (level, indices), _ = item
+    return len(indices), sorted(indices), level
+
+
+def _canonical_terms(weights: dict) -> tuple:
+    """The canonical term tuple of nonnegative int weights keyed by
+    (level, indices), not all zero: zero weights dropped, the rest divided
+    by their gcd, terms ordered by set size, then indices, then level."""
+    alive = [item for item in weights.items() if item[1]]
+    g = math.gcd(*(w for _, w in alive))
+    alive.sort(key=_term_order)
+    return tuple(BoundTerm(level, indices, w // g) for (level, indices), w in alive)
 
 
 def cutset_bound(U) -> BoundInequality:
@@ -154,7 +169,7 @@ def cutset_bound(U) -> BoundInequality:
     if not indices:
         raise ParameterError("the sink set must be nonempty")
     return BoundInequality.build(
-        [BoundTerm(1, indices, Fraction(1))], provenance=f"csb({_format_set(indices)})"
+        [BoundTerm(1, indices, 1)], provenance=f"csb({_format_set(indices)})"
     )
 
 
@@ -165,15 +180,14 @@ def gcsb3(i: int, j: int, k: int, variant: str) -> BoundInequality:
         raise ParameterError("three distinct positive sink indices are required")
     full = frozenset((i, j, k))
     pair = frozenset((i, j))
-    one = Fraction(1)
     if variant == "a":
-        terms = [BoundTerm(1, full, one), BoundTerm(2, pair, one)]
+        terms = [BoundTerm(1, full, 1), BoundTerm(2, pair, 1)]
     elif variant == "b":
-        terms = [BoundTerm(1, full, one), BoundTerm(2, full, one)]
+        terms = [BoundTerm(1, full, 1), BoundTerm(2, full, 1)]
     elif variant == "c":
-        terms = [BoundTerm(1, full, one), BoundTerm(1, pair, one), BoundTerm(3, full, one)]
+        terms = [BoundTerm(1, full, 1), BoundTerm(1, pair, 1), BoundTerm(3, full, 1)]
     elif variant == "d":
-        terms = [BoundTerm(1, full, Fraction(2)), BoundTerm(3, full, one)]
+        terms = [BoundTerm(1, full, 2), BoundTerm(3, full, 1)]
     else:
         raise ParameterError(f"unknown variant {variant!r}, expected one of a, b, c, d")
     return BoundInequality.build(terms, provenance=f"gcsb3{variant}({i},{j},{k})")
@@ -191,7 +205,7 @@ def beta_bound(U, Q) -> BoundInequality:
     qs = _validate_split_points(Q)
     if any(q > len(indices) for q in qs):
         raise ParameterError("split points must lie within {2..|U|}")
-    terms = [BoundTerm(r, indices, beta(qs, r)) for r in range(1, len(indices) + 1)]
+    terms = [BoundTerm(r, indices, _beta_weight(qs, r)) for r in range(1, len(indices) + 1)]
     return BoundInequality.build(
         terms, provenance=f"cor2({_format_set(indices)}, Q={_format_set(qs)})"
     )
@@ -205,8 +219,8 @@ def union_tail_bound(U, m: int) -> BoundInequality:
         raise ParameterError("the sink set must be nonempty")
     if not 1 <= m <= len(indices):
         raise ParameterError(f"m must be between 1 and {len(indices)}, got {m}")
-    terms = [BoundTerm(1, indices, Fraction(m))]
-    terms.extend(BoundTerm(r, indices, Fraction(1)) for r in range(m + 1, len(indices) + 1))
+    terms = [BoundTerm(1, indices, m)]
+    terms.extend(BoundTerm(r, indices, 1) for r in range(m + 1, len(indices) + 1))
     return BoundInequality.build(
         terms, provenance=f"cor3({_format_set(indices)}, m={m})"
     )
@@ -282,28 +296,50 @@ def gcsbK(
                     f"{_labelled_extra(family, left & ~right)}){hint}"
                 )
 
-    set_g = frozenset(ids_g)
-    set_u = frozenset(ids_u)
-    set_t = frozenset(ids_t)
-    terms = [BoundTerm(1, set_g, Fraction(1))]
-    terms.extend(
-        BoundTerm(r, set_u, Fraction(1))
-        for r in range(2, len(ids_u) + 1)
-        if r not in qs
+    terms = _general_terms(
+        frozenset(ids_g), frozenset(ids_u), frozenset(ids_t), qs, *_chain_weights(qs, splits)
     )
-    for q in qs:
-        r_q = splits[q]
-        terms.extend(
-            BoundTerm(r, set_t, alpha(qs, q, r, r_q)) for r in range(1, r_q + 1)
-        )
+    return BoundInequality(terms, _general_provenance(ids_g, ids_u, ids_t, qs, splits))
+
+
+def _chain_weights(qs: tuple, splits: Mapping[int, int]) -> tuple:
+    """The alpha rows of the split points over their common denominator:
+    (the int weight of each unit term, {level: int weight of the chain term
+    over T}), zero weights left out."""
+    parts = [
+        (r, *_alpha_ratio(qs, r, splits[q])) for q in qs for r in range(1, splits[q] + 1)
+    ]
+    scale = math.lcm(*(den for _, _, den in parts))
+    chain: dict = {}
+    for r, num, den in parts:
+        if num:
+            chain[r] = chain.get(r, 0) + num * (scale // den)
+    return scale, chain
+
+
+def _general_terms(set_g, set_u, set_t, qs: tuple, unit: int, chain: Mapping[int, int]) -> tuple:
+    """Canonical term list of the general bound: weight `unit` on the union
+    over G and on each level of U outside Q from 2 up, plus the chain terms
+    over T.  Unvalidated; the one term builder behind gcsbK and thm2_search."""
+    weights = {(1, set_g): unit}
+    for r in range(2, len(set_u) + 1):
+        if r not in qs:
+            weights[(r, set_u)] = unit
+    for r, w in chain.items():
+        key = (r, set_t)
+        weights[key] = weights.get(key, 0) + w
+    return _canonical_terms(weights)
+
+
+def _general_provenance(ids_g, ids_u, ids_t, qs: tuple, splits: Mapping[int, int]) -> str:
     provenance = (
-        f"thm2(G={_format_set(set_g)}, U={_format_set(set_u)}, "
-        f"T={_format_set(set_t)}, Q={_format_set(qs)})"
+        f"thm2(G={_format_set(ids_g)}, U={_format_set(ids_u)}, "
+        f"T={_format_set(ids_t)}, Q={_format_set(qs)})"
     )
     if any(splits[q] != q - 1 for q in qs):
         inner = ",".join(f"{q}:{splits[q]}" for q in qs)
         provenance = provenance[:-1] + f", r_q={{{inner}}})"
-    return BoundInequality.build(terms, provenance=provenance)
+    return provenance
 
 
 @dataclass(eq=False)
@@ -447,45 +483,73 @@ def thm2_search(
 ) -> list:
     """Instantiate every valid parameterization of the general bound on the
     given families, deduplicated by signature; `capacities` is passed on to
-    `instantiate`.  A parameterization whose canonical term list was already
-    seen is skipped before instantiation.  The search space grows as roughly
-    8^K subset triples, so the sink count is capped."""
+    `instantiate`.
+
+    Candidates run in the order (G, U, T, |Q|, Q), sink sets by size then
+    lexicographically, each with the default split positions; the first
+    candidate to produce a row names it.  This gives the rows `gcsbK`
+    would give candidate by candidate, without its per-call validation:
+    the side conditions are read from one table of level masks per family,
+    and a term list is built from the integer chain weights of its Q.  A
+    parameterization whose canonical term list was already seen is skipped
+    before instantiation.  The search space grows as roughly 8^K subset
+    triples, so the sink count is capped."""
     if cut_family.size != msg_family.size:
         raise ParameterError("cut and message families must have the same sink count")
     K = cut_family.size
     if K > MAX_SEARCH_SINKS:
         raise ParameterError(f"the search is limited to {MAX_SEARCH_SINKS} sinks")
+    cut_levels = _level_table(cut_family.masks)
+    msg_levels = _level_table(msg_family.masks)
+    subsets = [
+        (ids, frozenset(ids), sum(1 << (i - 1) for i in ids)) for ids in _ordered_subsets(K)
+    ]
+    split_sets = {
+        size: [
+            (qs, *_chain_weights(qs, {q: q - 1 for q in qs}))
+            for q_size in range(size)
+            for qs in itertools.combinations(range(2, size + 1), q_size)
+        ]
+        for size in range(1, K + 1)
+    }
+    # per (U, T): the split sets whose levels q of U lie in levels q - 1 of T
+    # on both sides; a split point beyond |T| + 1 has no chain to lie in
+    fitting = {}
+    for _, _, bits_u in subsets:
+        size_u = bits_u.bit_count()
+        cut_u, msg_u = cut_levels[bits_u], msg_levels[bits_u]
+        for _, _, bits_t in subsets:
+            cut_t, msg_t = cut_levels[bits_t], msg_levels[bits_t]
+            fits = {
+                q
+                for q in range(2, min(size_u, bits_t.bit_count() + 1) + 1)
+                if not (cut_u[q] & ~cut_t[q - 1] or msg_u[q] & ~msg_t[q - 1])
+            }
+            fitting[bits_u, bits_t] = [s for s in split_sets[size_u] if fits.issuperset(s[0])]
+
     rows: list = []
     seen: set = set()
     seen_terms: set = set()
-    subsets = list(_ordered_subsets(K))
-    for set_g in subsets:
-        for set_u in subsets:
-            q_pool = range(2, len(set_u) + 1)
-            for set_t in subsets:
-                for q_size in range(len(set_u)):
-                    for qs in itertools.combinations(q_pool, q_size):
-                        if qs and max(qs) - 1 > len(set_t):
-                            continue
-                        try:
-                            bound = gcsbK(
-                                set_g,
-                                set_u,
-                                set_t,
-                                qs,
-                                cut_family=cut_family,
-                                msg_family=msg_family,
-                            )
-                        except PreconditionError:
-                            continue
-                        if bound.terms in seen_terms:
-                            continue
-                        seen_terms.add(bound.terms)
-                        row = instantiate(bound, cut_family, msg_family, capacities)
-                        sig = row.signature()
-                        if sig not in seen:
-                            seen.add(sig)
-                            rows.append(row)
+    for ids_g, set_g, bits_g in subsets:
+        cover_g = cut_levels[bits_g][1]
+        for ids_u, set_u, bits_u in subsets:
+            if cut_levels[bits_u][1] & ~cover_g:
+                continue
+            for ids_t, set_t, bits_t in subsets:
+                for qs, unit, chain in fitting[bits_u, bits_t]:
+                    terms = _general_terms(set_g, set_u, set_t, qs, unit, chain)
+                    if terms in seen_terms:
+                        continue
+                    seen_terms.add(terms)
+                    splits = {q: q - 1 for q in qs}
+                    bound = BoundInequality(
+                        terms, _general_provenance(ids_g, ids_u, ids_t, qs, splits)
+                    )
+                    row = instantiate(bound, cut_family, msg_family, capacities)
+                    sig = row.signature()
+                    if sig not in seen:
+                        seen.add(sig)
+                        rows.append(row)
     return rows
 
 

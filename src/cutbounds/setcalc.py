@@ -9,7 +9,7 @@ the levels shrink as r grows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import GroundMismatchError, ParameterError
@@ -117,10 +117,15 @@ class ElementSet:
 
 @dataclass(frozen=True)
 class SubsetFamily:
-    """An ordered family (S_1, ..., S_K) of subsets of one ground set."""
+    """An ordered family (S_1, ..., S_K) of subsets of one ground set.
+
+    `masks` holds the members' bit masks, computed once on construction;
+    it takes no part in equality, hashing or repr.
+    """
 
     ground: GroundSet
     sets: tuple[ElementSet, ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -129,14 +134,11 @@ class SubsetFamily:
         for s in self.sets:
             if s.ground != self.ground:
                 raise GroundMismatchError("family member over a different ground")
+        object.__setattr__(self, "masks", tuple(s.mask for s in self.sets))
 
     @property
     def size(self) -> int:
         return len(self.sets)
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(s.mask for s in self.sets)
 
 
 def _check_indices(family: SubsetFamily, indices: Iterable[int]) -> tuple[int, ...]:
@@ -158,6 +160,24 @@ def _level_mask(masks: Sequence[int], positions: Sequence[int], r: int) -> int:
             acc &= masks[p]
         out |= acc
     return out
+
+
+def _level_table(masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every level of every index set at once.
+
+    Entry `s` is the tuple (level 0, level 1, ..., level |s|) over the
+    positions set in the bit mask `s`; level 0 is -1, every element.  It is
+    built from the entry without the lowest position p by
+    level_r(s) = level_r(s - p) | (level_(r-1)(s - p) & masks[p]), so the
+    table costs O(2^K * K) word operations and agrees with `_level_mask`.
+    """
+    table = [(-1,)]
+    for s in range(1, 1 << len(masks)):
+        low = s & -s
+        rest = table[s ^ low] + (0,)
+        mask = masks[low.bit_length() - 1]
+        table.append((-1,) + tuple(rest[r] | (rest[r - 1] & mask) for r in range(1, len(rest))))
+    return table
 
 
 def intersect_level(family: SubsetFamily, indices: Iterable[int], r: int) -> ElementSet:

@@ -34,6 +34,13 @@ from cutbounds.bounds import (
     union_tail_bound,
 )
 from cutbounds.errors import ParameterError, PreconditionError
+from cutbounds.network import (
+    complete_combination_network,
+    cut_and_message_families,
+    make_cut,
+    min_cut,
+    symmetric_combination_network,
+)
 from cutbounds.setcalc import ElementSet, GroundSet, SubsetFamily
 
 MESSAGES = ("W1", "W2", "W3", "W12", "W13", "W23", "W123")
@@ -230,6 +237,70 @@ class TestBoundConstruction:
             union_tail_bound([1, 2], 3)
         with pytest.raises(ParameterError):
             union_tail_bound([1, 2], 0)
+
+
+def reference_build(terms):
+    """BoundInequality.build as first written, every weight a Fraction; the
+    canonical (level, indices, weight) triples it produced."""
+    merged = {}
+    for t in terms:
+        indices = frozenset(t.indices)
+        if not indices or any(not isinstance(i, int) or i < 1 for i in indices):
+            raise ParameterError("term indices must be positive integers")
+        if not 1 <= t.level <= len(indices):
+            raise ParameterError("level out of range")
+        weight = Fraction(t.weight)
+        if weight < 0:
+            raise ParameterError("term weights must be nonnegative")
+        key = (t.level, indices)
+        merged[key] = merged.get(key, Fraction(0)) + weight
+    alive = {k: w for k, w in merged.items() if w != 0}
+    if not alive:
+        raise ParameterError("a bound needs at least one term with positive weight")
+    scale_up = math.lcm(*(w.denominator for w in alive.values()))
+    scale_down = math.gcd(*(int(w * scale_up) for w in alive.values()))
+    ordered = sorted(
+        alive.items(), key=lambda kv: (len(kv[0][1]), tuple(sorted(kv[0][1])), kv[0][0])
+    )
+    return tuple(
+        (level, indices, int(w * scale_up) // scale_down) for (level, indices), w in ordered
+    )
+
+
+@st.composite
+def weighted_terms(draw):
+    """Term lists over sinks 1..4 whose weights are ints, Fractions, or a mix;
+    repeated (level, indices) keys and zero weights are likely."""
+    weight = draw(
+        st.sampled_from(
+            (
+                st.integers(0, 6),
+                st.fractions(0, 6, max_denominator=6),
+                st.one_of(st.integers(0, 6), st.fractions(0, 6, max_denominator=6)),
+            )
+        )
+    )
+    terms = []
+    for _ in range(draw(st.integers(0, 7))):
+        indices = draw(st.frozensets(st.integers(1, 4), min_size=1, max_size=3))
+        level = draw(st.integers(1, len(indices)))
+        terms.append(BoundTerm(level, indices, draw(weight)))
+    return terms
+
+
+class TestBuildReference:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(weighted_terms())
+    def test_build_matches_fraction_reference(self, terms):
+        try:
+            expect = reference_build(terms)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                BoundInequality.build(terms)
+            return
+        got = BoundInequality.build(terms).terms
+        assert [(t.level, t.indices, t.weight) for t in got] == list(expect)
+        assert all(type(t.weight) is int for t in got)
 
 
 class TestRecoveries:
@@ -480,6 +551,111 @@ class TestThm2Search:
             else:
                 expect = sum(c * caps[a] for a, c in row.capacity_coeffs.items())
                 assert row.rhs_value == expect
+
+
+def reference_thm2_search(cut_family, msg_family, capacities=None):
+    """The search as first written: the public, validating gcsbK on every
+    candidate (G, U, T, |Q|, Q), a failed side condition caught as a
+    PreconditionError."""
+    K = cut_family.size
+    subsets = [
+        combo
+        for size in range(1, K + 1)
+        for combo in itertools.combinations(range(1, K + 1), size)
+    ]
+    rows, seen, seen_terms = [], set(), set()
+    for set_g in subsets:
+        for set_u in subsets:
+            for set_t in subsets:
+                for q_size in range(len(set_u)):
+                    for qs in itertools.combinations(range(2, len(set_u) + 1), q_size):
+                        if qs and max(qs) - 1 > len(set_t):
+                            continue
+                        try:
+                            bound = gcsbK(
+                                set_g, set_u, set_t, qs,
+                                cut_family=cut_family, msg_family=msg_family,
+                            )
+                        except PreconditionError:
+                            continue
+                        if bound.terms in seen_terms:
+                            continue
+                        seen_terms.add(bound.terms)
+                        row = instantiate(bound, cut_family, msg_family, capacities)
+                        if row.signature() not in seen:
+                            seen.add(row.signature())
+                            rows.append(row)
+    return rows
+
+
+def row_record(row):
+    return (
+        row.provenance,
+        list(row.rate_coeffs.items()),
+        list(row.capacity_coeffs.items()),
+        row.rhs_value,
+        type(row.rhs_value),
+    )
+
+
+def assert_search_matches_reference(cut, msg, capacities=None):
+    got = [row_record(r) for r in thm2_search(cut, msg, capacities)]
+    assert got == [row_record(r) for r in reference_thm2_search(cut, msg, capacities)]
+    return got
+
+
+@st.composite
+def search_families(draw):
+    """Cut and demand families of K = 1..4 sinks over small grounds, with
+    capacities that are absent, rational, or partly unbounded."""
+    K = draw(st.integers(1, 4))
+    families = []
+    for prefix in ("a", "W"):
+        n = draw(st.integers(1, 6))
+        ground = GroundSet(n, labels=tuple(f"{prefix}{i}" for i in range(n)))
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=K, max_size=K))
+        families.append(SubsetFamily(ground, tuple(ElementSet(ground, m) for m in masks)))
+    cut, msg = families
+    capacity = st.one_of(st.none(), st.integers(0, 3), st.fractions(0, 3, max_denominator=4))
+    caps = draw(
+        st.one_of(
+            st.none(),
+            st.fixed_dictionaries({label: capacity for label in cut.ground.labels}),
+        )
+    )
+    return cut, msg, caps
+
+
+def network_families(net, cuts):
+    if cuts == "min":
+        chosen = [min_cut(net, k) for k in range(1, net.K + 1)]
+    else:
+        source_arcs = [a.label for a in net.arcs if a.tail == net.source]
+        chosen = [make_cut(net, source_arcs, k) for k in range(1, net.K + 1)]
+    cut, msg = cut_and_message_families(net, chosen)
+    return cut, msg, {a.label: a.capacity for a in net.arcs}
+
+
+class TestThm2Oracle:
+    """thm2_search against the per-candidate gcsbK loop it replaced: the
+    same rows, coefficients, right sides and provenance, in the same order."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(search_families())
+    def test_random_families(self, drawn):
+        assert_search_matches_reference(*drawn)
+
+    @pytest.mark.parametrize("cuts", ["min", "source"])
+    @pytest.mark.parametrize(
+        "net",
+        [
+            complete_combination_network(4),
+            symmetric_combination_network(4, (1, 2, Fraction(3, 2), 1)),
+        ],
+        ids=["complete4", "symmetric4"],
+    )
+    def test_four_sink_networks(self, net, cuts):
+        assert assert_search_matches_reference(*network_families(net, cuts))
 
 
 class TestBoundRows:

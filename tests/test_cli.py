@@ -8,6 +8,8 @@ the closed forms, and exit codes from the documented mapping
 0 ok / 1 violation-or-diff / 2 schema / 3 cut / 4 unbounded.
 """
 
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -44,31 +46,40 @@ def k1_doc():
     }
 
 
-def complete3_doc():
-    """The three-sink complete-message combination network as a document.
+def complete_doc(K):
+    """The K-sink (K <= 9) complete-message combination network at unit
+    capacities as a document.
 
-    Source arcs come first in size-then-lex subset order, so they receive
-    the automatic labels a0..a6 in the pattern order (1,2,3,12,13,23,123).
+    Source arcs come first in size-then-lex subset order, so at K = 3 they
+    receive the automatic labels a0..a6 in the pattern order
+    (1,2,3,12,13,23,123).
     """
-    subsets = ["1", "2", "3", "12", "13", "23", "123"]
-    nodes = ["s"] + [f"v{u}" for u in subsets] + ["t1", "t2", "t3"]
+    sinks = "123456789"[:K]
+    subsets = [
+        "".join(combo) for size in range(1, K + 1) for combo in itertools.combinations(sinks, size)
+    ]
+    nodes = ["s"] + [f"v{u}" for u in subsets] + [f"t{k}" for k in sinks]
     arcs = [{"from": "s", "to": f"v{u}", "capacity": "1"} for u in subsets]
-    for k in "123":
+    for k in sinks:
         for u in subsets:
             if k in u:
                 arcs.append({"from": f"v{u}", "to": f"t{k}", "capacity": "inf"})
     messages = [f"W{u}" for u in subsets]
     demands = {
-        f"t{k}": [f"W{u}" for u in subsets if k in u] for k in "123"
+        f"t{k}": [f"W{u}" for u in subsets if k in u] for k in sinks
     }
     return {
         "nodes": nodes,
         "arcs": arcs,
         "source": "s",
-        "sinks": ["t1", "t2", "t3"],
+        "sinks": [f"t{k}" for k in sinks],
         "messages": messages,
         "demands": demands,
     }
+
+
+def complete3_doc():
+    return complete_doc(3)
 
 
 def two_sink_doc(extra_message=False):
@@ -220,6 +231,19 @@ class TestCmdBounds:
             assert row["rate_coeffs"] == rates, prov
             assert row["capacity_coeffs"] == caps, prov
             assert row["rhs_value"] == str(sum(pattern)), prov
+
+    def test_k4_complete_all_rules_pinned(self, tmp_path, capsys):
+        # every rule on the complete K=4 network, pinned by row count and
+        # stdout digest: a changed row, row order or provenance fails here
+        path = write_doc(tmp_path, complete_doc(4))
+        code = cli.main(["bounds", path, "--rules", "csb,gcsb3,cor3,cor2,thm2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)) == 324
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "e9fc27e02617ba8aa8fa6f3324cfb3da5df78339a485475f0e0029f633593dac"
+        )
 
     def test_default_rules_match_explicit(self, tmp_path, capsys):
         path = write_doc(tmp_path, complete3_doc())

@@ -16,6 +16,8 @@ from cutbounds.setcalc import (
     ElementSet,
     GroundSet,
     SubsetFamily,
+    _level_mask,
+    _level_table,
     intersect_level,
     prefix_extended_family,
     prefix_extension_identity,
@@ -166,6 +168,31 @@ class TestIntersectLevel:
                 inner = intersect_level(fam, small, r).mask
                 outer = intersect_level(fam, big, r).mask
                 assert inner & ~outer == 0
+
+    def test_level_table_matches_direct_enumeration(self):
+        rng = random.Random(102)
+        for k in range(1, 7):
+            for _ in range(20):
+                masks = random_family(rng, 7, k).masks
+                table = _level_table(masks)
+                assert len(table) == 1 << k
+                for bits, levels in enumerate(table):
+                    positions = [p for p in range(k) if bits >> p & 1]
+                    assert len(levels) == len(positions) + 1 and levels[0] == -1
+                    for r in range(1, len(positions) + 1):
+                        assert levels[r] == _level_mask(masks, positions, r)
+
+
+class TestSubsetFamily:
+    def test_masks_computed_once_outside_identity(self):
+        g = GroundSet(4)
+        fam = family_of(g, [0, 1], [2], [1, 3])
+        twin = family_of(g, [0, 1], [2], [1, 3])
+        assert fam.masks == (0b0011, 0b0100, 0b1010)
+        assert fam.masks is fam.masks
+        assert repr(fam) == f"SubsetFamily(ground={g!r}, sets={fam.sets!r})"
+        assert hash(fam) == hash((g, fam.sets))
+        assert fam == twin and hash(fam) == hash(twin)
 
 
 class TestPrefixExtendedFamily:
