@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ParameterError, PreconditionError
-from .setcalc import ElementSet, SubsetFamily, _check_indices, _level_mask, _level_table
+from .setcalc import ElementSet, SubsetFamily, _check_indices
 
 MAX_BETA_SET_SIZE = 6
 MAX_SEARCH_SINKS = 4
@@ -226,6 +226,11 @@ def union_tail_bound(U, m: int) -> BoundInequality:
     )
 
 
+def _bits(positions: Iterable[int]) -> int:
+    """The bit mask of 0-based positions, the key of `SubsetFamily.levels`."""
+    return sum(1 << p for p in positions)
+
+
 def _labelled_extra(family: SubsetFamily, mask: int) -> str:
     return ", ".join(ElementSet(family.ground, mask).member_labels())
 
@@ -251,11 +256,9 @@ def gcsbK(
     if cut_family.size != msg_family.size:
         raise ParameterError("cut and message families must have the same sink count")
     pos_g = _check_indices(cut_family, G)
-    ids_g = tuple(p + 1 for p in pos_g)
-    ids_u = ids_g if U is None else tuple(p + 1 for p in _check_indices(cut_family, U))
-    ids_t = ids_u if T is None else tuple(p + 1 for p in _check_indices(cut_family, T))
-    pos_u = tuple(i - 1 for i in ids_u)
-    pos_t = tuple(i - 1 for i in ids_t)
+    pos_u = pos_g if U is None else _check_indices(cut_family, U)
+    pos_t = pos_u if T is None else _check_indices(cut_family, T)
+    ids_g, ids_u, ids_t = (tuple(p + 1 for p in pos) for pos in (pos_g, pos_u, pos_t))
     qs = _validate_split_points(Q)
     if any(q > len(ids_u) for q in qs):
         raise ParameterError("split points must lie within {2..|U|}")
@@ -271,8 +274,9 @@ def gcsbK(
                 f"split position for {q} must be between 1 and {len(ids_t)}, got {r_q}"
             )
 
-    cover_g = _level_mask(cut_family.masks, pos_g, 1)
-    cover_u = _level_mask(cut_family.masks, pos_u, 1)
+    bits_g, bits_u, bits_t = _bits(pos_g), _bits(pos_u), _bits(pos_t)
+    cover_g = cut_family.levels(bits_g)[1]
+    cover_u = cut_family.levels(bits_u)[1]
     if cover_u & ~cover_g:
         raise PreconditionError(
             "the basic-cut union over G does not cover the one over U "
@@ -280,13 +284,13 @@ def gcsbK(
         )
     for q, r_q in splits.items():
         for family, side in ((cut_family, "cut"), (msg_family, "message")):
-            left = _level_mask(family.masks, pos_u, q)
-            right = _level_mask(family.masks, pos_t, r_q)
+            left = family.levels(bits_u)[q]
+            right = family.levels(bits_t)[r_q]
             if left & ~right:
                 hint = ""
-                if all(
-                    not _level_mask(fam.masks, pos_u, q)
-                    & ~_level_mask(fam.masks, pos_u, r_q)
+                # a level above |U| is empty, and this side's level q is not
+                if r_q <= len(ids_u) and all(
+                    not fam.levels(bits_u)[q] & ~fam.levels(bits_u)[r_q]
                     for fam in (cut_family, msg_family)
                 ):
                     hint = "; the containment does hold with T = U"
@@ -398,8 +402,13 @@ def instantiate(
     cap: dict = {}
     for aterm in bound.terms:
         pos = _check_indices(msg_family, aterm.indices)
+        if not 1 <= aterm.level <= len(pos):
+            raise ParameterError(
+                f"level {aterm.level} is out of range for a set of {len(pos)} indices"
+            )
+        bits = _bits(pos)
         for family, coeffs in ((msg_family, rate), (cut_family, cap)):
-            mask = _level_mask(family.masks, pos, aterm.level)
+            mask = family.levels(bits)[aterm.level]
             while mask:
                 low = mask & -mask
                 label = family.ground.label(low.bit_length() - 1)
@@ -411,7 +420,7 @@ def instantiate(
             if label not in capacities:
                 raise ParameterError(f"no capacity given for arc {label!r}")
         values = [capacities[label] for label in cap]
-        if None not in values:
+        if all(v is not None for v in values):
             # one Fraction per row: sum over the capacities' common denominator
             scale = math.lcm(*(v.denominator for v in values))
             units = (v.numerator * (scale // v.denominator) for v in values)
@@ -489,8 +498,8 @@ def thm2_search(
     lexicographically, each with the default split positions; the first
     candidate to produce a row names it.  This gives the rows `gcsbK`
     would give candidate by candidate, without its per-call validation:
-    the side conditions are read from one table of level masks per family,
-    and a term list is built from the integer chain weights of its Q.  A
+    the side conditions are read from the families' cached levels, and a
+    term list is built from the integer chain weights of its Q.  A
     parameterization whose canonical term list was already seen is skipped
     before instantiation.  The search space grows as roughly 8^K subset
     triples, so the sink count is capped."""
@@ -499,10 +508,9 @@ def thm2_search(
     K = cut_family.size
     if K > MAX_SEARCH_SINKS:
         raise ParameterError(f"the search is limited to {MAX_SEARCH_SINKS} sinks")
-    cut_levels = _level_table(cut_family.masks)
-    msg_levels = _level_table(msg_family.masks)
+    cut_levels, msg_levels = cut_family.levels, msg_family.levels
     subsets = [
-        (ids, frozenset(ids), sum(1 << (i - 1) for i in ids)) for ids in _ordered_subsets(K)
+        (ids, frozenset(ids), _bits(i - 1 for i in ids)) for ids in _ordered_subsets(K)
     ]
     split_sets = {
         size: [
@@ -517,9 +525,9 @@ def thm2_search(
     fitting = {}
     for _, _, bits_u in subsets:
         size_u = bits_u.bit_count()
-        cut_u, msg_u = cut_levels[bits_u], msg_levels[bits_u]
+        cut_u, msg_u = cut_levels(bits_u), msg_levels(bits_u)
         for _, _, bits_t in subsets:
-            cut_t, msg_t = cut_levels[bits_t], msg_levels[bits_t]
+            cut_t, msg_t = cut_levels(bits_t), msg_levels(bits_t)
             fits = {
                 q
                 for q in range(2, min(size_u, bits_t.bit_count() + 1) + 1)
@@ -531,9 +539,9 @@ def thm2_search(
     seen: set = set()
     seen_terms: set = set()
     for ids_g, set_g, bits_g in subsets:
-        cover_g = cut_levels[bits_g][1]
+        cover_g = cut_levels(bits_g)[1]
         for ids_u, set_u, bits_u in subsets:
-            if cut_levels[bits_u][1] & ~cover_g:
+            if cut_levels(bits_u)[1] & ~cover_g:
                 continue
             for ids_t, set_t, bits_t in subsets:
                 for qs, unit, chain in fitting[bits_u, bits_t]:

@@ -474,16 +474,12 @@ def _symmetric_system(K: int, caps, which: str) -> LinearSystem:
     return LinearSystem.from_rows(("R0", "Rsp"), rows)
 
 
-def _file_region_system(
-    net: BroadcastNetwork, which: str, families=None
-) -> LinearSystem:
+def _file_region_system(net: BroadcastNetwork, which: str, families) -> LinearSystem:
     """Outer-bound system over the network's message rates.  `which` picks
     the plain cut-set rows or the full generalized set; `families` are the
-    (cut, message) families, by default those of the minimum cuts.  Every
-    right side is finite: verified cuts never hold an unbounded arc."""
+    (cut, message) families.  Every right side is finite: verified cuts
+    never hold an unbounded arc."""
     rules = ("csb",) if which == "cutset" else ENUMERATION_RULES
-    if families is None:
-        families = cut_and_message_families(net, _load_cuts(net, None))
     capacities = {arc.label: arc.capacity for arc in net.arcs}
     rows = [
         (row.rate_coeffs, row.rhs_value)

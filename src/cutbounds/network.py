@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleCutError,
     ParameterError,
 )
-from .setcalc import MAX_FAMILY, MAX_GROUND, ElementSet, GroundSet, SubsetFamily
+from .setcalc import MAX_FAMILY, ElementSet, GroundSet, SubsetFamily
 
 Capacity = Optional[Fraction]
 
@@ -91,8 +91,8 @@ class BroadcastNetwork:
         node_set = set(self.nodes)
 
         self.arcs = tuple(arcs)
-        if not 1 <= len(self.arcs) <= MAX_GROUND:
-            raise ParameterError(f"networks carry 1..{MAX_GROUND} arcs")
+        if not self.arcs:
+            raise ParameterError("a network needs at least one arc")
         labels = [a.label for a in self.arcs]
         if len(set(labels)) != len(labels):
             raise ParameterError("arc labels must be distinct")
@@ -118,8 +118,8 @@ class BroadcastNetwork:
                 raise ParameterError("the source cannot be a sink")
 
         self.messages = tuple(messages)
-        if not 1 <= len(self.messages) <= MAX_GROUND:
-            raise ParameterError(f"networks carry 1..{MAX_GROUND} messages")
+        if not self.messages:
+            raise ParameterError("a network needs at least one message")
         if len(set(self.messages)) != len(self.messages):
             raise ParameterError("message labels must be distinct")
 
@@ -248,69 +248,48 @@ def min_cut(net: BroadcastNetwork, k: int) -> Cut:
         )
 
     residual: dict = {}
+    neighbours = {n: [] for n in net.nodes}
     for a in net.arcs:
-        key = (a.tail, a.head)
-        if a.capacity is None or residual.get(key, Fraction(0)) is None:
-            residual[key] = None
+        for u, v in ((a.tail, a.head), (a.head, a.tail)):
+            if (u, v) not in residual:
+                residual[u, v] = Fraction(0)
+                neighbours[u].append(v)
+        if a.capacity is None or residual[a.tail, a.head] is None:
+            residual[a.tail, a.head] = None
         else:
-            residual[key] = residual.get(key, Fraction(0)) + a.capacity
-        residual.setdefault((a.head, a.tail), Fraction(0))
+            residual[a.tail, a.head] += a.capacity
 
-    pushed = {key: Fraction(0) for key in residual}
-    neighbours = {n: set() for n in net.nodes}
-    for (u, v) in residual:
-        neighbours[u].add(v)
-
-    def bfs_path():
+    flow = Fraction(0)
+    while True:
+        # breadth-first over the residual graph; once the sink is out of
+        # reach, the nodes reached are the source side of a minimum cut
         parent = {net.source: None}
         queue = deque([net.source])
-        while queue:
+        while queue and target not in parent:
             n = queue.popleft()
-            if n == target:
-                path = []
-                while parent[n] is not None:
-                    path.append((parent[n], n))
-                    n = parent[n]
-                return path[::-1]
             for m in neighbours[n]:
-                cap = residual[(n, m)]
+                cap = residual[n, m]
                 if m not in parent and (cap is None or cap > 0):
                     parent[m] = n
                     queue.append(m)
-        return None
-
-    while True:
-        path = bfs_path()
-        if path is None:
+        if target not in parent:
             break
-        finite = [residual[e] for e in path if residual[e] is not None]
-        push = min(finite)  # nonempty: an all-unbounded path was excluded above
-        for (u, v) in path:
-            if residual[(u, v)] is not None:
-                residual[(u, v)] -= push
-            back = residual[(v, u)]
-            if back is not None:
-                residual[(v, u)] = back + push
-            pushed[(u, v)] += push
-            pushed[(v, u)] -= push
+        path = []
+        n = target
+        while parent[n] is not None:
+            path.append((parent[n], n))
+            n = parent[n]
+        # nonempty: an all-unbounded path was excluded above
+        push = min(residual[e] for e in path if residual[e] is not None)
+        for u, v in path:
+            if residual[u, v] is not None:
+                residual[u, v] -= push
+            if residual[v, u] is not None:
+                residual[v, u] += push
+        flow += push
 
-    side = {net.source}
-    queue = deque([net.source])
-    while queue:
-        n = queue.popleft()
-        for m in neighbours[n]:
-            cap = residual[(n, m)]
-            if m not in side and (cap is None or cap > 0):
-                side.add(m)
-                queue.append(m)
-
-    crossing = [a.label for a in net.arcs if a.tail in side and a.head not in side]
+    crossing = [a.label for a in net.arcs if a.tail in parent and a.head not in parent]
     cut = make_cut(net, crossing, k)
-
-    flow = sum(
-        (amount for (u, _), amount in pushed.items() if u == net.source),
-        Fraction(0),
-    )
     # max-flow/min-cut equality is an internal consistency check, not user input
     if flow != cut.capacity:
         raise AssertionError(

@@ -4,18 +4,23 @@ The level-r operator of a family (S_1, ..., S_K) at an index set U takes the
 union, over all r-element subsets U' of U, of the intersection of the S_k with
 k in U'.  Level 1 is the plain union, level |U| the plain intersection, and
 the levels shrink as r grows.
+
+Every level comes from one kernel, :func:`level_masks`: a counter that
+adds the members one at a time and keeps, for each r, the bit mask of the
+elements met at least r times.  All levels of n members cost O(n^2) word
+operations, not one intersection per r-subset.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import GroundMismatchError, ParameterError
 
-MAX_GROUND = 64  # masks stay one machine word
-MAX_FAMILY = 16  # r-subset enumeration stays bounded
+# the bound rules walk up to 2^K - 1 sink subsets, and the cor2 rule
+# (`bounds._beta_bounds`) has no sink-count check of its own
+MAX_FAMILY = 16
 
 
 @dataclass(frozen=True)
@@ -26,8 +31,8 @@ class GroundSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or not 1 <= self.size <= MAX_GROUND:
-            raise ParameterError(f"ground size must be in 1..{MAX_GROUND}")
+        if not isinstance(self.size, int) or self.size < 1:
+            raise ParameterError("ground size must be a positive integer")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.size:
@@ -119,13 +124,15 @@ class ElementSet:
 class SubsetFamily:
     """An ordered family (S_1, ..., S_K) of subsets of one ground set.
 
-    `masks` holds the members' bit masks, computed once on construction;
-    it takes no part in equality, hashing or repr.
+    `masks` holds the members' bit masks, computed once on construction,
+    and `_levels` the levels of each index set asked for through `levels`;
+    neither takes part in equality, hashing or repr.
     """
 
     ground: GroundSet
     sets: tuple[ElementSet, ...]
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _levels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -135,10 +142,20 @@ class SubsetFamily:
             if s.ground != self.ground:
                 raise GroundMismatchError("family member over a different ground")
         object.__setattr__(self, "masks", tuple(s.mask for s in self.sets))
+        object.__setattr__(self, "_levels", {})
 
     @property
     def size(self) -> int:
         return len(self.sets)
+
+    def levels(self, bits: int) -> tuple[int, ...]:
+        """`level_masks` of the members at the 0-based positions set in the
+        bit mask `bits`, computed on first request; unvalidated."""
+        found = self._levels.get(bits)
+        if found is None:
+            positions = [p for p in range(bits.bit_length()) if bits >> p & 1]
+            found = self._levels[bits] = tuple(level_masks(self.masks, positions))
+        return found
 
 
 def _check_indices(family: SubsetFamily, indices: Iterable[int]) -> tuple[int, ...]:
@@ -151,53 +168,43 @@ def _check_indices(family: SubsetFamily, indices: Iterable[int]) -> tuple[int, .
     return tuple(i - 1 for i in idx)
 
 
-def _level_mask(masks: Sequence[int], positions: Sequence[int], r: int) -> int:
-    """Union over r-subsets of `positions` of the intersection of their masks."""
-    out = 0
-    for combo in itertools.combinations(positions, r):
-        acc = masks[combo[0]]
-        for p in combo[1:]:
-            acc &= masks[p]
-        out |= acc
-    return out
+def level_masks(masks: Sequence[int], positions: Iterable[int]) -> list[int]:
+    """Levels 0..n of the masks at the n given positions: entry r holds the
+    elements lying in at least r of them, and entry 0 is -1, every element.
 
-
-def _level_table(masks: Sequence[int]) -> list[tuple[int, ...]]:
-    """Every level of every index set at once.
-
-    Entry `s` is the tuple (level 0, level 1, ..., level |s|) over the
-    positions set in the bit mask `s`; level 0 is -1, every element.  It is
-    built from the entry without the lowest position p by
-    level_r(s) = level_r(s - p) | (level_(r-1)(s - p) & masks[p]), so the
-    table costs O(2^K * K) word operations and agrees with `_level_mask`.
+    One pass of the counter: adding mask m turns each level r >= 1 into
+    level_r | (level_(r-1) & m), both read before m was added, and opens a
+    new top level.
     """
-    table = [(-1,)]
-    for s in range(1, 1 << len(masks)):
-        low = s & -s
-        rest = table[s ^ low] + (0,)
-        mask = masks[low.bit_length() - 1]
-        table.append((-1,) + tuple(rest[r] | (rest[r - 1] & mask) for r in range(1, len(rest))))
-    return table
+    out = [-1]
+    for p in positions:
+        m = masks[p]
+        below = -1
+        for r in range(1, len(out)):
+            level = out[r]
+            out[r] = level | (below & m)
+            below = level
+        out.append(below & m)
+    return out
 
 
 def intersect_level(family: SubsetFamily, indices: Iterable[int], r: int) -> ElementSet:
     """Level-r intersection of the family members named by 1-based `indices`.
 
     Returns the union over all r-element subsets of `indices` of the
-    intersection of the corresponding family sets.  Direct enumeration is
-    used on purpose; the family-size cap keeps it at most a few thousand
-    terms and the result easy to audit.
+    intersection of the corresponding family sets, read off `level_masks`;
+    the tests check that kernel against this definition.
     """
     pos = _check_indices(family, indices)
     if not 1 <= r <= len(pos):
         raise ParameterError(f"level must be in 1..{len(pos)}, got {r}")
-    return ElementSet(family.ground, _level_mask(family.masks, pos, r))
+    return ElementSet(family.ground, level_masks(family.masks, pos)[r])
 
 
 def _prefix_extended_masks(masks: Sequence[int], cutoff: int, count: int) -> list[int]:
     out = list(masks[:cutoff])
     for r in range(cutoff + 1, count + 1):
-        out.append(masks[r - 1] | _level_mask(masks, range(r), cutoff + 1))
+        out.append(masks[r - 1] | level_masks(masks, range(r))[cutoff + 1])
     return out
 
 
@@ -226,17 +233,12 @@ def _check_cutoff(family: SubsetFamily, cutoff: int, count: int) -> None:
 
 def _prefix_identity_masks(masks: Sequence[int], cutoff: int, count: int) -> bool:
     """Mask-level core of prefix_extension_identity; no validation."""
-    ext = _prefix_extended_masks(masks, cutoff, count)
-    positions = range(count)
-    for r in range(1, count + 1):
-        lhs = _level_mask(ext, positions, r)
-        if r <= cutoff:
-            rhs = _level_mask(masks, positions, r)
-        else:
-            rhs = _level_mask(masks, range(count - r + cutoff + 1), cutoff + 1)
-        if lhs != rhs:
-            return False
-    return True
+    lhs = level_masks(_prefix_extended_masks(masks, cutoff, count), range(count))
+    rhs = level_masks(masks, range(count))[: cutoff + 1] + [
+        level_masks(masks, range(count - r + cutoff + 1))[cutoff + 1]
+        for r in range(cutoff + 1, count + 1)
+    ]
+    return lhs == rhs
 
 
 def prefix_extension_identity(
@@ -248,7 +250,8 @@ def prefix_extension_identity(
     level-r set of G over the first `count` indices equals the level-r set of
     the original family for r <= cutoff, and equals the level-(cutoff+1) set
     of the first (count - r + cutoff + 1) original members for r > cutoff.
-    Both sides are computed independently from the definitions.
+    Both sides are read off `level_masks`, each from its own family and
+    prefix; the tests check that kernel against the definition.
     """
     _check_cutoff(family, cutoff, count)
     return _prefix_identity_masks(family.masks, cutoff, count)

@@ -25,7 +25,7 @@ from .setcalc import (
     GroundSet,
     SubsetFamily,
     _check_indices,
-    _level_mask,
+    level_masks,
 )
 
 MAX_TABLE_GROUND = 20
@@ -231,10 +231,7 @@ def multiway_gap(f: SetFunction, family: SubsetFamily, indices: Iterable[int]):
     positions = _check_indices(family, indices)
     masks = family.masks
     lhs = _left_sum(f._value(masks[p]) for p in positions)
-    rhs = _left_sum(
-        f._value(_level_mask(masks, positions, r))
-        for r in range(1, len(positions) + 1)
-    )
+    rhs = _left_sum(f._value(level) for level in level_masks(masks, positions)[1:])
     return lhs - rhs
 
 
@@ -271,15 +268,14 @@ def prefix_multiway_gap(
     masks = family.masks
     prefix = tuple(range(count))
     pads = {
-        r: _level_mask(masks, prefix[:r], cutoff + 1) for r in range(cutoff + 1, count + 1)
+        r: level_masks(masks, prefix[:r])[cutoff + 1] for r in range(cutoff + 1, count + 1)
     }
+    levels = level_masks(masks, prefix)
     lhs = _left_sum(f._value(masks[r - 1] | amask) for r in range(1, cutoff + 1))
     lhs += _left_sum(
         f._value(masks[r - 1] | pads[r] | amask) for r in range(cutoff + 1, count + 1)
     )
-    rhs = _left_sum(
-        f._value(_level_mask(masks, prefix, r) | amask) for r in range(1, cutoff + 1)
-    )
+    rhs = _left_sum(f._value(levels[r] | amask) for r in range(1, cutoff + 1))
     rhs += _left_sum(f._value(pads[r] | amask) for r in range(cutoff + 1, count + 1))
     return lhs - rhs
 
@@ -311,8 +307,9 @@ def cross_level_gap(
             f"t_prefix must be between 1 and {len(pos_t)}, got {t_prefix}"
         )
     masks = family.masks
-    anchor = _level_mask(masks, pos_u, u_level)
-    target = _level_mask(masks, pos_t, t_prefix)
+    anchor = level_masks(masks, pos_u)[u_level]
+    t_levels = level_masks(masks, pos_t)
+    target = t_levels[t_prefix]
     if anchor & ~target:
         ground = family.ground
         raise PreconditionError(
@@ -323,13 +320,13 @@ def cross_level_gap(
     lhs = _left_sum(f._value(masks[p]) for p in pos_t)
     lhs += t_prefix * f._value(anchor)
     rhs = _left_sum(
-        f._value(_level_mask(masks, pos_t, r)) + f._value(masks[pos_t[r - 1]] & anchor)
+        f._value(t_levels[r]) + f._value(masks[pos_t[r - 1]] & anchor)
         for r in range(1, t_prefix + 1)
     )
     rhs += _left_sum(
         f._value(
             masks[pos_t[r - 1]]
-            & (anchor | _level_mask(masks, pos_t[:r], t_prefix + 1))
+            & (anchor | level_masks(masks, pos_t[:r])[t_prefix + 1])
         )
         for r in range(t_prefix + 1, len(pos_t) + 1)
     )

@@ -21,6 +21,7 @@ import pytest
 
 from cutbounds import cli
 from cutbounds.errors import SchemaError
+from cutbounds.network import cut_and_message_families
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -553,7 +554,8 @@ class TestCmdRegion:
         assert cli.main(["bounds", path, "--rules", "csb,gcsb3,cor3"]) == 0
         report = json.loads(capsys.readouterr().out)
         net = cli.load_network_document(path)
-        system = cli._file_region_system(net, "gcsb")
+        families = cut_and_message_families(net, cli._load_cuts(net, None))
+        system = cli._file_region_system(net, "gcsb", families)
         assert system.variables == tuple(net.messages)
         from_report = sorted(
             (tuple(F(row["rate_coeffs"].get(m, "0")) for m in net.messages), F(row["rhs_value"]))
@@ -615,6 +617,37 @@ class TestCmdRegion:
 
     def test_requires_some_input(self):
         assert cli.main(["region"]) == 2
+
+
+class TestCompleteK5:
+    """The complete K=5 network: 31 source arcs, 80 delivery arcs, one
+    message W_V per nonempty sink set V, every capacity 1."""
+
+    def test_cutset_rows_follow_the_closed_form(self, tmp_path, capsys):
+        path = write_doc(tmp_path, complete_doc(5))
+        assert cli.main(["bounds", path, "--rules", "csb"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 31
+        seen = set()
+        for row in rows:
+            assert row["provenance"].startswith("csb({")
+            sinks = set(row["provenance"][5:-2].split(","))
+            seen.add(frozenset(sinks))
+            hit = [
+                f"W{''.join(v)}"
+                for size in range(1, 6)
+                for v in itertools.combinations("12345", size)
+                if sinks & set(v)
+            ]
+            assert row["rate_coeffs"] == {label: "1" for label in hit}
+            assert F(row["rhs_value"]) == 2**5 - 2 ** (5 - len(sinks))
+        assert len(seen) == 31
+
+    def test_cutset_slice_corners(self, tmp_path, capsys):
+        # R1 <= 16, R2 <= 16 and R1 + R2 <= 24 on the (W1, W2) slice
+        path = write_doc(tmp_path, complete_doc(5))
+        assert cli.main(["region", path, "--axes", "W1,W2", "--bounds", "cutset"]) == 0
+        assert capsys.readouterr().out.split() == ["x,y", "0,0", "16,0", "16,8", "8,16", "0,16"]
 
 
 # ---------------------------------------------------------------------------

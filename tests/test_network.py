@@ -253,8 +253,48 @@ class TestMinCut:
             checked += 1
         assert checked > 20
 
+    def test_returns_the_least_minimum_source_side(self):
+        # Of all minimum cuts, min_cut returns the arcs leaving the
+        # intersection of the minimum-capacity source sides S (S holds the
+        # source and not the sink; an unbounded arc leaving S makes its
+        # capacity infinite).  Small integer capacities make ties common.
+        def leaving(net, side):
+            return frozenset(a.label for a in net.arcs if a.tail in side and a.head not in side)
 
-def _random_dag(rng):
+        rng = random.Random(7)
+        ties = 0
+        for _ in range(3000):
+            net = _random_dag(rng, _small_int_or_unbounded)
+            inner = net.nodes[1:-1]
+            capacity = {}
+            for bits in range(1 << len(inner)):
+                side = frozenset({"s"} | {n for i, n in enumerate(inner) if bits >> i & 1})
+                caps = [net.arc(label).capacity for label in leaving(net, side)]
+                if None not in caps:
+                    capacity[side] = sum(caps)
+            if not capacity:
+                with pytest.raises(InfeasibleCutError):
+                    min_cut(net, 1)
+                continue
+            best = min(capacity.values())
+            minimal = [side for side, total in capacity.items() if total == best]
+            ties += len({leaving(net, side) for side in minimal}) > 1
+            cut = min_cut(net, 1)
+            assert cut.capacity == best
+            assert set(cut.arcs.member_labels()) == leaving(net, frozenset.intersection(*minimal))
+        assert ties > 100  # 231 draws have minimum cuts with different arc sets
+
+
+def _rational_or_unbounded(rng):
+    capacity = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return None if rng.random() < 0.12 else capacity
+
+
+def _small_int_or_unbounded(rng):
+    return None if rng.random() < 0.2 else rng.randint(1, 3)
+
+
+def _random_dag(rng, draw_capacity=_rational_or_unbounded):
     while True:
         inner = [f"n{i}" for i in range(rng.randint(1, 4))]
         nodes = ["s"] + inner + ["t"]
@@ -262,10 +302,7 @@ def _random_dag(rng):
         for idx in range(rng.randint(1, 8)):
             i = rng.randrange(len(nodes) - 1)
             j = rng.randrange(i + 1, len(nodes))
-            capacity = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-            if rng.random() < 0.12:
-                capacity = None
-            arcs.append(Arc(f"e{idx}", nodes[i], nodes[j], capacity))
+            arcs.append(Arc(f"e{idx}", nodes[i], nodes[j], draw_capacity(rng)))
         try:
             return BroadcastNetwork(nodes, arcs, "s", ["t"], ["M"], {1: ["M"]})
         except ParameterError:

@@ -8,17 +8,20 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutbounds.errors import GroundMismatchError, ParameterError
 from cutbounds.setcalc import (
     ElementSet,
     GroundSet,
     SubsetFamily,
-    _level_mask,
-    _level_table,
     intersect_level,
+    level_masks,
     prefix_extended_family,
     prefix_extension_identity,
 )
@@ -38,14 +41,24 @@ def random_family(rng: random.Random, n: int, k: int) -> SubsetFamily:
     return SubsetFamily(g, sets)
 
 
+def direct_level(masks, positions, r: int) -> int:
+    """Reference level from the definition: the union, over the r-subsets of
+    `positions`, of the intersection of their masks."""
+    return reduce(
+        int.__or__,
+        (reduce(and_, (masks[p] for p in combo)) for combo in itertools.combinations(positions, r)),
+        0,
+    )
+
+
 class TestGroundSet:
     def test_size_bounds(self):
         assert GroundSet(1).size == 1
         assert GroundSet(64).full_mask == (1 << 64) - 1
-        with pytest.raises(ParameterError):
-            GroundSet(0)
-        with pytest.raises(ParameterError):
-            GroundSet(65)
+        assert GroundSet(65).full_mask == (1 << 65) - 1
+        for size in (0, -1, 2.0):
+            with pytest.raises(ParameterError):
+                GroundSet(size)
 
     def test_labels_validated(self):
         g = GroundSet(2, ("a", "b"))
@@ -170,17 +183,64 @@ class TestIntersectLevel:
                 assert inner & ~outer == 0
 
     def test_level_table_matches_direct_enumeration(self):
+        # the family's cached levels of every index set, against the definition
         rng = random.Random(102)
         for k in range(1, 7):
             for _ in range(20):
-                masks = random_family(rng, 7, k).masks
-                table = _level_table(masks)
-                assert len(table) == 1 << k
-                for bits, levels in enumerate(table):
+                fam = random_family(rng, 7, k)
+                for bits in range(1, 1 << k):
                     positions = [p for p in range(k) if bits >> p & 1]
+                    levels = fam.levels(bits)
                     assert len(levels) == len(positions) + 1 and levels[0] == -1
                     for r in range(1, len(positions) + 1):
-                        assert levels[r] == _level_mask(masks, positions, r)
+                        assert levels[r] == direct_level(fam.masks, positions, r)
+
+
+@st.composite
+def families_and_positions(draw):
+    """A family of 1-16 members over a ground of up to 70 elements, and a
+    nonempty set of its positions."""
+    n = draw(st.integers(1, 70))
+    members = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))
+    g = GroundSet(n)
+    fam = SubsetFamily(g, tuple(ElementSet(g, m) for m in members))
+    bits = draw(st.integers(1, (1 << fam.size) - 1))
+    return fam, [p for p in range(fam.size) if bits >> p & 1]
+
+
+def widest_family(seed: int):
+    """16 random members over 70 elements, with every position chosen."""
+    fam = random_family(random.Random(seed), 70, 16)
+    return fam, list(range(16))
+
+
+class TestLevelKernel:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(families_and_positions())
+    @example(widest_family(0))
+    @example(widest_family(1))
+    def test_kernel_cache_and_prefixes_match_the_definition(self, drawn):
+        fam, positions = drawn
+        masks = fam.masks
+        want = [-1] + [direct_level(masks, positions, r) for r in range(1, len(positions) + 1)]
+        assert level_masks(masks, positions) == want
+        assert level_masks(masks, reversed(positions)) == want
+        bits = sum(1 << p for p in positions)
+        assert fam.levels(bits) == tuple(want)
+        assert fam.levels(bits) is fam.levels(bits)
+        twin = SubsetFamily(fam.ground, fam.sets)
+        assert fam == twin and hash(fam) == hash(twin) and repr(fam) == repr(twin)
+        # prefix levels, and the prefix-extended family built from them
+        count = len(positions)
+        assert level_masks(masks, range(count)) == [
+            -1 if r == 0 else direct_level(masks, range(count), r) for r in range(count + 1)
+        ]
+        for cutoff in range(1, count):
+            ext = prefix_extended_family(fam, cutoff, count)
+            assert ext.masks == masks[:cutoff] + tuple(
+                masks[r - 1] | direct_level(masks, range(r), cutoff + 1)
+                for r in range(cutoff + 1, count + 1)
+            )
 
 
 class TestSubsetFamily:
