@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -20,7 +21,10 @@ from .errors import ParameterError, PreconditionError
 from .setcalc import ElementSet, SubsetFamily, _check_indices
 
 MAX_BETA_SET_SIZE = 6
-MAX_SEARCH_SINKS = 4
+# thm2_search walks (2^K - 1)^3 sink-set triples (G, U, T): 29791 at K = 5,
+# where the complete network's all-rule report takes under a second, and
+# 250047 at K = 6
+MAX_SEARCH_SINKS = 5
 
 ENUMERATION_RULES = ("csb", "gcsb3", "cor3")
 BOUND_RULES = ENUMERATION_RULES + ("cor2", "thm2")
@@ -394,43 +398,106 @@ def instantiate(
     level and to every arc in the corresponding cut level.  When capacities
     (ints or Fractions, None for unbounded) are given, the numeric right
     side is accumulated as well; it stays None when an arc on the right is
-    unbounded, which only a library caller's own cut family can hold.
+    unbounded, which only a library caller's own cut family can hold.  Only
+    the capacities of the arcs on the right are read.
     """
     if cut_family.size != msg_family.size:
         raise ParameterError("cut and message families must have the same sink count")
     rate: dict = {}
     cap: dict = {}
-    for aterm in bound.terms:
-        pos = _check_indices(msg_family, aterm.indices)
-        if not 1 <= aterm.level <= len(pos):
-            raise ParameterError(
-                f"level {aterm.level} is out of range for a set of {len(pos)} indices"
-            )
-        bits = _bits(pos)
-        for family, coeffs in ((msg_family, rate), (cut_family, cap)):
-            mask = family.levels(bits)[aterm.level]
-            while mask:
-                low = mask & -mask
-                label = family.ground.label(low.bit_length() - 1)
-                coeffs[label] = coeffs.get(label, 0) + aterm.weight
-                mask ^= low
-    rhs = None
-    if capacities is not None:
-        for label in cap:
-            if label not in capacities:
-                raise ParameterError(f"no capacity given for arc {label!r}")
-        values = [capacities[label] for label in cap]
-        if all(v is not None for v in values):
-            # one Fraction per row: sum over the capacities' common denominator
-            scale = math.lcm(*(v.denominator for v in values))
-            units = (v.numerator * (scale // v.denominator) for v in values)
-            rhs = Fraction(sum(c * u for c, u in zip(cap.values(), units)), scale)
-    return InstantiatedInequality(
-        rate_coeffs=rate,
-        capacity_coeffs=cap,
-        rhs_value=rhs,
-        provenance=bound.provenance,
-    )
+    msg_labels, cut_labels = msg_family.level_labels, cut_family.level_labels
+    for t in bound.terms:
+        level, indices, weight = t.level, t.indices, t.weight
+        for label in msg_labels(level, indices):
+            rate[label] = rate.get(label, 0) + weight
+        for label in cut_labels(level, indices):
+            cap[label] = cap.get(label, 0) + weight
+    rhs = None if capacities is None else _right_side(cap, *_capacity_units(cap, capacities))
+    return InstantiatedInequality(rate, cap, rhs, bound.provenance)
+
+
+# a capacity the caller's mapping does not give
+_MISSING = object()
+
+
+def _capacity_units(labels, capacities: Mapping) -> tuple:
+    """Per label, its capacity times the common denominator of the bounded
+    ones (None when unbounded, _MISSING when not given); and that
+    denominator."""
+    values = {label: capacities.get(label, _MISSING) for label in labels}
+    bounded = [v for v in values.values() if v is not None and v is not _MISSING]
+    denominator = math.lcm(*[v.denominator for v in bounded])
+    units = {
+        label: v if v is None or v is _MISSING else v.numerator * (denominator // v.denominator)
+        for label, v in values.items()
+    }
+    return units, denominator
+
+
+def _right_side(cap: dict, units: dict, denominator: int) -> Optional[Fraction]:
+    """The right side of label-keyed capacity coefficients, one Fraction
+    over the units' common denominator; None when an arc is unbounded."""
+    values = [units[label] for label in cap]
+    if _MISSING in values:
+        label = next(label for label, unit in zip(cap, values) if unit is _MISSING)
+        raise ParameterError(f"no capacity given for arc {label!r}")
+    if None in values:
+        return None
+    return Fraction(sum(map(operator.mul, cap.values(), values)), denominator)
+
+
+class _RowKernel:
+    """Rows on one pair of (cut, message) families under one set of
+    capacities, deduplicated as `InstantiatedInequality.signature` would.
+
+    Rows are added as `instantiate` gives them without capacities.  A row's
+    `int` coefficients are keyed by the rank of each label in sorted-label
+    order, divided by their gcd and sorted; this key has the same equality
+    and order as the signature.  `rows` maps each key to the first row
+    added with it, which gets its right side here from the capacities
+    scaled once to a common denominator: every cut arc's capacity must be
+    an int, a Fraction or None, and a missing one is an error only for a
+    kept row on it.  `fresh` tells whether a term list is met for the first
+    time, so a repeated one is skipped before instantiation.
+    """
+
+    def __init__(self, cut_family, msg_family, capacities=None):
+        if cut_family.size != msg_family.size:
+            raise ParameterError("cut and message families must have the same sink count")
+        self.msg_ranks = _label_ranks(msg_family.ground)
+        self.cut_ranks = _label_ranks(cut_family.ground)
+        self.units = None if capacities is None else _capacity_units(self.cut_ranks, capacities)
+        self.seen_terms: set = set()
+        self.rows: dict = {}
+
+    def fresh(self, terms) -> bool:
+        if terms in self.seen_terms:
+            return False
+        self.seen_terms.add(terms)
+        return True
+
+    def add(self, row: InstantiatedInequality) -> None:
+        """Keep `row` unless its key was met before."""
+        rate, cap = row.rate_coeffs, row.capacity_coeffs
+        msg_ranks, cut_ranks = self.msg_ranks, self.cut_ranks
+        rate_key = sorted([(msg_ranks[label], w) for label, w in rate.items()])
+        cap_key = sorted([(cut_ranks[label], w) for label, w in cap.items()])
+        g = math.gcd(*rate.values(), *cap.values())
+        if g > 1:
+            rate_key = [(r, w // g) for r, w in rate_key]
+            cap_key = [(r, w // g) for r, w in cap_key]
+        key = (tuple(rate_key), tuple(cap_key))
+        if key not in self.rows:
+            if self.units is not None:
+                rhs = _right_side(cap, *self.units)
+                row = InstantiatedInequality(rate, cap, rhs, row.provenance)
+            self.rows[key] = row
+
+
+def _label_ranks(ground) -> dict:
+    """Each label's rank in sorted-label order."""
+    labels = sorted(ground.label(p) for p in range(ground.size))
+    return {label: rank for rank, label in enumerate(labels)}
 
 
 def _ordered_subsets(K: int):
@@ -491,8 +558,8 @@ def thm2_search(
     capacities: Optional[Mapping] = None,
 ) -> list:
     """Instantiate every valid parameterization of the general bound on the
-    given families, deduplicated by signature; `capacities` is passed on to
-    `instantiate`.
+    given families, deduplicated by signature; `capacities` give the right
+    sides as in `instantiate`.
 
     Candidates run in the order (G, U, T, |Q|, Q), sink sets by size then
     lexicographically, each with the default split positions; the first
@@ -503,8 +570,7 @@ def thm2_search(
     parameterization whose canonical term list was already seen is skipped
     before instantiation.  The search space grows as roughly 8^K subset
     triples, so the sink count is capped."""
-    if cut_family.size != msg_family.size:
-        raise ParameterError("cut and message families must have the same sink count")
+    kernel = _RowKernel(cut_family, msg_family, capacities)
     K = cut_family.size
     if K > MAX_SEARCH_SINKS:
         raise ParameterError(f"the search is limited to {MAX_SEARCH_SINKS} sinks")
@@ -535,9 +601,6 @@ def thm2_search(
             }
             fitting[bits_u, bits_t] = [s for s in split_sets[size_u] if fits.issuperset(s[0])]
 
-    rows: list = []
-    seen: set = set()
-    seen_terms: set = set()
     for ids_g, set_g, bits_g in subsets:
         cover_g = cut_levels(bits_g)[1]
         for ids_u, set_u, bits_u in subsets:
@@ -546,19 +609,14 @@ def thm2_search(
             for ids_t, set_t, bits_t in subsets:
                 for qs, unit, chain in fitting[bits_u, bits_t]:
                     terms = _general_terms(set_g, set_u, set_t, qs, unit, chain)
-                    if terms in seen_terms:
-                        continue
-                    seen_terms.add(terms)
-                    splits = {q: q - 1 for q in qs}
-                    bound = BoundInequality(
-                        terms, _general_provenance(ids_g, ids_u, ids_t, qs, splits)
-                    )
-                    row = instantiate(bound, cut_family, msg_family, capacities)
-                    sig = row.signature()
-                    if sig not in seen:
-                        seen.add(sig)
-                        rows.append(row)
-    return rows
+                    # most term lists repeat; name only the new ones
+                    if kernel.fresh(terms):
+                        splits = {q: q - 1 for q in qs}
+                        bound = BoundInequality(
+                            terms, _general_provenance(ids_g, ids_u, ids_t, qs, splits)
+                        )
+                        kernel.add(instantiate(bound, cut_family, msg_family))
+    return list(kernel.rows.values())
 
 
 def _beta_bounds(K: int):
@@ -584,20 +642,18 @@ def bound_rows(
     Rules are walked in the order given, so the first rule to produce a row
     names its provenance.  A bound whose canonical term list was already
     seen is skipped before instantiation, and of the rows left the first
-    per signature is kept.  `capacities` is passed on to `instantiate`.
+    per signature is kept.  `capacities` give the right sides as in
+    `instantiate`.
     """
     K = cut_family.size
-    picked: dict = {}
-    seen: set = set()
+    kernel = _RowKernel(cut_family, msg_family, capacities)
     for rule in check_rules(rules, BOUND_RULES):
         if rule == "thm2":
-            for row in thm2_search(cut_family, msg_family, capacities):
-                picked.setdefault(row.signature(), row)
+            for row in thm2_search(cut_family, msg_family):
+                kernel.add(row)
             continue
         bounds = _beta_bounds(K) if rule == "cor2" else enumerate_bounds(K, (rule,))
         for bound in bounds:
-            if bound.terms not in seen:
-                seen.add(bound.terms)
-                row = instantiate(bound, cut_family, msg_family, capacities)
-                picked.setdefault(row.signature(), row)
-    return [picked[sig] for sig in sorted(picked)]
+            if kernel.fresh(bound.terms):
+                kernel.add(instantiate(bound, cut_family, msg_family))
+    return [kernel.rows[key] for key in sorted(kernel.rows)]

@@ -27,7 +27,7 @@ import random
 import sys
 from fractions import Fraction
 from importlib import resources
-from math import comb
+from math import comb, isfinite
 
 from .bounds import (
     BOUND_RULES,
@@ -230,6 +230,27 @@ def _row_payload(net: BroadcastNetwork, row) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _report_json(items: list) -> str:
+    """`json.dumps(items, indent=2) + "\n"` for a list of objects whose
+    values are strings or objects of strings, written directly: given an
+    indent, `json.dumps` runs its pure-Python encoder."""
+    blocks = []
+    for item in items:
+        fields = []
+        for key, value in item.items():
+            if type(value) is dict:
+                pairs = [f"{_quote(k)}: {_quote(v)}" for k, v in value.items()]
+                value = "{\n      " + ",\n      ".join(pairs) + "\n    }" if pairs else "{}"
+            else:
+                value = _quote(value)
+            fields.append(f"{_quote(key)}: {value}")
+        blocks.append("{\n    " + ",\n    ".join(fields) + "\n  }" if fields else "{}")
+    return "[\n  " + ",\n  ".join(blocks) + "\n]\n" if blocks else "[]\n"
+
+
 def cmd_bounds(args) -> int:
     net = load_network_document(args.net_file)
     rules = check_rules((token.strip() for token in args.rules.split(",")), BOUND_RULES)
@@ -240,7 +261,7 @@ def cmd_bounds(args) -> int:
         {**_row_payload(net, row), "rhs_value": format_rational(row.rhs_value)}
         for row in bound_rows(rules, cut_family, msg_family, capacities)
     ]
-    _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_text(_report_json(payload), args.out)
     return 0
 
 
@@ -392,6 +413,10 @@ def _run_appendix_c():
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ParameterError("--trials must be at least 1")
+    # gaps below -tolerance are flagged: nan or inf flags none, a negative
+    # tolerance flags exact zeros
+    if not (isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ParameterError("--tolerance must be a finite number >= 0")
     token = args.lemma
     if token in ("appendixA", "appendixC"):
         if args.modular:

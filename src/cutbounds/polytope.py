@@ -54,6 +54,8 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value: Union[Fraction, int]) -> str:
+    if type(value) is int:
+        return str(value)
     value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)

@@ -125,14 +125,16 @@ class SubsetFamily:
     """An ordered family (S_1, ..., S_K) of subsets of one ground set.
 
     `masks` holds the members' bit masks, computed once on construction,
-    and `_levels` the levels of each index set asked for through `levels`;
-    neither takes part in equality, hashing or repr.
+    `_levels` the levels of each index set asked for through `levels`, and
+    `_level_labels` the level members asked for through `level_labels`;
+    none takes part in equality, hashing or repr.
     """
 
     ground: GroundSet
     sets: tuple[ElementSet, ...]
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _levels: dict = field(init=False, repr=False, compare=False)
+    _level_labels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -143,6 +145,7 @@ class SubsetFamily:
                 raise GroundMismatchError("family member over a different ground")
         object.__setattr__(self, "masks", tuple(s.mask for s in self.sets))
         object.__setattr__(self, "_levels", {})
+        object.__setattr__(self, "_level_labels", {})
 
     @property
     def size(self) -> int:
@@ -155,6 +158,25 @@ class SubsetFamily:
         if found is None:
             positions = [p for p in range(bits.bit_length()) if bits >> p & 1]
             found = self._levels[bits] = tuple(level_masks(self.masks, positions))
+        return found
+
+    def level_labels(self, level: int, indices) -> tuple[str, ...]:
+        """Labels of the elements lying in at least `level` of the members
+        named by the 1-based `indices` (a hashable set), in position order;
+        validated and computed on first request."""
+        key = level, indices
+        found = self._level_labels.get(key)
+        if found is None:
+            pos = _check_indices(self, indices)
+            if not 1 <= level <= len(pos):
+                raise ParameterError(
+                    f"level {level} is out of range for a set of {len(pos)} indices"
+                )
+            mask = self.levels(sum(1 << p for p in pos))[level]
+            label = self.ground.label
+            found = self._level_labels[key] = tuple(
+                label(p) for p in range(mask.bit_length()) if mask >> p & 1
+            )
         return found
 
 

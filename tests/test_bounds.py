@@ -449,6 +449,15 @@ class TestInstantiateComplete3:
         with pytest.raises(ParameterError):
             instantiate(cutset_bound([1]), self.cut, self.msg, capacities=caps)
 
+    def test_reads_only_the_capacities_on_the_right(self):
+        bound = cutset_bound([1])
+        on_right = instantiate(bound, self.cut, self.msg).capacity_coeffs
+        caps = {a: 1 for a in on_right}
+        off_right = [a for a in ARCS if a not in on_right]
+        assert off_right
+        caps.update(dict.fromkeys(off_right, "not a capacity"))
+        assert instantiate(bound, self.cut, self.msg, capacities=caps).rhs_value == 4
+
     def test_degenerate_empty_rate_side(self):
         # a sink with no demanded messages produces an all-capacity row
         mg = GroundSet(2, labels=("WA", "WB"))
@@ -459,6 +468,16 @@ class TestInstantiateComplete3:
         assert row.rate_coeffs == {}
         assert row.capacity_coeffs == {"x": Fraction(1)}
         assert row.rhs_value == 2
+
+    def test_fraction_weights_of_a_hand_built_bound(self):
+        caps = {a: 1 for a in ARCS}
+        half = BoundInequality((term(1, [1, 2], Fraction(1, 2)),), "half")
+        row = instantiate(half, self.cut, self.msg, caps)
+        whole = instantiate(cutset_bound([1, 2]), self.cut, self.msg, caps)
+        assert row.rate_coeffs == {m: v / 2 for m, v in whole.rate_coeffs.items()}
+        assert row.capacity_coeffs == {a: v / 2 for a, v in whole.capacity_coeffs.items()}
+        assert row.rhs_value == Fraction(whole.rhs_value, 2)
+        assert row.signature() == whole.signature()
 
     def test_family_size_mismatch(self):
         mg = GroundSet(2)
@@ -533,9 +552,9 @@ class TestThm2Search:
         assert len(sigs) == len(set(sigs))
 
     def test_sink_count_gate(self):
-        g = GroundSet(5)
-        fam = SubsetFamily(g, tuple(g.subset([i]) for i in range(5)))
-        with pytest.raises(ParameterError):
+        g = GroundSet(6)
+        fam = SubsetFamily(g, tuple(g.subset([i]) for i in range(6)))
+        with pytest.raises(ParameterError, match="limited to 5 sinks"):
             thm2_search(fam, fam)
 
     def test_capacities_give_right_sides(self):

@@ -18,6 +18,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutbounds import cli
 from cutbounds.errors import SchemaError
@@ -122,6 +124,44 @@ PATTERNS = {
 
 MESSAGES3 = ("W1", "W2", "W3", "W12", "W13", "W23", "W123")
 DOC_ARCS3 = ("a0", "a1", "a2", "a3", "a4", "a5", "a6")
+
+
+README_REPORT = """\
+[
+  {
+    "provenance": "csb({1})",
+    "rate_coeffs": {
+      "WA": "1"
+    },
+    "capacity_coeffs": {
+      "a0": "1"
+    },
+    "rhs_value": "1"
+  },
+  {
+    "provenance": "csb({1,2})",
+    "rate_coeffs": {
+      "WA": "1",
+      "WB": "1"
+    },
+    "capacity_coeffs": {
+      "a0": "1",
+      "a1": "1"
+    },
+    "rhs_value": "3"
+  },
+  {
+    "provenance": "csb({2})",
+    "rate_coeffs": {
+      "WB": "1"
+    },
+    "capacity_coeffs": {
+      "a1": "1"
+    },
+    "rhs_value": "2"
+  }
+]
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +285,11 @@ class TestCmdBounds:
             hashlib.sha256(out.encode()).hexdigest()
             == "e9fc27e02617ba8aa8fa6f3324cfb3da5df78339a485475f0e0029f633593dac"
         )
+
+    def test_readme_example_report_is_pinned(self, tmp_path, capsys):
+        # the README's bounds example, byte for byte
+        assert cli.main(["bounds", write_doc(tmp_path, two_sink_doc())]) == 0
+        assert capsys.readouterr().out == README_REPORT
 
     def test_default_rules_match_explicit(self, tmp_path, capsys):
         path = write_doc(tmp_path, complete3_doc())
@@ -464,6 +509,14 @@ class TestCmdVerify:
         assert code == 0
         assert "tolerance=1e-06" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_vacuous_tolerance_exit2(self, value, capsys):
+        # nan and inf would flag no gap at all, a negative value exact zeros
+        assert cli.main(["verify", "--lemma", "1", "--tolerance", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --tolerance must be a finite number >= 0\n"
+
 
 # ---------------------------------------------------------------------------
 # region
@@ -643,11 +696,74 @@ class TestCompleteK5:
             assert F(row["rhs_value"]) == 2**5 - 2 ** (5 - len(sinks))
         assert len(seen) == 31
 
+    def test_all_rules_pinned(self, tmp_path, capsys):
+        # every rule, thm2 included, pinned by row count and stdout digest;
+        # the digest was recorded from the signature-keyed dedupe that the
+        # row kernel replaced, run with the thm2 sink cap raised to 5
+        path = write_doc(tmp_path, complete_doc(5))
+        assert cli.main(["bounds", path, "--rules", "csb,gcsb3,cor3,cor2,thm2"]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)) == 2771
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "6adb93eb825516f244d91e01996c8c638a9402ceb637ee08c94fc40c5d7d95e6"
+        )
+
+    def test_thm2_on_six_sinks_names_the_cap(self, tmp_path, capsys):
+        path = write_doc(tmp_path, complete_doc(6))
+        assert cli.main(["bounds", path, "--rules", "thm2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the search is limited to 5 sinks\n"
+
     def test_cutset_slice_corners(self, tmp_path, capsys):
         # R1 <= 16, R2 <= 16 and R1 + R2 <= 24 on the (W1, W2) slice
         path = write_doc(tmp_path, complete_doc(5))
         assert cli.main(["region", path, "--axes", "W1,W2", "--bounds", "cutset"]) == 0
         assert capsys.readouterr().out.split() == ["x,y", "0,0", "16,0", "16,8", "8,16", "0,16"]
+
+
+# ---------------------------------------------------------------------------
+# report writer
+
+any_text = st.text()
+coefficients = st.dictionaries(any_text, any_text)
+
+
+class TestReportJson:
+    """The direct report writer against `json.dumps(items, indent=2)`."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.fixed_dictionaries(
+                    {
+                        "provenance": any_text,
+                        "rate_coeffs": coefficients,
+                        "capacity_coeffs": coefficients,
+                        "rhs_value": any_text,
+                    }
+                ),
+                st.dictionaries(any_text, st.one_of(any_text, coefficients)),
+            ),
+            max_size=4,
+        )
+    )
+    @example([])
+    @example([{}])
+    @example(
+        [
+            {
+                "provenance": 'thm2("q") \\ x',
+                "rate_coeffs": {},
+                "capacity_coeffs": {"a\x00\x1f\x7f": "\u00e9\u2028\U0001f600"},
+                "rhs_value": "\n\t\r\b\f",
+            }
+        ]
+    )
+    def test_matches_json_dumps(self, items):
+        assert cli._report_json(items) == json.dumps(items, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

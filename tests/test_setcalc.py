@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from functools import reduce
 from operator import and_
 
@@ -253,6 +254,31 @@ class TestSubsetFamily:
         assert repr(fam) == f"SubsetFamily(ground={g!r}, sets={fam.sets!r})"
         assert hash(fam) == hash((g, fam.sets))
         assert fam == twin and hash(fam) == hash(twin)
+
+    def test_level_labels_match_intersect_level(self):
+        g = GroundSet(5, labels=("e", "a", "d", "b", "c"))
+        fam = family_of(g, [0, 1, 2], [1, 3], [2, 3, 4])
+        for size in range(1, 4):
+            for ids in itertools.combinations(range(1, 4), size):
+                indices = frozenset(ids)
+                for r in range(1, size + 1):
+                    labels = fam.level_labels(r, indices)
+                    assert labels == intersect_level(fam, ids, r).member_labels()
+                    assert fam.level_labels(r, indices) is labels
+        assert fam.level_labels(2, frozenset({1, 2, 3})) == ("a", "d", "b")
+
+    def test_level_labels_validate_level_and_indices(self):
+        g = GroundSet(3)
+        fam = family_of(g, [0], [1, 2])
+        for level, indices, message in [
+            (0, frozenset({1}), "level 0 is out of range for a set of 1 indices"),
+            (3, frozenset({1, 2}), "level 3 is out of range for a set of 2 indices"),
+            (1, frozenset(), "index set must be nonempty"),
+            (1, frozenset({0, 1}), "indices must lie in 1..2"),
+            (1, frozenset({3}), "indices must lie in 1..2"),
+        ]:
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                fam.level_labels(level, indices)
 
 
 class TestPrefixExtendedFamily:
