@@ -10,6 +10,7 @@ than something each builder has to re-establish.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -106,7 +107,7 @@ def alpha_beta_identity(Q, r: int) -> bool:
     return lhs == beta(qs, r) / scale - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundTerm:
     """One weighted level term; `indices` holds 1-based sink indices."""
 
@@ -115,7 +116,7 @@ class BoundTerm:
     weight: Union[Fraction, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundInequality:
     """Canonical weighted term list plus a human-readable origin tag.
 
@@ -517,6 +518,67 @@ def check_rules(rules: Iterable[str], known: Sequence[str]) -> tuple:
     return rules
 
 
+def _first_per_terms(bounds: Iterable[BoundInequality]):
+    """The bounds with a canonical term list not met before, in order."""
+    first: dict = {}
+    for bound in bounds:
+        first.setdefault(bound.terms, bound)
+    return first.values()
+
+
+def _cutset_bounds(K: int):
+    for subset in _ordered_subsets(K):
+        yield cutset_bound(subset)
+
+
+def _gcsb3_bounds(K: int):
+    for i, j, k in itertools.combinations(range(1, K + 1), 3):
+        for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
+            yield gcsb3(a, b, c, "a")
+        yield gcsb3(i, j, k, "b")
+        for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
+            yield gcsb3(a, b, c, "c")
+        yield gcsb3(i, j, k, "d")
+
+
+def _union_tail_bounds(K: int):
+    for subset in _ordered_subsets(K):
+        indices = frozenset(subset)
+        for m in range(1, len(subset) + 1):
+            yield union_tail_bound(indices, m)
+
+
+def _beta_bounds(K: int):
+    """The cor2 bounds: every split set Q within {2..|U|} of every sink set U
+    of at most MAX_BETA_SET_SIZE sinks, U by size then lexicographically."""
+    for size in range(1, min(K, MAX_BETA_SET_SIZE) + 1):
+        for subset in itertools.combinations(range(1, K + 1), size):
+            indices = frozenset(subset)
+            pool = range(2, size + 1)
+            for q_size in range(size):
+                for qs in itertools.combinations(pool, q_size):
+                    yield beta_bound(indices, qs)
+
+
+_RULE_BOUNDS = {
+    "csb": _cutset_bounds,
+    "gcsb3": _gcsb3_bounds,
+    "cor3": _union_tail_bounds,
+    "cor2": _beta_bounds,
+}
+
+
+# a rule's bounds depend on the sink count alone, so each (K, rule) table
+# is built once per process; eight sink counts of all four rules fit
+@functools.lru_cache(maxsize=32)
+def _rule_table(K: int, rule: str) -> tuple:
+    """The bounds of one rule of _RULE_BOUNDS for K sinks, in builder order,
+    deduplicated by canonical term list with the first origin kept.  The
+    bounds are frozen, so every caller shares them; the cor3 and cor2
+    builders hand all bounds of one sink set the same index frozenset."""
+    return tuple(_first_per_terms(_RULE_BOUNDS[rule](K)))
+
+
 def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
     """All bounds produced by the named rules for K sinks, deduplicated by
     canonical term list with the first origin kept.  Deterministic order:
@@ -524,32 +586,7 @@ def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
     if not 1 <= K <= 16:
         raise ParameterError("the sink count must be between 1 and 16")
     rules = check_rules(rules, ENUMERATION_RULES)
-    out: list = []
-    seen: set = set()
-
-    def push(bound: BoundInequality) -> None:
-        if bound.terms not in seen:
-            seen.add(bound.terms)
-            out.append(bound)
-
-    for rule in rules:
-        if rule == "csb":
-            for subset in _ordered_subsets(K):
-                push(cutset_bound(subset))
-        elif rule == "gcsb3":
-            for triple in itertools.combinations(range(1, K + 1), 3):
-                i, j, k = triple
-                for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
-                    push(gcsb3(a, b, c, "a"))
-                push(gcsb3(i, j, k, "b"))
-                for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
-                    push(gcsb3(a, b, c, "c"))
-                push(gcsb3(i, j, k, "d"))
-        elif rule == "cor3":
-            for subset in _ordered_subsets(K):
-                for m in range(1, len(subset) + 1):
-                    push(union_tail_bound(subset, m))
-    return out
+    return list(_first_per_terms(b for rule in rules for b in _rule_table(K, rule)))
 
 
 def thm2_search(
@@ -619,17 +656,6 @@ def thm2_search(
     return list(kernel.rows.values())
 
 
-def _beta_bounds(K: int):
-    """The cor2 bounds: every split set Q within {2..|U|} of every sink set U
-    of at most MAX_BETA_SET_SIZE sinks, U by size then lexicographically."""
-    for size in range(1, min(K, MAX_BETA_SET_SIZE) + 1):
-        for subset in itertools.combinations(range(1, K + 1), size):
-            pool = range(2, size + 1)
-            for q_size in range(size):
-                for qs in itertools.combinations(pool, q_size):
-                    yield beta_bound(subset, qs)
-
-
 def bound_rows(
     rules: Sequence[str],
     cut_family: SubsetFamily,
@@ -652,8 +678,7 @@ def bound_rows(
             for row in thm2_search(cut_family, msg_family):
                 kernel.add(row)
             continue
-        bounds = _beta_bounds(K) if rule == "cor2" else enumerate_bounds(K, (rule,))
-        for bound in bounds:
+        for bound in _rule_table(K, rule):
             if kernel.fresh(bound.terms):
                 kernel.add(instantiate(bound, cut_family, msg_family))
     return [kernel.rows[key] for key in sorted(kernel.rows)]

@@ -56,7 +56,8 @@ def parse_rational(text) -> Fraction:
 def format_rational(value: Union[Fraction, int]) -> str:
     if type(value) is int:
         return str(value)
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

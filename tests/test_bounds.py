@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutbounds.bounds import (
+    MAX_BETA_SET_SIZE,
     BoundInequality,
     BoundTerm,
     InstantiatedInequality,
@@ -32,6 +33,7 @@ from cutbounds.bounds import (
     instantiate,
     thm2_search,
     union_tail_bound,
+    _rule_table,
 )
 from cutbounds.errors import ParameterError, PreconditionError
 from cutbounds.network import (
@@ -537,6 +539,55 @@ class TestEnumerate:
             enumerate_bounds(3, ("csb", "nope"))
 
 
+def fresh_rule_table(K, rule):
+    """(terms, provenance) of one rule's bounds for K sinks, built afresh
+    from the public builders in enumeration order, the first bound of each
+    canonical term list kept."""
+    sinks = range(1, K + 1)
+    subsets = [s for size in sinks for s in itertools.combinations(sinks, size)]
+    if rule == "csb":
+        bounds = [cutset_bound(s) for s in subsets]
+    elif rule == "gcsb3":
+        bounds = []
+        for i, j, k in itertools.combinations(sinks, 3):
+            bounds += [gcsb3(i, j, k, "a"), gcsb3(i, k, j, "a"), gcsb3(j, k, i, "a")]
+            bounds += [gcsb3(i, j, k, "b")]
+            bounds += [gcsb3(i, j, k, "c"), gcsb3(i, k, j, "c"), gcsb3(j, k, i, "c")]
+            bounds += [gcsb3(i, j, k, "d")]
+    elif rule == "cor3":
+        bounds = [union_tail_bound(s, m) for s in subsets for m in range(1, len(s) + 1)]
+    else:
+        bounds = [
+            beta_bound(s, qs)
+            for s in subsets
+            if len(s) <= MAX_BETA_SET_SIZE
+            for n in range(len(s))
+            for qs in itertools.combinations(range(2, len(s) + 1), n)
+        ]
+    first = {}
+    for b in bounds:
+        first.setdefault(b.terms, b.provenance)
+    return list(first.items())
+
+
+class TestRuleTables:
+    @pytest.mark.parametrize("rule", ["csb", "gcsb3", "cor3", "cor2"])
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_table_matches_a_fresh_build(self, K, rule):
+        table = _rule_table(K, rule)
+        assert [(b.terms, b.provenance) for b in table] == fresh_rule_table(K, rule)
+        assert _rule_table(K, rule) is table
+
+    @pytest.mark.parametrize("rules", [("cor3",), ("csb", "gcsb3", "cor3")])
+    def test_enumeration_returns_a_new_list(self, rules):
+        first = enumerate_bounds(4, rules)
+        expected = [(b.terms, b.provenance) for b in first]
+        first.reverse()
+        del first[5:]
+        first.append(cutset_bound([1]))
+        assert [(b.terms, b.provenance) for b in enumerate_bounds(4, rules)] == expected
+
+
 class TestThm2Search:
     def test_covers_complete3_table(self):
         cut, msg = cn3_families()
@@ -702,6 +753,15 @@ class TestBoundRows:
             if a.signature() in csb_sigs:
                 assert a.provenance.startswith("thm2(")
                 assert b.provenance.startswith("csb(")
+
+    def test_repeated_calls_give_identical_rows(self):
+        rules = ("csb", "gcsb3", "cor3", "cor2", "thm2")
+        cut, msg = cn3_families()
+        caps = {a: 1 for a in ARCS}
+        first = [row_record(r) for r in bound_rows(rules, cut, msg, caps)]
+        assert [row_record(r) for r in bound_rows(rules, cut, msg, caps)] == first
+        assert bound_rows(rules, *cn4_families())
+        assert [row_record(r) for r in bound_rows(rules, cut, msg, caps)] == first
 
     def test_cor2_rows_without_capacities(self):
         cut, msg = cn3_families()

@@ -830,6 +830,20 @@ class TestCmdPaper:
 # top-level plumbing
 
 
+def run_module(argv):
+    """`python -m cutbounds.cli argv` in a fresh interpreter on this source."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cutbounds.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 class TestMain:
     def test_no_arguments_exit2(self):
         assert cli.main([]) == 2
@@ -841,17 +855,26 @@ class TestMain:
         assert callable(cli.entrypoint)
 
     def test_python_dash_m_runs_the_cli(self):
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(src), env.get("PYTHONPATH")])
-        )
-        done = subprocess.run(
-            [sys.executable, "-m", "cutbounds.cli", "paper", "--case", "k3-symmetric"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        done = run_module(["paper", "--case", "k3-symmetric"])
         assert done.returncode == 0, done.stderr
         assert done.stdout == "k3-symmetric: match\n"
+
+    def test_one_process_prints_what_fresh_processes_print(self, tmp_path, capsys, monkeypatch):
+        # help is wrapped to the terminal width, which must agree
+        monkeypatch.setenv("COLUMNS", "80")
+        path = write_doc(tmp_path, complete3_doc())
+        runs = [
+            (["verify", "--lemma", "banana"], 2),
+            (["--help"], 0),
+            (["bounds", path, "--rules", "csb,gcsb3,cor3,cor2,thm2"], 0),
+            (["region", path, "--axes", "W1,W2", "--bounds", "cutset", "--compare", "gcsb"], 0),
+        ]
+        printed = []
+        for argv, code in runs:
+            assert cli.main(argv) == code
+            printed.append(capsys.readouterr())
+            fresh = run_module(argv)
+            assert fresh.returncode == code
+            assert (printed[-1].out, printed[-1].err) == (fresh.stdout, fresh.stderr)
+        assert printed[0].err.startswith("usage: cutbounds verify ")
+        assert printed[1].out.startswith("usage: cutbounds ")
