@@ -56,7 +56,6 @@ from .network import (
 )
 from .polytope import (
     LinearSystem,
-    Row,
     contains,
     corner_points_symmetric,
     format_rational,
@@ -95,7 +94,9 @@ def _load_json(path: str, what: str):
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, undecodable bytes, integers over the digit
+        # limit, and nesting deeper than the decoder's recursion limit
         raise SchemaError(f"{what} is not valid JSON: {exc}") from None
 
 
@@ -514,17 +515,6 @@ def _file_region_system(net: BroadcastNetwork, which: str, families) -> LinearSy
     return LinearSystem.from_rows(net.messages, rows)
 
 
-def _reorder_columns(system: LinearSystem, axes) -> LinearSystem:
-    if system.variables == tuple(axes):
-        return system
-    order = [system.variables.index(name) for name in axes]
-    rows = tuple(
-        Row(tuple(row.coeffs[i] for i in order), row.rhs)
-        for row in system.rows
-    )
-    return LinearSystem(tuple(axes), rows, tuple(system.nonneg[i] for i in order))
-
-
 def _region_csv(points) -> str:
     lines = ["x,y"]
     lines.extend(f"{format_rational(x)},{format_rational(y)}" for x, y in points)
@@ -552,7 +542,7 @@ def cmd_region(args) -> int:
 
         def build(which: str) -> LinearSystem:
             system = _file_region_system(net, which, families)
-            return _reorder_columns(project(system, axes), axes)
+            return project(system, axes)
 
     primary = build(args.bounds)
     points = vertices_2d(primary)
@@ -802,10 +792,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, PreconditionError, GroundMismatchError) as exc:
+    except (SchemaError, ParameterError, PreconditionError, GroundMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CutVerificationError, InfeasibleCutError) as exc:

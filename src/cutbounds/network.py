@@ -4,9 +4,11 @@ A broadcast network is a directed acyclic graph with one source, K sinks,
 and a message index set; each sink demands a nonempty subset of the
 messages.  Arc capacities are positive rationals, or ``None`` for arcs
 that can never be cut (the unbounded delivery links of a combination
-network).  All flow arithmetic uses :class:`fractions.Fraction`, so cut
-capacities are exact and the internal max-flow == min-cut check is an
-equality, not a tolerance.
+network).  Arc sets are :class:`ElementSet` bit masks over the arcs in
+declaration order.  A minimum cut runs its flow on integers: the finite
+capacities scaled to their common denominator, an unbounded arc one unit
+above the finite total.  Cut capacities are exact, and the internal
+max-flow == min-cut check is an equality, not a tolerance.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -26,8 +29,6 @@ from .errors import (
 from .setcalc import MAX_FAMILY, ElementSet, GroundSet, SubsetFamily
 
 Capacity = Optional[Fraction]
-
-SYMMETRIC_MODES = ("common-plus-private",)
 
 
 def _coerce_capacity(value) -> Capacity:
@@ -138,12 +139,13 @@ class BroadcastNetwork:
             cleaned[k] = dem
         self.demands = cleaned
 
+        # each node's outgoing arcs as (bit of the arc's position, head)
         self._out = {n: [] for n in self.nodes}
-        for a in self.arcs:
-            self._out[a.tail].append(a)
+        for i, a in enumerate(self.arcs):
+            self._out[a.tail].append((1 << i, a.head))
         self._check_acyclic()
 
-        reachable = self._reachable(frozenset())
+        reachable = self._reachable(0)
         for k, t in enumerate(self.sinks, start=1):
             if t not in reachable:
                 raise ParameterError(f"sink t_{k} ({t!r}) not reachable from the source")
@@ -180,24 +182,24 @@ class BroadcastNetwork:
         while queue:
             n = queue.popleft()
             seen += 1
-            for a in self._out[n]:
-                indeg[a.head] -= 1
-                if indeg[a.head] == 0:
-                    queue.append(a.head)
+            for _, head in self._out[n]:
+                indeg[head] -= 1
+                if indeg[head] == 0:
+                    queue.append(head)
         if seen != len(self.nodes):
             raise ParameterError("network graph contains a directed cycle")
 
-    def _reachable(self, removed: frozenset) -> set:
-        """Nodes reachable from the source when `removed` arc labels are gone."""
+    def _reachable(self, removed: int) -> set:
+        """Nodes reachable from the source when the arcs in mask `removed` are gone."""
         seen = {self.source}
         queue = deque([self.source])
         while queue:
             n = queue.popleft()
-            for a in self._out[n]:
-                if a.label in removed or a.head in seen:
+            for bit, head in self._out[n]:
+                if bit & removed or head in seen:
                     continue
-                seen.add(a.head)
-                queue.append(a.head)
+                seen.add(head)
+                queue.append(head)
         return seen
 
 
@@ -212,8 +214,7 @@ def is_cut(net: BroadcastNetwork, arcs: ElementSet, k: int) -> bool:
     target = _check_sink_index(net, k)
     if not isinstance(arcs, ElementSet) or arcs.ground != net.arc_ground:
         raise GroundMismatchError("arc set does not live over this network's arcs")
-    removed = frozenset(arcs.member_labels())
-    return target not in net._reachable(removed)
+    return target not in net._reachable(arcs.mask)
 
 
 def make_cut(net: BroadcastNetwork, arcs, k: int) -> Cut:
@@ -224,7 +225,7 @@ def make_cut(net: BroadcastNetwork, arcs, k: int) -> Cut:
         raise CutVerificationError(
             f"arc set {sorted(arcs.member_labels())} does not disconnect sink {k}"
         )
-    members = [net.arc(label) for label in arcs.member_labels()]
+    members = [net.arcs[i] for i in arcs.members()]
     if any(a.capacity is None for a in members):
         raise CutVerificationError("cuts may not contain unbounded arcs")
     capacity = sum((a.capacity for a in members), Fraction(0))
@@ -234,32 +235,33 @@ def make_cut(net: BroadcastNetwork, arcs, k: int) -> Cut:
 def min_cut(net: BroadcastNetwork, k: int) -> Cut:
     """Minimum-capacity cut for sink k via shortest augmenting paths.
 
-    Residual capacities are exact rationals with None as the unbounded
-    marker, so termination follows the classical Edmonds-Karp argument and
-    the returned capacity equals the max-flow value exactly.  Ties break
-    to the source side: the cut consists of the arcs leaving the set of
-    nodes reachable in the final residual graph.
+    The flow is integral: finite capacities are scaled by their common
+    denominator, and an unbounded arc carries one unit more than the finite
+    total.  Unless a path of unbounded arcs alone reaches the sink, the
+    finite arcs form a cut, so the flow stays below that total and no
+    unbounded arc saturates; such a path exists exactly when the flow
+    reaches it.  Ties break to the source side: the cut consists of the
+    arcs leaving the set of nodes reachable in the final residual graph.
     """
     target = _check_sink_index(net, k)
 
-    if _unbounded_path_exists(net, target):
-        raise InfeasibleCutError(
-            f"sink {k} is reachable through unbounded arcs alone; no finite cut exists"
-        )
+    finite = [a.capacity for a in net.arcs if a.capacity is not None]
+    scale = lcm(*(c.denominator for c in finite))
+    unbounded = sum(c.numerator * (scale // c.denominator) for c in finite) + 1
 
     residual: dict = {}
     neighbours = {n: [] for n in net.nodes}
     for a in net.arcs:
         for u, v in ((a.tail, a.head), (a.head, a.tail)):
             if (u, v) not in residual:
-                residual[u, v] = Fraction(0)
+                residual[u, v] = 0
                 neighbours[u].append(v)
-        if a.capacity is None or residual[a.tail, a.head] is None:
-            residual[a.tail, a.head] = None
-        else:
-            residual[a.tail, a.head] += a.capacity
+        c = a.capacity
+        residual[a.tail, a.head] += (
+            unbounded if c is None else c.numerator * (scale // c.denominator)
+        )
 
-    flow = Fraction(0)
+    flow = 0
     while True:
         # breadth-first over the residual graph; once the sink is out of
         # reach, the nodes reached are the source side of a minimum cut
@@ -268,8 +270,7 @@ def min_cut(net: BroadcastNetwork, k: int) -> Cut:
         while queue and target not in parent:
             n = queue.popleft()
             for m in neighbours[n]:
-                cap = residual[n, m]
-                if m not in parent and (cap is None or cap > 0):
+                if m not in parent and residual[n, m] > 0:
                     parent[m] = n
                     queue.append(m)
         if target not in parent:
@@ -279,28 +280,28 @@ def min_cut(net: BroadcastNetwork, k: int) -> Cut:
         while parent[n] is not None:
             path.append((parent[n], n))
             n = parent[n]
-        # nonempty: an all-unbounded path was excluded above
-        push = min(residual[e] for e in path if residual[e] is not None)
+        push = min(residual[e] for e in path)
         for u, v in path:
-            if residual[u, v] is not None:
-                residual[u, v] -= push
-            if residual[v, u] is not None:
-                residual[v, u] += push
+            residual[u, v] -= push
+            residual[v, u] += push
         flow += push
 
-    crossing = [a.label for a in net.arcs if a.tail in parent and a.head not in parent]
-    cut = make_cut(net, crossing, k)
+    if flow >= unbounded:
+        raise InfeasibleCutError(
+            f"sink {k} is reachable through unbounded arcs alone; no finite cut exists"
+        )
+    crossing = sum(
+        1 << i
+        for i, a in enumerate(net.arcs)
+        if a.tail in parent and a.head not in parent
+    )
+    cut = make_cut(net, ElementSet(net.arc_ground, crossing), k)
     # max-flow/min-cut equality is an internal consistency check, not user input
-    if flow != cut.capacity:
+    if Fraction(flow, scale) != cut.capacity:
         raise AssertionError(
-            f"max-flow {flow} differs from cut capacity {cut.capacity}"
+            f"max-flow {Fraction(flow, scale)} differs from cut capacity {cut.capacity}"
         )
     return cut
-
-
-def _unbounded_path_exists(net: BroadcastNetwork, target: str) -> bool:
-    finite = frozenset(a.label for a in net.arcs if a.capacity is not None)
-    return target in net._reachable(finite)
 
 
 def cut_and_message_families(
@@ -429,15 +430,11 @@ def complete_combination_network(K: int, caps: Optional[Mapping] = None) -> Broa
     return combination_network(K, caps, demands, messages=messages)
 
 
-def symmetric_combination_network(
-    K: int, c: Sequence, mode: str = "common-plus-private"
-) -> BroadcastNetwork:
+def symmetric_combination_network(K: int, c: Sequence) -> BroadcastNetwork:
     """Combination network with level capacities C_U = C_|U| and K+1 messages.
 
     Message W_0 is demanded by every sink; W_k only by sink k.
     """
-    if mode not in SYMMETRIC_MODES:
-        raise ParameterError(f"unknown mode {mode!r}; expected one of {SYMMETRIC_MODES}")
     if not isinstance(K, int) or K < 1:
         raise ParameterError("K must be a positive integer")
     c = tuple(c)

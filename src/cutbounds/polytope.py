@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb, gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ParameterError, UnboundedRegionError
 
@@ -501,40 +501,27 @@ def _pairings(sys: LinearSystem, var: str) -> tuple[int, int]:
     return pos * neg, idx
 
 
-def project(
-    sys: LinearSystem, keep: Sequence[str], order: Optional[Sequence[str]] = None
-) -> LinearSystem:
-    """Eliminate every variable outside `keep` and drop the emptied columns.
+def project(sys: LinearSystem, keep: Sequence[str]) -> LinearSystem:
+    """Eliminate every variable outside `keep`; the columns follow `keep`.
 
-    The default elimination order greedily picks the variable with the
-    fewest positive*negative row pairings; pass `order` to override.
+    Each step eliminates the variable with the fewest positive*negative
+    row pairings.
     """
     keep = tuple(keep)
     for v in keep:
         if v not in sys.variables:
             raise ParameterError(f"unknown variable {v!r}")
-    to_drop = [v for v in sys.variables if v not in keep]
-    if order is not None:
-        order = list(order)
-        if sorted(order) != sorted(to_drop):
-            raise ParameterError("order must list exactly the eliminated variables")
     current = sys
-    pending = list(to_drop)
+    pending = [v for v in sys.variables if v not in keep]
     while pending:
-        if order is not None:
-            var = order.pop(0)
-        else:
-            var = min(pending, key=lambda v: _pairings(current, v))
+        var = min(pending, key=lambda v: _pairings(current, v))
         pending.remove(var)
         current = fourier_motzkin(current, var)
-    kept_order = [v for v in current.variables if v in keep]
-    index = [current.variables.index(v) for v in kept_order]
+    index = [current.variables.index(v) for v in keep]
     rows = tuple(
         Row(tuple(r.coeffs[i] for i in index), r.rhs) for r in current.rows
     )
-    return LinearSystem(
-        tuple(kept_order), rows, tuple(current.nonneg[i] for i in index)
-    )
+    return LinearSystem(keep, rows, tuple(current.nonneg[i] for i in index))
 
 
 def substitute(

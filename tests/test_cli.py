@@ -431,6 +431,33 @@ class TestCmdBounds:
     def test_missing_file_exit2(self, tmp_path):
         assert cli.main(["bounds", str(tmp_path / "absent.json")]) == 2
 
+    # undecodable bytes, nesting past the decoder's recursion limit, and an
+    # integer past Python's int-digit limit (where the interpreter has one)
+    HOSTILE_JSON = {
+        "not-utf8": b"\xff\xfe{",
+        "deep-nesting": b"[" * 100000,
+        "long-integer": b'{"nodes": ' + b"7" * 5000 + b"}",
+    }
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_JSON))
+    def test_hostile_network_document_exit2(self, name, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_bytes(self.HOSTILE_JSON[name])
+        assert cli.main(["bounds", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: network document ")
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_JSON))
+    def test_hostile_cut_file_exit2(self, name, tmp_path, capsys):
+        path = write_doc(tmp_path, k1_doc())
+        cuts = tmp_path / "cuts.json"
+        cuts.write_bytes(self.HOSTILE_JSON[name])
+        assert cli.main(["bounds", path, "--cuts", str(cuts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cut file ")
+
 
 # ---------------------------------------------------------------------------
 # verify

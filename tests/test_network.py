@@ -2,7 +2,9 @@
 
 The brute-force oracle enumerates every subset of finite arcs and keeps the
 cheapest one whose removal disconnects the sink, which is feasible because
-the random instances stay at eight finite arcs or fewer.
+the random instances stay at nine finite arcs or fewer.  Whether a finite
+cut exists at all is checked against a second oracle, a search over the
+unbounded arcs alone.
 """
 
 from __future__ import annotations
@@ -189,6 +191,54 @@ class TestIsCut:
             is_cut(net, other.arc_subset([]), 1)
 
 
+def _rational_or_unbounded(rng):
+    capacity = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return None if rng.random() < 0.12 else capacity
+
+
+def _small_int_or_unbounded(rng):
+    return None if rng.random() < 0.2 else rng.randint(1, 3)
+
+
+def _coprime_or_unbounded(rng):
+    # large, pairwise coprime denominators and a 30-digit numerator
+    capacity = rng.choice(
+        (Fraction(1, 997), Fraction(10**30, 7), Fraction(3, 1009), Fraction(5, 991), Fraction(2))
+    )
+    return None if rng.random() < 0.15 else capacity
+
+
+def _random_dag(rng, draw_capacity=_rational_or_unbounded, sinks=("t",)):
+    while True:
+        inner = [f"n{i}" for i in range(rng.randint(1, 4))]
+        nodes = ["s"] + inner + list(sinks)
+        arcs = []
+        for idx in range(rng.randint(1, 8)):
+            i = rng.randrange(len(nodes) - 1)
+            j = rng.randrange(i + 1, len(nodes))
+            arcs.append(Arc(f"e{idx}", nodes[i], nodes[j], draw_capacity(rng)))
+        demands = {k: ["M"] for k in range(1, len(sinks) + 1)}
+        try:
+            return BroadcastNetwork(nodes, arcs, "s", list(sinks), ["M"], demands)
+        except ParameterError:
+            continue  # some sink not reachable; redraw
+
+
+def unbounded_reach(net, k):
+    """True iff sink k is reachable from the source over unbounded arcs alone."""
+    seen, stack = {net.source}, [net.source]
+    while stack:
+        n = stack.pop()
+        for a in net.arcs:
+            if a.tail == n and a.capacity is None and a.head not in seen:
+                seen.add(a.head)
+                stack.append(a.head)
+    return net.sinks[k - 1] in seen
+
+
+NO_FINITE_CUT = "^sink {} is reachable through unbounded arcs alone; no finite cut exists$"
+
+
 class TestMinCut:
     def test_complete_k3_basic_cuts(self):
         net = complete_combination_network(3)
@@ -237,21 +287,51 @@ class TestMinCut:
         assert set(cut.arcs.member_labels()) == {"e0", "e2"}
         assert cut.capacity == 3
 
+    def test_unbounded_arc_parallel_to_a_finite_one(self):
+        net = tiny_net(
+            Arc("e0", "s", "a", Fraction(1, 997)),
+            Arc("e1", "s", "a", None),
+            Arc("e2", "a", "t", Fraction(10**30, 7)),
+        )
+        cut = min_cut(net, 1)
+        assert set(cut.arcs.member_labels()) == {"e2"}
+        assert cut.capacity == Fraction(10**30, 7)
+        net = tiny_net(Arc("e0", "s", "t", Fraction(1, 997)), Arc("e1", "s", "t", None))
+        with pytest.raises(InfeasibleCutError, match=NO_FINITE_CUT.format(1)):
+            min_cut(net, 1)
+
     def test_matches_brute_force(self):
+        # every sink of DAGs with 1-3 sinks, small rationals and large
+        # coprime denominators, and for every other draw an unbounded twin
+        # of one finite arc, between the same two nodes
         rng = random.Random(2024)
-        checked = 0
-        for _ in range(60):
-            net = _random_dag(rng)
-            expect = brute_force_min(net, 1)
-            if expect is None:
-                with pytest.raises(InfeasibleCutError):
-                    min_cut(net, 1)
-                continue
-            cut = min_cut(net, 1)
-            assert cut.capacity == expect
-            assert is_cut(net, cut.arcs, 1)
-            checked += 1
-        assert checked > 20
+        checked = infeasible = twins = 0
+        for draw_capacity in (_rational_or_unbounded, _coprime_or_unbounded):
+            for _ in range(80):
+                sinks = rng.choice((("t",), ("t1", "t2"), ("t1", "t2", "t3")))
+                net = _random_dag(rng, draw_capacity, sinks)
+                finite = [a for a in net.arcs if a.capacity is not None]
+                if finite and rng.random() < 0.5:
+                    twin = rng.choice(finite)
+                    arcs = net.arcs + (Arc("twin", twin.tail, twin.head, None),)
+                    net = BroadcastNetwork(
+                        net.nodes, arcs, "s", net.sinks, net.messages, net.demands
+                    )
+                    twins += 1
+                for k in range(1, net.K + 1):
+                    expect = brute_force_min(net, k)
+                    assert (expect is None) == unbounded_reach(net, k)
+                    if expect is None:
+                        with pytest.raises(InfeasibleCutError, match=NO_FINITE_CUT.format(k)):
+                            min_cut(net, k)
+                        infeasible += 1
+                        continue
+                    cut = min_cut(net, k)
+                    assert cut.sink == k
+                    assert cut.capacity == expect
+                    assert is_cut(net, cut.arcs, k)
+                    checked += 1
+        assert checked > 150 and infeasible > 20 and twins > 50
 
     def test_returns_the_least_minimum_source_side(self):
         # Of all minimum cuts, min_cut returns the arcs leaving the
@@ -283,30 +363,6 @@ class TestMinCut:
             assert cut.capacity == best
             assert set(cut.arcs.member_labels()) == leaving(net, frozenset.intersection(*minimal))
         assert ties > 100  # 231 draws have minimum cuts with different arc sets
-
-
-def _rational_or_unbounded(rng):
-    capacity = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-    return None if rng.random() < 0.12 else capacity
-
-
-def _small_int_or_unbounded(rng):
-    return None if rng.random() < 0.2 else rng.randint(1, 3)
-
-
-def _random_dag(rng, draw_capacity=_rational_or_unbounded):
-    while True:
-        inner = [f"n{i}" for i in range(rng.randint(1, 4))]
-        nodes = ["s"] + inner + ["t"]
-        arcs = []
-        for idx in range(rng.randint(1, 8)):
-            i = rng.randrange(len(nodes) - 1)
-            j = rng.randrange(i + 1, len(nodes))
-            arcs.append(Arc(f"e{idx}", nodes[i], nodes[j], draw_capacity(rng)))
-        try:
-            return BroadcastNetwork(nodes, arcs, "s", ["t"], ["M"], {1: ["M"]})
-        except ParameterError:
-            continue  # sink not reachable; redraw
 
 
 class TestFamilies:
@@ -367,8 +423,6 @@ class TestSymmetric:
     def test_validation(self):
         with pytest.raises(ParameterError):
             symmetric_combination_network(3, (1, 1))
-        with pytest.raises(ParameterError):
-            symmetric_combination_network(3, (1, 1, 1), mode="private-only")
         with pytest.raises(ParameterError):
             symmetric_combination_network(0, ())
         with pytest.raises(ParameterError):
