@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ParameterError, PreconditionError
-from .setcalc import ElementSet, SubsetFamily, _check_indices
+from .setcalc import FAMILY_CAP_REASON, MAX_FAMILY, ElementSet, SubsetFamily, _check_indices
 
 MAX_BETA_SET_SIZE = 6
 # thm2_search walks (2^K - 1)^3 sink-set triples (G, U, T): 29791 at K = 5,
@@ -583,8 +583,10 @@ def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
     """All bounds produced by the named rules for K sinks, deduplicated by
     canonical term list with the first origin kept.  Deterministic order:
     rules as given, sink subsets by size then lexicographically."""
-    if not 1 <= K <= 16:
-        raise ParameterError("the sink count must be between 1 and 16")
+    if not 1 <= K <= MAX_FAMILY:
+        raise ParameterError(
+            f"the sink count must be between 1 and {MAX_FAMILY}: {FAMILY_CAP_REASON}"
+        )
     rules = check_rules(rules, ENUMERATION_RULES)
     return list(_first_per_terms(b for rule in rules for b in _rule_table(K, rule)))
 

@@ -25,6 +25,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -64,7 +65,13 @@ from .polytope import (
     substitute,
     vertices_2d,
 )
-from .setcalc import ElementSet, GroundSet, SubsetFamily, prefix_extension_identity
+from .setcalc import (
+    MAX_FAMILY,
+    ElementSet,
+    GroundSet,
+    SubsetFamily,
+    prefix_extension_identity,
+)
 from .setfn import (
     MAX_VARIABLES,
     SetFunction,
@@ -460,14 +467,23 @@ def _parse_axes(spec: str):
 
 
 def _parse_symmetric(tokens):
+    # the capacity grammar without "/digits": int() alone also reads "+3",
+    # " 3", "1_6" and non-ASCII digits, and raises past its digit limit
     try:
+        if not re.fullmatch(r"-?[0-9]+", tokens[0]):
+            raise ValueError
         K = int(tokens[0])
     except ValueError:
         raise ParameterError(
             f"the sink count must be an integer, got {tokens[0]!r}"
         ) from None
-    if not 1 <= K <= 16:
-        raise ParameterError("the sink count must be between 1 and 16")
+    # the closed forms stand for a K-sink combination network, and no
+    # network carries more than MAX_FAMILY sinks
+    if not 1 <= K <= MAX_FAMILY:
+        raise ParameterError(
+            f"the sink count must be between 1 and {MAX_FAMILY}: networks carry "
+            f"at most {MAX_FAMILY} sinks"
+        )
     caps = [parse_rational(token) for token in tokens[1:]]
     if len(caps) != K:
         raise ParameterError(f"expected {K} capacities after the sink count")

@@ -26,7 +26,7 @@ from .errors import (
     InfeasibleCutError,
     ParameterError,
 )
-from .setcalc import MAX_FAMILY, ElementSet, GroundSet, SubsetFamily
+from .setcalc import FAMILY_CAP_REASON, MAX_FAMILY, ElementSet, GroundSet, SubsetFamily
 
 Capacity = Optional[Fraction]
 
@@ -109,7 +109,9 @@ class BroadcastNetwork:
 
         self.sinks = tuple(sinks)
         if not 1 <= len(self.sinks) <= MAX_FAMILY:
-            raise ParameterError(f"networks carry 1..{MAX_FAMILY} sinks")
+            raise ParameterError(
+                f"networks carry 1..{MAX_FAMILY} sinks: {FAMILY_CAP_REASON}"
+            )
         if len(set(self.sinks)) != len(self.sinks):
             raise ParameterError("sinks must be distinct")
         for t in self.sinks:
@@ -225,11 +227,14 @@ def make_cut(net: BroadcastNetwork, arcs, k: int) -> Cut:
         raise CutVerificationError(
             f"arc set {sorted(arcs.member_labels())} does not disconnect sink {k}"
         )
-    members = [net.arcs[i] for i in arcs.members()]
-    if any(a.capacity is None for a in members):
+    caps = [net.arcs[i].capacity for i in arcs.members()]
+    if any(c is None for c in caps):
         raise CutVerificationError("cuts may not contain unbounded arcs")
-    capacity = sum((a.capacity for a in members), Fraction(0))
-    return Cut(arcs=arcs, sink=k, capacity=capacity)
+    # summed as integers over the common denominator: one Fraction, not one
+    # per member
+    scale = lcm(*(c.denominator for c in caps))
+    total = sum(c.numerator * (scale // c.denominator) for c in caps)
+    return Cut(arcs=arcs, sink=k, capacity=Fraction(total, scale))
 
 
 def min_cut(net: BroadcastNetwork, k: int) -> Cut:
@@ -362,7 +367,10 @@ def combination_network(
     if not isinstance(K, int) or K < 1:
         raise ParameterError("K must be a positive integer")
     if K > 9:
-        raise ParameterError("combination networks support K <= 9")
+        raise ParameterError(
+            "combination networks support K <= 9: subsets are named by their "
+            "digits, and {12} and {1,2} would share a name"
+        )
 
     by_subset = {}
     for subset, value in caps.items():

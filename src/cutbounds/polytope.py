@@ -5,13 +5,14 @@ implicit nonnegativity.  Projections (Fourier-Motzkin), feasibility, 2-D
 vertex enumeration and containment are exact, which keeps golden-file
 comparisons byte-stable.
 
-Arithmetic is on Python ints wherever it can be.  A `Row` holds each
-integral value as an `int` (other values stay `Fraction`; the two compare
-and hash alike), and canonical scaling turns every row into a coprime
-integer vector, so elimination and the redundancy tiers never build a
-`Fraction`.  `Fraction` remains only where a true rational enters or
-leaves: rows given with fractional values, the optimum an LP returns, and
-the vertices and rays of a 2-D region.
+A `Row` is its canonical form from construction: the coprime integer
+vector `(a, b)` that is a positive multiple of the values it was given.
+So two rows for one half-space are equal and hash alike, and elimination,
+the redundancy tiers and the LP run on Python ints alone.  A `Fraction`
+enters only through `Row`'s constructor (and through the points given to
+`satisfies` and `substitute`'s expression) and leaves only as an LP
+optimum, a 2-D vertex or a ray.  A system with no point is marked by the
+canonical witness row `0 <= -1`, which `LinearSystem.infeasible` reports.
 
 One exact LP oracle, `_dual_lp` (a fraction-free simplex, Bland's rule),
 decides feasibility, containment (one LP per outer row, any dimension)
@@ -21,7 +22,7 @@ no "unknown".
 Redundancy removal after each elimination runs in tiers:
 
   1. drop rows that hold identically (including under nonnegativity),
-  2. merge duplicates and positive multiples (canonical integer scaling),
+  2. merge duplicates (equal canonical rows),
   3. drop rows implied by a single other row (exact multiplier search),
   3b. drop rows implied by the sum of two other rows at unit multipliers,
   4. in sorted order, drop each row the rows still left imply over free
@@ -36,6 +37,7 @@ without 3b its row `2R0+Rsp <= 3C1+5C2+2C3` comes out as `3R0+2Rsp <=
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -46,10 +48,19 @@ from .errors import ParameterError, UnboundedRegionError
 
 Rational = Union[Fraction, int, str]
 
+# an optional minus, digits, and an optional "/digits": no decimal point,
+# exponent, plus sign, blank, underscore or non-ASCII digit, so one grammar
+# holds on every Python version and a short string cannot ask for a huge
+# integer
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text) -> Fraction:
+    if not isinstance(text, str) or not _RATIONAL_TEXT.fullmatch(text):
+        raise ParameterError(f"not a rational number: {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):
         raise ParameterError(f"not a rational number: {text!r}") from None
 
 
@@ -65,22 +76,27 @@ def format_rational(value: Union[Fraction, int]) -> str:
 
 @dataclass(frozen=True)
 class Row:
-    """One inequality: coeffs . x <= rhs; integral values are stored as ints."""
+    """One inequality coeffs . x <= rhs, stored canonically.
 
-    coeffs: tuple[Union[Fraction, int], ...]
-    rhs: Union[Fraction, int]
+    Given ints, Fractions or rational strings, the row keeps the coprime
+    integer vector that is their positive multiple: `Row((1, F(1, 2)), 3)`
+    is `Row((2, 1), 6)`.  An all-zero vector stays as it is.
+    """
+
+    coeffs: tuple[int, ...]
+    rhs: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
-        object.__setattr__(self, "rhs", _exact(self.rhs))
-
-
-def _exact(value) -> Union[Fraction, int]:
-    """`value` as an exact number: an int when integral, else a Fraction."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+        values = (*self.coeffs, self.rhs)
+        if not all(type(v) is int for v in values):
+            values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+            denom = lcm(*(v.denominator for v in values))
+            values = [v.numerator * (denom // v.denominator) for v in values]
+        g = gcd(*values)
+        if g > 1:
+            values = [v // g for v in values]
+        object.__setattr__(self, "coeffs", tuple(values[:-1]))
+        object.__setattr__(self, "rhs", values[-1])
 
 
 @dataclass(frozen=True)
@@ -107,7 +123,7 @@ class LinearSystem:
         for row in self.rows:
             if not isinstance(row, Row) or len(row.coeffs) != n:
                 raise ParameterError("row width must match the variable list")
-            if all(c == 0 for c in row.coeffs) and row.rhs < 0:
+            if not any(row.coeffs) and row.rhs < 0:
                 flagged = True
         object.__setattr__(self, "infeasible", flagged)
 
@@ -136,7 +152,7 @@ class LinearSystem:
             flags = tuple(bool(f) for f in nonneg)
         return cls(variables, tuple(built), flags)
 
-    def coeff_map(self, row: Row) -> dict[str, Union[Fraction, int]]:
+    def coeff_map(self, row: Row) -> dict[str, int]:
         return {v: c for v, c in zip(self.variables, row.coeffs) if c != 0}
 
 
@@ -158,22 +174,7 @@ def satisfies(sys: LinearSystem, point: Mapping[str, Rational]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# canonical form and redundancy tiers
-
-
-def _integral(values) -> tuple[list[int], int]:
-    """The values times their least common denominator, and that factor."""
-    denom = lcm(*(v.denominator for v in values))
-    if denom == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (denom // v.denominator) for v in values], denom
-
-
-def _scale(row: Row) -> Row:
-    """The row as a coprime integer vector (a positive multiple of it)."""
-    ints, _ = _integral((*row.coeffs, row.rhs))
-    g = gcd(*ints) or 1
-    return Row(tuple(v // g for v in ints[:-1]), ints[-1] // g)
+# redundancy tiers
 
 
 def _holds_identically(row: Row, nonneg: tuple[bool, ...]) -> bool:
@@ -185,26 +186,20 @@ def _holds_identically(row: Row, nonneg: tuple[bool, ...]) -> bool:
     return row.rhs >= 0
 
 
-def _tiers_basic(
-    rows: Iterable[Row], nonneg: tuple[bool, ...]
-) -> tuple[list[Row], bool]:
-    """Tiers 1-2: scale, drop identically-true rows, dedupe, sort.
+def _tiers_basic(rows: Iterable[Row], nonneg: tuple[bool, ...]) -> list[Row]:
+    """Tiers 1-2: drop identically-true rows, dedupe, sort.
 
-    Returns (rows, infeasible-witness-seen).
+    A row with no point, which canonically is `0 <= -1`, stands alone for
+    the whole list.
     """
     seen: dict = {}
-    infeasible = False
     for row in rows:
-        row = _scale(row)
-        if all(c == 0 for c in row.coeffs):
-            if row.rhs < 0:
-                infeasible = True
-            continue
         if _holds_identically(row, nonneg):
             continue
+        if not any(row.coeffs):
+            return [row]
         seen[(row.coeffs, row.rhs)] = row
-    ordered = sorted(seen.values(), key=lambda r: (r.coeffs, r.rhs))
-    return ordered, infeasible
+    return [seen[key] for key in sorted(seen)]
 
 
 def _single_row_implies(s: Row, r: Row, nonneg: tuple[bool, ...]) -> bool:
@@ -346,7 +341,7 @@ def _run_simplex(tableau: list, basis: list, z: list, phase_one: bool) -> bool:
     return True
 
 
-def _dual_lp(rows: Sequence[Row], c: Sequence[Union[Fraction, int]]):
+def _dual_lp(rows: Sequence[Row], c: Sequence[int]):
     """min lam.b s.t. sum_i lam_i a_i = c, lam >= 0, over rows (a_i, b_i).
 
     The Farkas dual of max c.x over {x free : a_i.x <= b_i}: returns that
@@ -356,13 +351,10 @@ def _dual_lp(rows: Sequence[Row], c: Sequence[Union[Fraction, int]]):
     per variable; the artificial basis of phase one (indices m..) is not
     stored and never re-enters.
 
-    Each row (a_i, b_i), and c, is first scaled to integers by a positive
-    factor.  That scales tableau columns and the right-hand side, which
-    changes no reduced-cost sign and no ratio-test choice: the pivots and
-    the optimum (divided by c's factor) are those of the rational LP.
+    The rows are canonical and `c` is a vector of ints, so the tableau is
+    integral from the start.
     """
-    columns = [_integral((*r.coeffs, r.rhs))[0] for r in rows]
-    c, c_scale = _integral(c)
+    columns = [(*r.coeffs, r.rhs) for r in rows]
     m = len(columns)
     tableau = []
     for j, target in enumerate(c):
@@ -391,10 +383,10 @@ def _dual_lp(rows: Sequence[Row], c: Sequence[Union[Fraction, int]]):
             z = [a - f * b for a, b in zip(z, row)]
     if not _run_simplex(tableau, basis, z, phase_one=False):
         return _UNBOUNDED
-    # the optimum is sum_r cost_i * rhs_r / row_r[i], divided by c's scale
+    # the optimum is sum_r cost_i * rhs_r / row_r[i]
     scale = lcm(*(row[i] for row, i in zip(tableau, basis)))
     total = sum(costs[i] * row[-1] * (scale // row[i]) for row, i in zip(tableau, basis))
-    return Fraction(total, scale * c_scale)
+    return Fraction(total, scale)
 
 
 def _implies(rows: Sequence[Row], row: Row) -> bool:
@@ -418,12 +410,10 @@ def _orthant_rows(sys: LinearSystem) -> list[Row]:
     ]
 
 
-def _reduce_rows(
-    rows: Iterable[Row], nonneg: tuple[bool, ...]
-) -> tuple[list[Row], bool]:
-    work, infeasible = _tiers_basic(rows, nonneg)
-    if infeasible:
-        return work, True
+def _reduce_rows(rows: Iterable[Row], nonneg: tuple[bool, ...]) -> list[Row]:
+    # a lone `0 <= -1` from tiers 1-2 passes the later tiers untouched: no
+    # other row can imply it
+    work = _tiers_basic(rows, nonneg)
     work = _tier_single_domination(work, nonneg)
     work = _tier_pair_domination(work, nonneg)
     # tier 4: implication by the remaining rows alone, in sorted order
@@ -434,19 +424,13 @@ def _reduce_rows(
             work.pop(i)
         else:
             i += 1
-    return work, False
-
-
-def _with_rows(sys: LinearSystem, rows, infeasible: bool) -> LinearSystem:
-    if infeasible:
-        rows = [Row((0,) * len(sys.variables), -1)]
-    return LinearSystem(sys.variables, tuple(rows), sys.nonneg)
+    return work
 
 
 def canonicalize(sys: LinearSystem) -> LinearSystem:
-    """Scale rows to coprime integers, drop trivial rows, dedupe, sort."""
-    rows, infeasible = _tiers_basic(sys.rows, sys.nonneg)
-    return _with_rows(sys, rows, infeasible or sys.infeasible)
+    """Drop trivial rows, dedupe, sort; a system with no point keeps only
+    `0 <= -1`."""
+    return LinearSystem(sys.variables, _tiers_basic(sys.rows, sys.nonneg), sys.nonneg)
 
 
 def feasible(sys: LinearSystem) -> bool:
@@ -471,8 +455,6 @@ def fourier_motzkin(sys: LinearSystem, var: str) -> LinearSystem:
     """
     if var not in sys.variables:
         raise ParameterError(f"unknown variable {var!r}")
-    if sys.infeasible:
-        return _with_rows(sys, (), True)
     idx = sys.variables.index(var)
     pos = [r for r in sys.rows if r.coeffs[idx] > 0]
     neg = [r for r in sys.rows if r.coeffs[idx] < 0]
@@ -484,8 +466,9 @@ def fourier_motzkin(sys: LinearSystem, var: str) -> LinearSystem:
             cp, cq = p.coeffs[idx], -q.coeffs[idx]
             coeffs = tuple(cq * x + cp * y for x, y in zip(p.coeffs, q.coeffs))
             combined.append(Row(coeffs, cq * p.rhs + cp * q.rhs))
-    rows, infeasible = _reduce_rows(passthrough + combined, sys.nonneg)
-    return _with_rows(sys, rows, infeasible)
+    return LinearSystem(
+        sys.variables, _reduce_rows(passthrough + combined, sys.nonneg), sys.nonneg
+    )
 
 
 def _pairings(sys: LinearSystem, var: str) -> tuple[int, int]:
@@ -587,35 +570,25 @@ def substitute(
 # two-dimensional geometry
 
 
-def _normalize_direction(d: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    denom = lcm(d[0].denominator, d[1].denominator)
-    a, b = int(d[0] * denom), int(d[1] * denom)
-    g = gcd(a, b)
-    if g > 1:
-        a, b = a // g, b // g
-    return (Fraction(a), Fraction(b))
-
-
 def _recession_ray(sys: LinearSystem):
-    candidates = [
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-        (Fraction(-1), Fraction(0)),
-        (Fraction(0), Fraction(-1)),
-    ]
+    """A direction the region runs along without end, as coprime
+    Fractions, or None: the axes and each row's two edge directions are
+    the candidates."""
+    candidates = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     for row in sys.rows:
         a, b = row.coeffs
         candidates.append((b, -a))
         candidates.append((-b, a))
-    for d in candidates:
-        if d == (0, 0):
+    for dx, dy in candidates:
+        if (dx, dy) == (0, 0):
             continue
-        if sys.nonneg[0] and d[0] < 0:
+        if sys.nonneg[0] and dx < 0:
             continue
-        if sys.nonneg[1] and d[1] < 0:
+        if sys.nonneg[1] and dy < 0:
             continue
-        if all(r.coeffs[0] * d[0] + r.coeffs[1] * d[1] <= 0 for r in sys.rows):
-            return _normalize_direction(d)
+        if all(r.coeffs[0] * dx + r.coeffs[1] * dy <= 0 for r in sys.rows):
+            g = gcd(dx, dy)
+            return (Fraction(dx // g), Fraction(dy // g))
     return None
 
 
@@ -639,13 +612,14 @@ def vertices_2d(sys: LinearSystem) -> list[tuple[Fraction, Fraction]]:
             ray=ray,
         )
 
-    # Fractions, so that the intersections below divide exactly
-    lines = [tuple(map(Fraction, (*r.coeffs, r.rhs))) for r in sys.rows]
+    lines = [(*r.coeffs, r.rhs) for r in sys.rows]
     if sys.nonneg[0]:
-        lines.append((Fraction(-1), Fraction(0), Fraction(0)))
+        lines.append((-1, 0, 0))
     if sys.nonneg[1]:
-        lines.append((Fraction(0), Fraction(-1), Fraction(0)))
+        lines.append((0, -1, 0))
 
+    # the intersection of two lines is (x, y) / det; with det > 0 a line
+    # a*x + b*y <= c holds there exactly when a*x + b*y <= c*det does
     points = set()
     for i in range(len(lines)):
         a1, b1, c1 = lines[i]
@@ -654,10 +628,11 @@ def vertices_2d(sys: LinearSystem) -> list[tuple[Fraction, Fraction]]:
             det = a1 * b2 - a2 * b1
             if det == 0:
                 continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if satisfies(sys, {sys.variables[0]: x, sys.variables[1]: y}):
-                points.add((x, y))
+            x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+            if det < 0:
+                det, x, y = -det, -x, -y
+            if all(a * x + b * y <= c * det for a, b, c in lines):
+                points.add((Fraction(x, det), Fraction(y, det)))
 
     ordered = sorted(points, key=lambda p: (p[1], p[0]))
     if len(ordered) <= 2:

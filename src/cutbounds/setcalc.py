@@ -21,6 +21,7 @@ from .errors import GroundMismatchError, ParameterError
 # the bound rules walk up to 2^K - 1 sink subsets, and the cor2 rule
 # (`bounds._beta_bounds`) has no sink-count check of its own
 MAX_FAMILY = 16
+FAMILY_CAP_REASON = "the bound rules walk up to 2^K - 1 sink subsets"
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,9 @@ class SubsetFamily:
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
         if not 1 <= len(self.sets) <= MAX_FAMILY:
-            raise ParameterError(f"family size must be in 1..{MAX_FAMILY}")
+            raise ParameterError(
+                f"family size must be in 1..{MAX_FAMILY}: {FAMILY_CAP_REASON}"
+            )
         for s in self.sets:
             if s.ground != self.ground:
                 raise GroundMismatchError("family member over a different ground")

@@ -30,6 +30,7 @@ from .setcalc import (
 
 MAX_TABLE_GROUND = 20
 MAX_VARIABLES = 6
+VARIABLES_CAP_REASON = "a pmf holds all 2^m outcomes and a campaign draws one per trial"
 PMF_SUM_TOLERANCE = 1e-12
 PMF_CLAMP = 1e-15
 
@@ -120,7 +121,8 @@ class JointDistribution:
     def __post_init__(self):
         if not 1 <= self.variable_count <= MAX_VARIABLES:
             raise ParameterError(
-                f"variable_count must be between 1 and {MAX_VARIABLES}"
+                f"variable_count must be between 1 and {MAX_VARIABLES}: "
+                f"{VARIABLES_CAP_REASON}"
             )
         pmf = tuple(float(p) for p in self.pmf)
         object.__setattr__(self, "pmf", pmf)
@@ -137,7 +139,9 @@ class JointDistribution:
 def random_joint_distribution(rng, variable_count: int) -> JointDistribution:
     """Draw a dense random pmf (normalized exponential weights)."""
     if not 1 <= variable_count <= MAX_VARIABLES:
-        raise ParameterError(f"variable_count must be between 1 and {MAX_VARIABLES}")
+        raise ParameterError(
+            f"variable_count must be between 1 and {MAX_VARIABLES}: {VARIABLES_CAP_REASON}"
+        )
     raw = [rng.expovariate(1.0) for _ in range(1 << variable_count)]
     total = _left_sum(raw)
     pmf = [w / total for w in raw]

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from cutbounds import cli
 from cutbounds.errors import SchemaError
 from cutbounds.network import cut_and_message_families
+from cutbounds.polytope import Row
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -83,6 +84,11 @@ def complete_doc(K):
 
 def complete3_doc():
     return complete_doc(3)
+
+
+# capacity strings outside the grammar -?[0-9]+(/[0-9]+)?, each of which
+# Fraction() accepts on some Python version
+REJECTED_CAPACITIES = ["1_000", "1e1000000", "1.5", "+1", " 1", "\u0663"]
 
 
 def two_sink_doc(extra_message=False):
@@ -205,6 +211,15 @@ class TestNetworkDocument:
         doc["arcs"][0]["capacity"] = "five"
         with pytest.raises(SchemaError):
             cli.load_network_document(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("text", REJECTED_CAPACITIES)
+    def test_capacity_outside_the_grammar_exit2(self, text, tmp_path, capsys):
+        doc = k1_doc()
+        doc["arcs"][0]["capacity"] = text
+        assert cli.main(["bounds", write_doc(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: arc 0 capacity {text!r} is not a rational\n"
 
     def test_fractional_capacity(self, tmp_path):
         doc = k1_doc()
@@ -638,9 +653,12 @@ class TestCmdRegion:
         system = cli._file_region_system(net, "gcsb", families)
         assert system.variables == tuple(net.messages)
         from_report = sorted(
-            (tuple(F(row["rate_coeffs"].get(m, "0")) for m in net.messages), F(row["rhs_value"]))
-            for row in report
-            if row["rhs_value"] is not None
+            (canonical.coeffs, canonical.rhs)
+            for canonical in (
+                Row(tuple(F(row["rate_coeffs"].get(m, "0")) for m in net.messages), F(row["rhs_value"]))
+                for row in report
+                if row["rhs_value"] is not None
+            )
         )
         from_system = sorted((tuple(row.coeffs), row.rhs) for row in system.rows)
         assert from_system == from_report
@@ -691,6 +709,20 @@ class TestCmdRegion:
     def test_unknown_axis_exit2(self, tmp_path):
         path = write_doc(tmp_path, two_sink_doc())
         assert cli.main(["region", path, "--axes", "WA,WZ"]) == 2
+
+    @pytest.mark.parametrize("text", REJECTED_CAPACITIES)
+    def test_symmetric_capacity_outside_the_grammar_exit2(self, text, capsys):
+        assert cli.main(["region", "--symmetric", "2", "1", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: not a rational number: {text!r}\n"
+
+    @pytest.mark.parametrize("text", REJECTED_CAPACITIES)
+    def test_symmetric_sink_count_outside_the_grammar_exit2(self, text, capsys):
+        assert cli.main(["region", "--symmetric", text, "1", "1", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the sink count must be an integer, got {text!r}\n"
 
     def test_symmetric_capacity_count_mismatch_exit2(self):
         assert cli.main(["region", "--symmetric", "3", "1", "1"]) == 2
