@@ -5,7 +5,10 @@ list is read twice during instantiation: against the demand family it
 produces message-rate coefficients, against the basic-cut family it
 produces arc-capacity coefficients.  Keeping one term list for both sides
 is what makes the rate/capacity symmetry of these bounds structural rather
-than something each builder has to re-establish.
+than something each builder has to re-establish.  It also means a term list
+gives one coefficient to all elements held by the same members, so
+`bound_rows` evaluates and deduplicates rows on these membership cells and
+lists labels only for the rows it keeps.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress, count
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ParameterError, PreconditionError
@@ -435,70 +439,195 @@ def _capacity_units(labels, capacities: Mapping) -> tuple:
     return units, denominator
 
 
+def _missing_capacity(cap: dict, units: dict) -> ParameterError:
+    """The error naming the first arc of `cap` whose capacity is not given."""
+    label = next(label for label in cap if units[label] is _MISSING)
+    return ParameterError(f"no capacity given for arc {label!r}")
+
+
 def _right_side(cap: dict, units: dict, denominator: int) -> Optional[Fraction]:
     """The right side of label-keyed capacity coefficients, one Fraction
     over the units' common denominator; None when an arc is unbounded."""
     values = [units[label] for label in cap]
     if _MISSING in values:
-        label = next(label for label, unit in zip(cap, values) if unit is _MISSING)
-        raise ParameterError(f"no capacity given for arc {label!r}")
+        raise _missing_capacity(cap, units)
     if None in values:
         return None
     return Fraction(sum(map(operator.mul, cap.values(), values)), denominator)
 
 
-class _RowKernel:
+def _element_cells(family: SubsetFamily) -> list:
+    """Each element's membership cell: the bit set of the members holding
+    it, bit k - 1 for member k; 0 for an element in no member."""
+    cells = [0] * family.ground.size
+    for k, mask in enumerate(family.masks):
+        bit = 1 << k
+        while mask:
+            low = mask & -mask
+            cells[low.bit_length() - 1] |= bit
+            mask ^= low
+    return cells
+
+
+def _cell_vectors(bounds: Iterable[BoundInequality], cells: Sequence[int], K: int) -> list:
+    """Each bound's coefficient on each membership cell of `cells`, cells
+    of K members, as `bytes` aligned with them.
+
+    Level r of the members I holds exactly the elements whose cell meets I
+    in r bits or more, so a term list gives all elements of one cell the
+    same coefficient, sum_t w_t [popcount(cell & I_t) >= r_t], in either
+    family.  The cells are evaluated together, one byte each of one int:
+    summing the members' 0/1 bytes over I counts each cell's bits in I (at
+    most K <= 16), and adding 128 - r sets a byte's top bit exactly where
+    the count is r or more.  A coefficient is at most its bound's weight
+    sum, which stays below 256 (csb 1, gcsb3 3, cor3 K, cor2 48 with sink
+    sets of at most MAX_BETA_SET_SIZE), so no byte carries into the next."""
+    ones = int.from_bytes(bytes([1]) * len(cells), "little")
+    members = [int.from_bytes(bytes([c >> k & 1 for c in cells]), "little") for k in range(K)]
+    indicators: dict = {}
+    vectors = []
+    for bound in bounds:
+        vector = total = 0
+        for t in bound.terms:
+            key = t.level, t.indices
+            indicator = indicators.get(key)
+            if indicator is None:
+                count = sum([members[i - 1] for i in t.indices])
+                indicator = indicators[key] = (count + (128 - t.level) * ones) >> 7 & ones
+            vector += t.weight * indicator
+            total += t.weight
+        # an internal invariant of the rule tables, not user input
+        if total > 255:
+            raise AssertionError(f"a coefficient of {bound.provenance} may not fit a byte")
+        vectors.append(vector.to_bytes(len(cells), "little"))
+    return vectors
+
+
+def _picker(indices: Sequence[int]):
+    """A function giving the items of a sequence at `indices`, as a tuple."""
+    if len(indices) == 1:
+        (only,) = indices
+        return lambda seq: (seq[only],)
+    return operator.itemgetter(*indices) if indices else lambda seq: ()
+
+
+class _CellSide:
+    """One family's labels in sorted order, the elements in no member left
+    out, with the slot of each label's cell in a kernel vector."""
+
+    def __init__(self, family: SubsetFamily, cells: list, slot: dict):
+        label = family.ground.label
+        ranked = sorted((label(p), slot[c]) for p, c in enumerate(cells) if c)
+        self.labels = tuple(name for name, _ in ranked)
+        self.slot_of = dict(ranked)
+        self.pick = _picker([s for _, s in ranked])
+
+    def coeffs(self, vector) -> dict:
+        """The label-keyed nonzero coefficients of a vector, in label order."""
+        values = self.pick(vector)
+        return dict(zip(compress(self.labels, values), compress(values, values)))
+
+    def key(self, vector) -> tuple:
+        """Rank and coefficient of each label with a nonzero coefficient, in
+        one flat tuple: ordered as one half of
+        `InstantiatedInequality.signature`, which pairs labels with them."""
+        values = self.pick(vector)
+        return tuple(chain.from_iterable(zip(compress(count(), values), compress(values, values))))
+
+
+class _CellKernel:
     """Rows on one pair of (cut, message) families under one set of
     capacities, deduplicated as `InstantiatedInequality.signature` would.
 
-    Rows are added as `instantiate` gives them without capacities.  A row's
-    `int` coefficients are keyed by the rank of each label in sorted-label
-    order, divided by their gcd and sorted; this key has the same equality
-    and order as the signature.  `rows` maps each key to the first row
-    added with it, which gets its right side here from the capacities
-    scaled once to a common denominator: every cut arc's capacity must be
-    an int, a Fraction or None, and a missing one is an error only for a
-    kept row on it.  `fresh` tells whether a term list is met for the first
-    time, so a repeated one is skipped before instantiation.
+    A row is an `int` vector over the nonzero membership cells the two
+    families occupy (`cells`), since every element of a cell has the same
+    coefficient (`_cell_vectors`).  Divided by its gcd the vector is the
+    dedupe key: two rows share it exactly when they share a signature, for
+    each occupied cell holds a label.  `add` keeps the first row of each
+    key and gives it its right side from the capacities summed per cut
+    cell once per call, over their common denominator: every cut arc's
+    capacity must be an int, a Fraction or None, and a missing one is an
+    error only for a kept row on it, named as `instantiate` names it.
+    Only kept rows are expanded to labels.
     """
 
     def __init__(self, cut_family, msg_family, capacities=None):
         if cut_family.size != msg_family.size:
             raise ParameterError("cut and message families must have the same sink count")
-        self.msg_ranks = _label_ranks(msg_family.ground)
-        self.cut_ranks = _label_ranks(cut_family.ground)
-        self.units = None if capacities is None else _capacity_units(self.cut_ranks, capacities)
-        self.seen_terms: set = set()
+        self.families = cut_family, msg_family
+        msg_cells, cut_cells = _element_cells(msg_family), _element_cells(cut_family)
+        self.cells = sorted(set(msg_cells).union(cut_cells).difference((0,)))
+        slot = {c: s for s, c in enumerate(self.cells)}
+        self.msg = _CellSide(msg_family, msg_cells, slot)
+        self.cut = _CellSide(cut_family, cut_cells, slot)
         self.rows: dict = {}
+        self.units = None
+        if capacities is None:
+            return
+        labels = [cut_family.ground.label(p) for p in range(cut_family.ground.size)]
+        self.arc_units, self.denominator = _capacity_units(labels, capacities)
+        self.units = [0] * len(self.cells)
+        missing, unbounded = set(), set()
+        for label, cell in zip(labels, cut_cells):
+            if cell:
+                s, unit = slot[cell], self.arc_units[label]
+                if unit is _MISSING:
+                    missing.add(s)
+                elif unit is None:
+                    unbounded.add(s)
+                else:
+                    self.units[s] += unit
+        self.missing, self.unbounded = sorted(missing), sorted(unbounded - missing)
 
-    def fresh(self, terms) -> bool:
-        if terms in self.seen_terms:
-            return False
-        self.seen_terms.add(terms)
-        return True
+    def vector(self, row: InstantiatedInequality) -> tuple:
+        """An instantiated row's coefficients as a vector over the cells."""
+        vector = [0] * len(self.cells)
+        for side, coeffs in ((self.msg, row.rate_coeffs), (self.cut, row.capacity_coeffs)):
+            slot_of = side.slot_of
+            for label, w in coeffs.items():
+                vector[slot_of[label]] = w
+        return tuple(vector)
 
-    def add(self, row: InstantiatedInequality) -> None:
-        """Keep `row` unless its key was met before."""
-        rate, cap = row.rate_coeffs, row.capacity_coeffs
-        msg_ranks, cut_ranks = self.msg_ranks, self.cut_ranks
-        rate_key = sorted([(msg_ranks[label], w) for label, w in rate.items()])
-        cap_key = sorted([(cut_ranks[label], w) for label, w in cap.items()])
-        g = math.gcd(*rate.values(), *cap.values())
-        if g > 1:
-            rate_key = [(r, w // g) for r, w in rate_key]
-            cap_key = [(r, w // g) for r, w in cap_key]
-        key = (tuple(rate_key), tuple(cap_key))
-        if key not in self.rows:
-            if self.units is not None:
-                rhs = _right_side(cap, *self.units)
-                row = InstantiatedInequality(rate, cap, rhs, row.provenance)
-            self.rows[key] = row
+    def add(self, vector, source) -> None:
+        """Keep the row `vector` (`bytes` or a tuple) unless its key was met
+        before; `source` is the bound or the instantiated row it comes from."""
+        g = math.gcd(*vector)
+        key = tuple(vector) if g < 2 else tuple(w // g for w in vector)
+        if key in self.rows:
+            return
+        rhs = None
+        if self.units is not None:
+            rhs = self._right_side(vector, source)
+            if isinstance(source, InstantiatedInequality):
+                rate, cap = source.rate_coeffs, source.capacity_coeffs
+                source = InstantiatedInequality(rate, cap, rhs, source.provenance)
+        self.rows[key] = vector, rhs, source
 
+    def _right_side(self, vector: tuple, source) -> Optional[Fraction]:
+        if any(vector[s] for s in self.missing):
+            if not isinstance(source, InstantiatedInequality):
+                source = instantiate(source, *self.families)
+            raise _missing_capacity(source.capacity_coeffs, self.arc_units)
+        if any(vector[s] for s in self.unbounded):
+            return None
+        return Fraction(sum(map(operator.mul, vector, self.units)), self.denominator)
 
-def _label_ranks(ground) -> dict:
-    """Each label's rank in sorted-label order."""
-    labels = sorted(ground.label(p) for p in range(ground.size))
-    return {label: rank for rank, label in enumerate(labels)}
+    def kept(self) -> list:
+        """The kept rows in the order they were added; a row added as an
+        instantiated row keeps its coefficient maps."""
+        out = []
+        for vector, rhs, source in self.rows.values():
+            if isinstance(source, BoundInequality):
+                rate, cap = self.msg.coeffs(vector), self.cut.coeffs(vector)
+                source = InstantiatedInequality(rate, cap, rhs, source.provenance)
+            out.append(source)
+        return out
+
+    def in_signature_order(self) -> list:
+        """The kept rows sorted as their signatures sort."""
+        keys = [(self.msg.key(key), self.cut.key(key)) for key in self.rows]
+        rows = self.kept()
+        return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
 
 
 def _ordered_subsets(K: int):
@@ -609,7 +738,7 @@ def thm2_search(
     parameterization whose canonical term list was already seen is skipped
     before instantiation.  The search space grows as roughly 8^K subset
     triples, so the sink count is capped."""
-    kernel = _RowKernel(cut_family, msg_family, capacities)
+    kernel = _CellKernel(cut_family, msg_family, capacities)
     K = cut_family.size
     if K > MAX_SEARCH_SINKS:
         raise ParameterError(f"the search is limited to {MAX_SEARCH_SINKS} sinks")
@@ -640,6 +769,7 @@ def thm2_search(
             }
             fitting[bits_u, bits_t] = [s for s in split_sets[size_u] if fits.issuperset(s[0])]
 
+    seen = set()
     for ids_g, set_g, bits_g in subsets:
         cover_g = cut_levels(bits_g)[1]
         for ids_u, set_u, bits_u in subsets:
@@ -649,13 +779,15 @@ def thm2_search(
                 for qs, unit, chain in fitting[bits_u, bits_t]:
                     terms = _general_terms(set_g, set_u, set_t, qs, unit, chain)
                     # most term lists repeat; name only the new ones
-                    if kernel.fresh(terms):
+                    if terms not in seen:
+                        seen.add(terms)
                         splits = {q: q - 1 for q in qs}
                         bound = BoundInequality(
                             terms, _general_provenance(ids_g, ids_u, ids_t, qs, splits)
                         )
-                        kernel.add(instantiate(bound, cut_family, msg_family))
-    return list(kernel.rows.values())
+                        row = instantiate(bound, cut_family, msg_family)
+                        kernel.add(kernel.vector(row), row)
+    return kernel.kept()
 
 
 def bound_rows(
@@ -668,19 +800,20 @@ def bound_rows(
     signature.
 
     Rules are walked in the order given, so the first rule to produce a row
-    names its provenance.  A bound whose canonical term list was already
-    seen is skipped before instantiation, and of the rows left the first
-    per signature is kept.  `capacities` give the right sides as in
-    `instantiate`.
+    names its provenance, and of the rows the first per signature is kept.
+    The rule-table bounds are evaluated on the occupied membership cells
+    (`_cell_vectors`), and only the kept ones are expanded to labels; thm2
+    rows come instantiated from `thm2_search`.  `capacities` give the right
+    sides as in `instantiate`.
     """
     K = cut_family.size
-    kernel = _RowKernel(cut_family, msg_family, capacities)
+    kernel = _CellKernel(cut_family, msg_family, capacities)
     for rule in check_rules(rules, BOUND_RULES):
         if rule == "thm2":
             for row in thm2_search(cut_family, msg_family):
-                kernel.add(row)
+                kernel.add(kernel.vector(row), row)
             continue
-        for bound in _rule_table(K, rule):
-            if kernel.fresh(bound.terms):
-                kernel.add(instantiate(bound, cut_family, msg_family))
-    return [kernel.rows[key] for key in sorted(kernel.rows)]
+        table = _rule_table(K, rule)
+        for bound, vector in zip(table, _cell_vectors(table, kernel.cells, K)):
+            kernel.add(vector, bound)
+    return kernel.in_signature_order()

@@ -638,18 +638,26 @@ def vertices_2d(sys: LinearSystem) -> list[tuple[Fraction, Fraction]]:
     if len(ordered) <= 2:
         return ordered
 
-    cx = sum(p[0] for p in points) / len(points)
-    cy = sum(p[1] for p in points) / len(points)
+    # the ring runs around the centroid; scaled by n times the vertices'
+    # common denominator, every offset from it is a pair of ints
+    n = len(points)
+    scale = lcm(*(v.denominator for p in points for v in p))
+    scaled = {p: (p[0].numerator * (scale // p[0].denominator),
+                  p[1].numerator * (scale // p[1].denominator)) for p in points}
+    sx = sum(x for x, _ in scaled.values())
+    sy = sum(y for _, y in scaled.values())
+    offset = {p: (n * x - sx, n * y - sy) for p, (x, y) in scaled.items()}
 
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
+    def half(d):
+        dx, dy = d
         return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
 
     def compare(p, q):
-        hp, hq = half(p), half(q)
+        dp, dq = offset[p], offset[q]
+        hp, hq = half(dp), half(dq)
         if hp != hq:
             return -1 if hp < hq else 1
-        c = (p[0] - cx) * (q[1] - cy) - (q[0] - cx) * (p[1] - cy)
+        c = dp[0] * dq[1] - dq[0] * dp[1]
         return -1 if c > 0 else (1 if c < 0 else 0)
 
     ring = sorted(points, key=cmp_to_key(compare))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutbounds.bounds import (
+    BOUND_RULES,
     MAX_BETA_SET_SIZE,
     BoundInequality,
     BoundTerm,
@@ -33,6 +35,7 @@ from cutbounds.bounds import (
     instantiate,
     thm2_search,
     union_tail_bound,
+    _cell_vectors,
     _rule_table,
 )
 from cutbounds.errors import ParameterError, PreconditionError
@@ -775,6 +778,114 @@ class TestBoundRows:
         cut, msg = cn3_families()
         with pytest.raises(ParameterError, match="banana"):
             bound_rows(("csb", "banana"), cut, msg)
+
+
+def reference_bound_rows(rules, cut, msg, capacities=None):
+    """bound_rows on the instantiate + signature path: every bound of every
+    rule instantiated, the first row per signature kept, then sorted by
+    signature; a kept row's right side summed over its arcs, the first arc
+    `instantiate` lists without a capacity named."""
+    kept = {}
+    for rule in rules:
+        if rule == "thm2":
+            rows = thm2_search(cut, msg)
+        else:
+            rows = (
+                instantiate(BoundInequality(terms, provenance), cut, msg)
+                for terms, provenance in fresh_rule_table(cut.size, rule)
+            )
+        for row in rows:
+            if row.signature() in kept:
+                continue
+            if capacities is not None:
+                missing = [a for a in row.capacity_coeffs if a not in capacities]
+                if missing:
+                    raise ParameterError(f"no capacity given for arc {missing[0]!r}")
+                values = [capacities[a] for a in row.capacity_coeffs]
+                row.rhs_value = None if None in values else sum(
+                    map(operator.mul, row.capacity_coeffs.values(), values), Fraction(0)
+                )
+            kept[row.signature()] = row
+    return [kept[sig] for sig in sorted(kept)]
+
+
+def row_fields(row):
+    return row.provenance, row.rate_coeffs, row.capacity_coeffs, row.rhs_value, type(row.rhs_value)
+
+
+@st.composite
+def row_cases(draw):
+    """Rules in any order (thm2 up to K = 3), and cut and demand families
+    of K = 1..7 members over small grounds, with elements in no member and
+    capacities absent, rational, unbounded (None) or missing."""
+    K = draw(st.integers(1, 7))
+    pool = BOUND_RULES if K <= 3 else ("csb", "gcsb3", "cor3", "cor2")
+    rules = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
+    families = []
+    for prefix in ("a", "W"):
+        n = draw(st.integers(1, 6))
+        ground = GroundSet(n, labels=tuple(f"{prefix}{i}" for i in range(n)))
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=K, max_size=K))
+        families.append(SubsetFamily(ground, tuple(ElementSet(ground, m) for m in masks)))
+    cut, msg = families
+    capacity = st.one_of(st.none(), st.integers(0, 3), st.fractions(0, 3, max_denominator=4))
+    caps = draw(
+        st.one_of(
+            st.none(),
+            st.fixed_dictionaries({label: capacity for label in cut.ground.labels}),
+            st.dictionaries(st.sampled_from(cut.ground.labels), capacity),
+        )
+    )
+    return rules, cut, msg, caps
+
+
+class TestCellKernelOracle:
+    """bound_rows on membership cells against the label path it replaced."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(row_cases())
+    def test_matches_the_label_path(self, case):
+        rules, cut, msg, caps = case
+        try:
+            expected = [row_fields(r) for r in reference_bound_rows(rules, cut, msg, caps)]
+        except ParameterError as exc:
+            with pytest.raises(ParameterError) as raised:
+                bound_rows(rules, cut, msg, caps)
+            assert str(raised.value) == str(exc)
+            return
+        assert [row_fields(r) for r in bound_rows(rules, cut, msg, caps)] == expected
+
+    @pytest.mark.parametrize("K", range(1, 8))
+    def test_cell_vectors_match_the_cell_formula(self, K):
+        """Each rule's vectors over all 2^K cells, cell by cell, against the
+        sum of the weights of the terms whose level the cell reaches: a
+        coefficient that overflowed its byte would show here."""
+        for rule in ("csb", "gcsb3", "cor3", "cor2"):
+            expected = [
+                tuple(
+                    sum(
+                        t.weight
+                        for t in bound.terms
+                        if sum(c >> (i - 1) & 1 for i in t.indices) >= t.level
+                    )
+                    for c in range(1 << K)
+                )
+                for bound in _rule_table(K, rule)
+            ]
+            vectors = _cell_vectors(_rule_table(K, rule), range(1 << K), K)
+            assert [tuple(v) for v in vectors] == expected
+
+    def test_a_weight_sum_past_a_byte_is_refused(self):
+        bound = BoundInequality.build([term(1, {1}, 255), term(1, {1, 2}, 1)], "wide")
+        with pytest.raises(AssertionError, match="wide"):
+            _cell_vectors([bound], range(4), 2)
+
+    def test_symmetric_network_at_seven_sinks(self):
+        net = symmetric_combination_network(7, tuple(range(1, 8)))
+        cut, msg, caps = network_families(net, "min")
+        rules = ("cor3", "csb", "gcsb3")
+        expected = [row_fields(r) for r in reference_bound_rows(rules, cut, msg, caps)]
+        assert [row_fields(r) for r in bound_rows(rules, cut, msg, caps)] == expected
 
 
 class TestSymmetryInvariant:

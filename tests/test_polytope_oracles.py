@@ -10,7 +10,9 @@ the solutions that satisfy the system lists all of them.  From that list:
 - `contains(outer, inner)` holds iff every vertex of inner satisfies outer;
 - one `fourier_motzkin` step is exact iff every vertex of the system
   projects into the result and every vertex of the result lifts back into
-  the system (the result is the projection, so it is bounded too).
+  the system (the result is the projection, so it is bounded too);
+- `vertices_2d` lists the vertices of a 2-D system, in the ring order
+  around their centroid that it once computed on `Fraction`s.
 
 The domination tiers are checked against the LP instead: whenever tier 3
 or 3b says some rows force a row, the LP must agree.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,6 +45,7 @@ from cutbounds.polytope import (
     feasible,
     fourier_motzkin,
     satisfies,
+    vertices_2d,
 )
 
 F = Fraction
@@ -57,8 +61,8 @@ def rational(low, high):
 
 
 @st.composite
-def bounded_systems(draw):
-    n = draw(st.integers(2, 4))
+def bounded_systems(draw, n=None):
+    n = n or draw(st.integers(2, 4))
     names = tuple("xyzw"[:n])
     nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     rows = []
@@ -171,6 +175,49 @@ def test_feasible_iff_a_vertex_exists(sys):
     assert feasible(sys) == bool(vertices(sys))
 
 
+def fraction_ring(points) -> list:
+    """The vertices counterclockwise around their `Fraction` centroid from
+    the lowest (then leftmost) one: the order `vertices_2d` computed before
+    it scaled them to ints."""
+    ordered = sorted(points, key=lambda p: (p[1], p[0]))
+    if len(ordered) <= 2:
+        return ordered
+    cx = sum(p[0] for p in points) / len(points)
+    cy = sum(p[1] for p in points) / len(points)
+
+    def half(p):
+        dx, dy = p[0] - cx, p[1] - cy
+        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+
+    def compare(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return -1 if hp < hq else 1
+        c = (p[0] - cx) * (q[1] - cy) - (q[0] - cx) * (p[1] - cy)
+        return -1 if c > 0 else (1 if c < 0 else 0)
+
+    ring = sorted(points, key=cmp_to_key(compare))
+    start = ring.index(ordered[0])
+    return ring[start:] + ring[:start]
+
+
+PENTAGON = _system(  # 2 <= x <= 3, y <= 1, x + y <= 7/2: far from the origin
+    "xy", [({"x": 1}, 3), ({"x": -1}, -2), ({"y": 1}, 1), ({"x": 1, "y": 1}, F(7, 2))]
+)
+
+
+@PROFILE
+@given(bounded_systems(n=2))
+@example(PENTAGON)
+@example(POINT)
+@example(IMPLICIT_EQUALITY)
+@example(EMPTY)
+def test_vertices_2d_ring_order(sys):
+    got = vertices_2d(sys)
+    assert set(got) == vertices(sys)
+    assert got == fraction_ring(set(got))
+
+
 outer_row_lists = st.lists(
     st.tuples(st.lists(coefficient, min_size=4, max_size=4), st.integers(-2, 8)),
     max_size=4,
@@ -243,7 +290,10 @@ def tier_cases(draw, sources):
     first source (tier 3) or the sum of two sources (tier 3b), loosened on
     nonnegative columns and in the right-hand side.  Tier 3b tries unit
     multipliers only, on the canonical rows `fourier_motzkin` hands it, so
-    a sum target counts as forced only when it is canonical as built.
+    a sum target counts as forced only when it is canonical as built.  A
+    sum is loosened by ints, and its right side further until it is
+    coprime to the gcd of its coefficients, so it is canonical unless all
+    its coefficients vanish.
     """
     n = draw(st.integers(1, 4))
     nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
@@ -257,11 +307,15 @@ def tier_cases(draw, sources):
     if not forced:
         return rows, random_row(), nonneg, False
     lam = draw(rational(F(1, 4), 3)) if sources == 1 else 1
+    slack = rational(0, 2) if sources == 1 else st.integers(0, 2)
     coeffs = [lam * sum(r.coeffs[j] for r in rows) for j in range(n)]
     for j, flag in enumerate(nonneg):
         if flag:
-            coeffs[j] -= draw(rational(0, 2))
-    rhs = lam * sum(r.rhs for r in rows) + draw(rational(0, 2))
+            coeffs[j] -= draw(slack)
+    rhs = lam * sum(r.rhs for r in rows) + draw(slack)
+    if sources == 2 and any(coeffs):
+        g = math.gcd(*coeffs)
+        rhs += (1 - rhs) % g
     target = Row(tuple(coeffs), rhs)
     canonical = (target.coeffs, target.rhs) == (tuple(coeffs), rhs)
     return rows, target, nonneg, sources == 1 or canonical
