@@ -8,7 +8,10 @@ is what makes the rate/capacity symmetry of these bounds structural rather
 than something each builder has to re-establish.  It also means a term list
 gives one coefficient to all elements held by the same members, so
 `bound_rows` evaluates and deduplicates rows on these membership cells and
-lists labels only for the rows it keeps.
+lists labels only for the rows it keeps.  For the same reason the thm2
+search, whose side conditions compare levels, depends only on which cells
+the two families occupy: it runs once per such pattern, on families of one
+element per cell.
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ from itertools import chain, compress, count
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ParameterError, PreconditionError
-from .setcalc import FAMILY_CAP_REASON, MAX_FAMILY, ElementSet, SubsetFamily, _check_indices
+from .setcalc import (
+    FAMILY_CAP_REASON,
+    MAX_FAMILY,
+    ElementSet,
+    GroundSet,
+    SubsetFamily,
+    _check_indices,
+)
 
 MAX_BETA_SET_SIZE = 6
 # thm2_search walks (2^K - 1)^3 sink-set triples (G, U, T): 29791 at K = 5,
@@ -469,6 +479,25 @@ def _element_cells(family: SubsetFamily) -> list:
     return cells
 
 
+def _occupied(cells: Iterable[int]) -> tuple:
+    """The distinct nonzero cells, sorted."""
+    return tuple(sorted(set(cells).difference((0,))))
+
+
+def _cell_family(K: int, cells: Sequence[int]) -> SubsetFamily:
+    """A family of K members over one element per cell of `cells`, in that
+    order, member k holding the elements whose cell has bit k - 1 set: the
+    inverse of `_element_cells` on distinct nonzero cells."""
+    ground = GroundSet(max(1, len(cells)))
+    return SubsetFamily(
+        ground,
+        tuple(
+            ElementSet(ground, _bits(p for p, c in enumerate(cells) if c >> k & 1))
+            for k in range(K)
+        ),
+    )
+
+
 def _cell_vectors(bounds: Iterable[BoundInequality], cells: Sequence[int], K: int) -> list:
     """Each bound's coefficient on each membership cell of `cells`, cells
     of K members, as `bytes` aligned with them.
@@ -481,7 +510,8 @@ def _cell_vectors(bounds: Iterable[BoundInequality], cells: Sequence[int], K: in
     most K <= 16), and adding 128 - r sets a byte's top bit exactly where
     the count is r or more.  A coefficient is at most its bound's weight
     sum, which stays below 256 (csb 1, gcsb3 3, cor3 K, cor2 48 with sink
-    sets of at most MAX_BETA_SET_SIZE), so no byte carries into the next."""
+    sets of at most MAX_BETA_SET_SIZE, thm2 40 with at most
+    MAX_SEARCH_SINKS sinks), so no byte carries into the next."""
     ones = int.from_bytes(bytes([1]) * len(cells), "little")
     members = [int.from_bytes(bytes([c >> k & 1 for c in cells]), "little") for k in range(K)]
     indicators: dict = {}
@@ -513,13 +543,12 @@ def _picker(indices: Sequence[int]):
 
 class _CellSide:
     """One family's labels in sorted order, the elements in no member left
-    out, with the slot of each label's cell in a kernel vector."""
+    out, and a picker of their cells' slots in a kernel vector."""
 
     def __init__(self, family: SubsetFamily, cells: list, slot: dict):
         label = family.ground.label
         ranked = sorted((label(p), slot[c]) for p, c in enumerate(cells) if c)
         self.labels = tuple(name for name, _ in ranked)
-        self.slot_of = dict(ranked)
         self.pick = _picker([s for _, s in ranked])
 
     def coeffs(self, vector) -> dict:
@@ -539,12 +568,12 @@ class _CellKernel:
     """Rows on one pair of (cut, message) families under one set of
     capacities, deduplicated as `InstantiatedInequality.signature` would.
 
-    A row is an `int` vector over the nonzero membership cells the two
-    families occupy (`cells`), since every element of a cell has the same
-    coefficient (`_cell_vectors`).  Divided by its gcd the vector is the
-    dedupe key: two rows share it exactly when they share a signature, for
-    each occupied cell holds a label.  `add` keeps the first row of each
-    key and gives it its right side from the capacities summed per cut
+    A row is a bound's `bytes` vector over the nonzero membership cells the
+    two families occupy (`cells`), since every element of a cell has the
+    same coefficient (`_cell_vectors`).  Divided by its gcd the vector is
+    the dedupe key: two rows share it exactly when they share a signature,
+    for each occupied cell holds a label.  `add` keeps the first row of
+    each key and gives it its right side from the capacities summed per cut
     cell once per call, over their common denominator: every cut arc's
     capacity must be an int, a Fraction or None, and a missing one is an
     error only for a kept row on it, named as `instantiate` names it.
@@ -556,7 +585,8 @@ class _CellKernel:
             raise ParameterError("cut and message families must have the same sink count")
         self.families = cut_family, msg_family
         msg_cells, cut_cells = _element_cells(msg_family), _element_cells(cut_family)
-        self.cells = sorted(set(msg_cells).union(cut_cells).difference((0,)))
+        self.pattern = _occupied(cut_cells), _occupied(msg_cells)
+        self.cells = sorted(set().union(*self.pattern))
         slot = {c: s for s, c in enumerate(self.cells)}
         self.msg = _CellSide(msg_family, msg_cells, slot)
         self.cut = _CellSide(cut_family, cut_cells, slot)
@@ -579,49 +609,31 @@ class _CellKernel:
                     self.units[s] += unit
         self.missing, self.unbounded = sorted(missing), sorted(unbounded - missing)
 
-    def vector(self, row: InstantiatedInequality) -> tuple:
-        """An instantiated row's coefficients as a vector over the cells."""
-        vector = [0] * len(self.cells)
-        for side, coeffs in ((self.msg, row.rate_coeffs), (self.cut, row.capacity_coeffs)):
-            slot_of = side.slot_of
-            for label, w in coeffs.items():
-                vector[slot_of[label]] = w
-        return tuple(vector)
-
-    def add(self, vector, source) -> None:
-        """Keep the row `vector` (`bytes` or a tuple) unless its key was met
-        before; `source` is the bound or the instantiated row it comes from."""
+    def add(self, vector: bytes, bound: BoundInequality) -> None:
+        """Keep the row `vector` of `bound` unless its key was met before."""
         g = math.gcd(*vector)
         key = tuple(vector) if g < 2 else tuple(w // g for w in vector)
         if key in self.rows:
             return
-        rhs = None
-        if self.units is not None:
-            rhs = self._right_side(vector, source)
-            if isinstance(source, InstantiatedInequality):
-                rate, cap = source.rate_coeffs, source.capacity_coeffs
-                source = InstantiatedInequality(rate, cap, rhs, source.provenance)
-        self.rows[key] = vector, rhs, source
+        rhs = None if self.units is None else self._right_side(vector, bound)
+        self.rows[key] = vector, rhs, bound
 
-    def _right_side(self, vector: tuple, source) -> Optional[Fraction]:
+    def _right_side(self, vector: bytes, bound: BoundInequality) -> Optional[Fraction]:
         if any(vector[s] for s in self.missing):
-            if not isinstance(source, InstantiatedInequality):
-                source = instantiate(source, *self.families)
-            raise _missing_capacity(source.capacity_coeffs, self.arc_units)
+            row = instantiate(bound, *self.families)
+            raise _missing_capacity(row.capacity_coeffs, self.arc_units)
         if any(vector[s] for s in self.unbounded):
             return None
         return Fraction(sum(map(operator.mul, vector, self.units)), self.denominator)
 
     def kept(self) -> list:
-        """The kept rows in the order they were added; a row added as an
-        instantiated row keeps its coefficient maps."""
-        out = []
-        for vector, rhs, source in self.rows.values():
-            if isinstance(source, BoundInequality):
-                rate, cap = self.msg.coeffs(vector), self.cut.coeffs(vector)
-                source = InstantiatedInequality(rate, cap, rhs, source.provenance)
-            out.append(source)
-        return out
+        """The kept rows in the order they were added."""
+        return [
+            InstantiatedInequality(
+                self.msg.coeffs(vector), self.cut.coeffs(vector), rhs, bound.provenance
+            )
+            for vector, rhs, bound in self.rows.values()
+        ]
 
     def in_signature_order(self) -> list:
         """The kept rows sorted as their signatures sort."""
@@ -720,28 +732,35 @@ def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
     return list(_first_per_terms(b for rule in rules for b in _rule_table(K, rule)))
 
 
-def thm2_search(
-    cut_family: SubsetFamily,
-    msg_family: SubsetFamily,
-    capacities: Optional[Mapping] = None,
-) -> list:
-    """Instantiate every valid parameterization of the general bound on the
-    given families, deduplicated by signature; `capacities` give the right
-    sides as in `instantiate`.
+# a thm2 table depends on the sink count and the occupied cells alone, so
+# a process that meets one cell pattern again reuses its search; a process
+# that meets each pattern once gains nothing.  An entry holds 0.17 MB at
+# K = 4 and 0.95 MB at K = 5 for the complete network, and 5.7 MB for the
+# largest K = 5 table found (tracemalloc), so eight at most are kept: over
+# the `report` benchmark's seven patterns, eight or seven slots hit on 98%
+# of the calls, six on 72% and four on 39%
+@functools.lru_cache(maxsize=8)
+def _thm2_table(K: int, cut_cells: tuple, msg_cells: tuple) -> tuple:
+    """The thm2 bounds of families whose distinct nonzero membership cells
+    are `cut_cells` and `msg_cells` (sorted), with their `_cell_vectors`
+    over the sorted union of both: (bounds, vectors), deduplicated by
+    `_CellKernel`, in search order.
 
+    The side conditions compare levels, and a level is a union of cells,
+    so the search runs on families with one element per occupied cell
+    (`_cell_family`) and its rows hold on every family of that pattern.
     Candidates run in the order (G, U, T, |Q|, Q), sink sets by size then
     lexicographically, each with the default split positions; the first
     candidate to produce a row names it.  This gives the rows `gcsbK`
     would give candidate by candidate, without its per-call validation:
     the side conditions are read from the families' cached levels, and a
     term list is built from the integer chain weights of its Q.  A
-    parameterization whose canonical term list was already seen is skipped
-    before instantiation.  The search space grows as roughly 8^K subset
-    triples, so the sink count is capped."""
-    kernel = _CellKernel(cut_family, msg_family, capacities)
-    K = cut_family.size
+    parameterization whose canonical term list was already seen is not
+    named again.  The search space grows as roughly 8^K subset triples, so
+    the sink count is capped."""
     if K > MAX_SEARCH_SINKS:
         raise ParameterError(f"the search is limited to {MAX_SEARCH_SINKS} sinks")
+    cut_family, msg_family = _cell_family(K, cut_cells), _cell_family(K, msg_cells)
     cut_levels, msg_levels = cut_family.levels, msg_family.levels
     subsets = [
         (ids, frozenset(ids), _bits(i - 1 for i in ids)) for ids in _ordered_subsets(K)
@@ -770,6 +789,7 @@ def thm2_search(
             fitting[bits_u, bits_t] = [s for s in split_sets[size_u] if fits.issuperset(s[0])]
 
     seen = set()
+    found = []
     for ids_g, set_g, bits_g in subsets:
         cover_g = cut_levels(bits_g)[1]
         for ids_u, set_u, bits_u in subsets:
@@ -782,12 +802,35 @@ def thm2_search(
                     if terms not in seen:
                         seen.add(terms)
                         splits = {q: q - 1 for q in qs}
-                        bound = BoundInequality(
+                        found.append(BoundInequality(
                             terms, _general_provenance(ids_g, ids_u, ids_t, qs, splits)
-                        )
-                        row = instantiate(bound, cut_family, msg_family)
-                        kernel.add(kernel.vector(row), row)
-    return kernel.kept()
+                        ))
+    kernel = _CellKernel(cut_family, msg_family)
+    for bound, vector in zip(found, _cell_vectors(found, kernel.cells, K)):
+        kernel.add(vector, bound)
+    # few term values repeat across a table, so the kept rows share them
+    shared: dict = {}
+    kept = [
+        BoundInequality(tuple(shared.setdefault(t, t) for t in bound.terms), bound.provenance)
+        for _, _, bound in kernel.rows.values()
+    ]
+    return tuple(kept), tuple(vector for vector, _, _ in kernel.rows.values())
+
+
+def thm2_search(
+    cut_family: SubsetFamily,
+    msg_family: SubsetFamily,
+    capacities: Optional[Mapping] = None,
+) -> list:
+    """Instantiate every valid parameterization of the general bound on the
+    given families, deduplicated by signature, in search order (see
+    `_thm2_table`, which searches once per pattern of occupied membership
+    cells); `capacities` give the right sides as in `instantiate`."""
+    if cut_family.size != msg_family.size:
+        raise ParameterError("cut and message families must have the same sink count")
+    pattern = _occupied(_element_cells(cut_family)), _occupied(_element_cells(msg_family))
+    bounds, _ = _thm2_table(cut_family.size, *pattern)
+    return [instantiate(b, cut_family, msg_family, capacities) for b in bounds]
 
 
 def bound_rows(
@@ -801,19 +844,21 @@ def bound_rows(
 
     Rules are walked in the order given, so the first rule to produce a row
     names its provenance, and of the rows the first per signature is kept.
-    The rule-table bounds are evaluated on the occupied membership cells
-    (`_cell_vectors`), and only the kept ones are expanded to labels; thm2
-    rows come instantiated from `thm2_search`.  `capacities` give the right
-    sides as in `instantiate`.
+    Each rule's bounds come from a per-process table, with their vectors
+    over the occupied membership cells: a rule table's are evaluated on
+    every call (`_cell_vectors`), the thm2 table's are cached with it by
+    the families' cell pattern (`_thm2_table`).  Only the kept rows are
+    expanded to labels.  `capacities` give the right sides as in
+    `instantiate`.
     """
     K = cut_family.size
     kernel = _CellKernel(cut_family, msg_family, capacities)
     for rule in check_rules(rules, BOUND_RULES):
         if rule == "thm2":
-            for row in thm2_search(cut_family, msg_family):
-                kernel.add(kernel.vector(row), row)
-            continue
-        table = _rule_table(K, rule)
-        for bound, vector in zip(table, _cell_vectors(table, kernel.cells, K)):
+            table, vectors = _thm2_table(K, *kernel.pattern)
+        else:
+            table = _rule_table(K, rule)
+            vectors = _cell_vectors(table, kernel.cells, K)
+        for bound, vector in zip(table, vectors):
             kernel.add(vector, bound)
     return kernel.in_signature_order()

@@ -34,6 +34,7 @@ from math import comb, isfinite
 from .bounds import (
     BOUND_RULES,
     ENUMERATION_RULES,
+    _cell_family,
     alpha_beta_identity,
     bound_rows,
     check_rules,
@@ -359,21 +360,6 @@ def _run_gap_campaign(token: str, args):
     return min_gap, violations
 
 
-def _pattern_family(K: int, pattern: int) -> SubsetFamily:
-    """Family of K sets realizing a given occupancy pattern of the 2^K - 1
-    nonempty membership cells, one element per occupied cell."""
-    cells = [c for c in range(1, 1 << K) if pattern >> (c - 1) & 1]
-    ground = GroundSet(max(1, len(cells)))
-    members = []
-    for k in range(K):
-        mask = 0
-        for position, cell in enumerate(cells):
-            if cell >> k & 1:
-                mask |= 1 << position
-        members.append(ElementSet(ground, mask))
-    return SubsetFamily(ground, tuple(members))
-
-
 def _run_appendix_a(trials: int, ground_size: int, seed: int):
     """Exhaustive check of the prefix-extension level identity over all
     occupancy patterns with up to three sets, plus random larger families.
@@ -387,7 +373,7 @@ def _run_appendix_a(trials: int, ground_size: int, seed: int):
     failures = 0
     for K in (2, 3):
         for pattern in range(1 << ((1 << K) - 1)):
-            family = _pattern_family(K, pattern)
+            family = _cell_family(K, [c for c in range(1, 1 << K) if pattern >> (c - 1) & 1])
             for count in range(2, K + 1):
                 for cutoff in range(1, count):
                     checked += 1

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from cutbounds.bounds import (
     BOUND_RULES,
     MAX_BETA_SET_SIZE,
+    MAX_SEARCH_SINKS,
     BoundInequality,
     BoundTerm,
     InstantiatedInequality,
@@ -37,6 +38,7 @@ from cutbounds.bounds import (
     union_tail_bound,
     _cell_vectors,
     _rule_table,
+    _thm2_table,
 )
 from cutbounds.errors import ParameterError, PreconditionError
 from cutbounds.network import (
@@ -788,7 +790,7 @@ def reference_bound_rows(rules, cut, msg, capacities=None):
     kept = {}
     for rule in rules:
         if rule == "thm2":
-            rows = thm2_search(cut, msg)
+            rows = reference_thm2_search(cut, msg)
         else:
             rows = (
                 instantiate(BoundInequality(terms, provenance), cut, msg)
@@ -839,28 +841,51 @@ def row_cases(draw):
     return rules, cut, msg, caps
 
 
+def assert_same_outcome(build, reference, record):
+    """`build()` gives the rows of `reference()`, compared by `record`, or
+    raises the same ParameterError."""
+    try:
+        expected = [record(r) for r in reference()]
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as raised:
+            build()
+        assert str(raised.value) == str(exc)
+        return
+    assert [record(r) for r in build()] == expected
+
+
+def assert_rows_match_reference(rules, cut, msg, caps):
+    assert_same_outcome(
+        lambda: bound_rows(rules, cut, msg, caps),
+        lambda: reference_bound_rows(rules, cut, msg, caps),
+        row_fields,
+    )
+
+
 class TestCellKernelOracle:
     """bound_rows on membership cells against the label path it replaced."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(row_cases())
     def test_matches_the_label_path(self, case):
-        rules, cut, msg, caps = case
-        try:
-            expected = [row_fields(r) for r in reference_bound_rows(rules, cut, msg, caps)]
-        except ParameterError as exc:
-            with pytest.raises(ParameterError) as raised:
-                bound_rows(rules, cut, msg, caps)
-            assert str(raised.value) == str(exc)
-            return
-        assert [row_fields(r) for r in bound_rows(rules, cut, msg, caps)] == expected
+        assert_rows_match_reference(*case)
 
     @pytest.mark.parametrize("K", range(1, 8))
     def test_cell_vectors_match_the_cell_formula(self, K):
-        """Each rule's vectors over all 2^K cells, cell by cell, against the
-        sum of the weights of the terms whose level the cell reaches: a
-        coefficient that overflowed its byte would show here."""
-        for rule in ("csb", "gcsb3", "cor3", "cor2"):
+        """Each rule's vectors over all 2^K cells, and for K <= 5 the thm2
+        table's cached vectors over the 2^K - 1 nonzero cells, every one
+        occupied on both sides as on the complete network, cell by cell,
+        against the sum of the weights of the terms whose level the cell
+        reaches: a coefficient that overflowed its byte would show here."""
+        cells = range(1 << K)
+        tables = [
+            (cells, table, _cell_vectors(table, cells, K))
+            for table in (_rule_table(K, rule) for rule in ("csb", "gcsb3", "cor3", "cor2"))
+        ]
+        if K <= MAX_SEARCH_SINKS:
+            nonzero = tuple(range(1, 1 << K))
+            tables.append((nonzero, *_thm2_table(K, nonzero, nonzero)))
+        for cells, table, vectors in tables:
             expected = [
                 tuple(
                     sum(
@@ -868,11 +893,10 @@ class TestCellKernelOracle:
                         for t in bound.terms
                         if sum(c >> (i - 1) & 1 for i in t.indices) >= t.level
                     )
-                    for c in range(1 << K)
+                    for c in cells
                 )
-                for bound in _rule_table(K, rule)
+                for bound in table
             ]
-            vectors = _cell_vectors(_rule_table(K, rule), range(1 << K), K)
             assert [tuple(v) for v in vectors] == expected
 
     def test_a_weight_sum_past_a_byte_is_refused(self):
@@ -886,6 +910,62 @@ class TestCellKernelOracle:
         rules = ("cor3", "csb", "gcsb3")
         expected = [row_fields(r) for r in reference_bound_rows(rules, cut, msg, caps)]
         assert [row_fields(r) for r in bound_rows(rules, cut, msg, caps)] == expected
+
+
+def cell_family(prefix, K, cells):
+    """K members over one element per entry of `cells`, labelled `prefix`
+    and its position; member k holds the elements whose cell has bit k - 1."""
+    ground = GroundSet(len(cells), labels=tuple(f"{prefix}{p}" for p in range(len(cells))))
+    return SubsetFamily(
+        ground,
+        tuple(
+            ElementSet(ground, sum(1 << p for p, c in enumerate(cells) if c >> k & 1))
+            for k in range(K)
+        ),
+    )
+
+
+def pattern_sharing_cases():
+    """Families with the cut cells {1, 3, 5, 6} and the message cells
+    {1, 2, 3, 4, 7} (cell 0: an element in no member), under other labels,
+    element orders and cell multiplicities, and capacities that are
+    rational, absent, unbounded on cell 5, or missing on cell 5."""
+    first = cell_family("a", 3, [3, 5, 1, 3, 0, 6]), cell_family("W", 3, [1, 2, 4, 7, 3])
+    second = cell_family("z", 3, [6, 1, 5, 0, 3, 5, 6]), cell_family("M", 3, [7, 0, 4, 2, 1, 3, 3, 2])
+    rational = {label: Fraction(p + 1, 2) for p, label in enumerate(first[0].ground.labels)}
+    unbounded = {label: p for p, label in enumerate(second[0].ground.labels)}
+    unbounded["z5"] = None
+    missing = {label: c for label, c in unbounded.items() if label != "z2"}
+    return [(*first, rational), (*second, unbounded), (*second, missing), (*first, None)]
+
+
+class TestThm2Table:
+    """thm2 rows come from one search per pattern of occupied membership
+    cells: every family pair of one pattern gets the rows of the
+    per-candidate search, whether its table is built or found."""
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+    def test_families_sharing_a_pattern(self, order):
+        _thm2_table.cache_clear()
+        for cut, msg, caps in pattern_sharing_cases()[::order]:
+            assert_same_outcome(
+                lambda: thm2_search(cut, msg, caps),
+                lambda: reference_thm2_search(cut, msg, caps),
+                row_record,
+            )
+            for rules in (("thm2",), BOUND_RULES):
+                assert_rows_match_reference(rules, cut, msg, caps)
+        info = _thm2_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_cache_size(self):
+        assert _thm2_table.cache_info().maxsize == 8
+
+    def test_a_table_holds_one_object_per_term_value(self):
+        full = tuple(range(1, 16))
+        table, _ = _thm2_table(4, full, full)
+        terms = [t for bound in table for t in bound.terms]
+        assert len({id(t) for t in terms}) == len(set(terms)) < len(terms)
 
 
 class TestSymmetryInvariant:

@@ -10,6 +10,7 @@ from cutbounds.bounds import (
     MAX_BETA_SET_SIZE,
     MAX_SEARCH_SINKS,
     beta_bound,
+    bound_rows,
     enumerate_bounds,
     thm2_search,
 )
@@ -61,6 +62,8 @@ def test_search_sinks():
     families = cut_and_message_families(net, [min_cut(net, k) for k in range(1, net.K + 1)])
     with pytest.raises(ParameterError, match="^the search is limited to 5 sinks$"):
         thm2_search(*families)
+    with pytest.raises(ParameterError, match="^the search is limited to 5 sinks$"):
+        bound_rows(("csb", "thm2"), *families)
 
 
 def test_beta_set_size():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutbounds import cli
+from cutbounds import bounds, cli
 from cutbounds.errors import SchemaError
 from cutbounds.network import cut_and_message_families
 from cutbounds.polytope import Row
@@ -758,7 +758,9 @@ class TestCompleteK5:
     def test_all_rules_pinned(self, tmp_path, capsys):
         # every rule, thm2 included, pinned by row count and stdout digest;
         # the digest was recorded from the signature-keyed dedupe that the
-        # row kernel replaced, run with the thm2 sink cap raised to 5
+        # row kernel replaced, run with the thm2 sink cap raised to 5.  The
+        # thm2 table cache is emptied first, so the K=5 search runs here
+        bounds._thm2_table.cache_clear()
         path = write_doc(tmp_path, complete_doc(5))
         assert cli.main(["bounds", path, "--rules", "csb,gcsb3,cor3,cor2,thm2"]) == 0
         out = capsys.readouterr().out
