@@ -543,11 +543,13 @@ def _picker(indices: Sequence[int]):
 
 class _CellSide:
     """One family's labels in sorted order, the elements in no member left
-    out, and a picker of their cells' slots in a kernel vector."""
+    out, and a picker of their cells' slots in a kernel vector; `slots`
+    gives each element's slot in ground order, None for one in no member."""
 
     def __init__(self, family: SubsetFamily, cells: list, slot: dict):
+        self.slots = [slot[c] if c else None for c in cells]
         label = family.ground.label
-        ranked = sorted((label(p), slot[c]) for p, c in enumerate(cells) if c)
+        ranked = sorted((label(p), s) for p, s in enumerate(self.slots) if s is not None)
         self.labels = tuple(name for name, _ in ranked)
         self.pick = _picker([s for _, s in ranked])
 
@@ -573,11 +575,17 @@ class _CellKernel:
     same coefficient (`_cell_vectors`).  Divided by its gcd the vector is
     the dedupe key: two rows share it exactly when they share a signature,
     for each occupied cell holds a label.  `add` keeps the first row of
-    each key and gives it its right side from the capacities summed per cut
-    cell once per call, over their common denominator: every cut arc's
-    capacity must be an int, a Fraction or None, and a missing one is an
-    error only for a kept row on it, named as `instantiate` names it.
-    Only kept rows are expanded to labels.
+    each key and gives it its right side as an int over `denominator`, the
+    common denominator of the capacities, from the capacities summed per
+    cut cell once per call: every cut arc's capacity must be an int, a
+    Fraction or None, and a missing one is an error only for a kept row on
+    it, named as `instantiate` names it.
+
+    `ordered()` gives the kept entries (vector, right side, bound) sorted
+    as their rows' signatures sort, the one order of the kept rows:
+    `bound_rows` expands them to label dicts, and a caller that writes rows
+    itself reads each label's coefficient at its slot (`msg.slots`,
+    `cut.slots`).
     """
 
     def __init__(self, cut_family, msg_family, capacities=None):
@@ -618,28 +626,22 @@ class _CellKernel:
         rhs = None if self.units is None else self._right_side(vector, bound)
         self.rows[key] = vector, rhs, bound
 
-    def _right_side(self, vector: bytes, bound: BoundInequality) -> Optional[Fraction]:
+    def _right_side(self, vector: bytes, bound: BoundInequality) -> Optional[int]:
+        """The row's right side times `denominator`; None when it holds an
+        unbounded arc."""
         if any(vector[s] for s in self.missing):
             row = instantiate(bound, *self.families)
             raise _missing_capacity(row.capacity_coeffs, self.arc_units)
         if any(vector[s] for s in self.unbounded):
             return None
-        return Fraction(sum(map(operator.mul, vector, self.units)), self.denominator)
+        return sum(map(operator.mul, vector, self.units))
 
-    def kept(self) -> list:
-        """The kept rows in the order they were added."""
-        return [
-            InstantiatedInequality(
-                self.msg.coeffs(vector), self.cut.coeffs(vector), rhs, bound.provenance
-            )
-            for vector, rhs, bound in self.rows.values()
-        ]
-
-    def in_signature_order(self) -> list:
-        """The kept rows sorted as their signatures sort."""
-        keys = [(self.msg.key(key), self.cut.key(key)) for key in self.rows]
-        rows = self.kept()
-        return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
+    def ordered(self) -> list:
+        """The kept (vector, right side, bound) entries, sorted as their
+        rows' signatures sort."""
+        msg_key, cut_key = self.msg.key, self.cut.key
+        keys = sorted(self.rows, key=lambda key: (msg_key(key), cut_key(key)))
+        return [self.rows[key] for key in keys]
 
 
 def _ordered_subsets(K: int):
@@ -833,24 +835,18 @@ def thm2_search(
     return [instantiate(b, cut_family, msg_family, capacities) for b in bounds]
 
 
-def bound_rows(
+def _row_kernel(
     rules: Sequence[str],
     cut_family: SubsetFamily,
     msg_family: SubsetFamily,
     capacities: Optional[Mapping] = None,
-) -> list:
-    """Instantiated rows of the named rules (any of BOUND_RULES), sorted by
-    signature.
-
-    Rules are walked in the order given, so the first rule to produce a row
-    names its provenance, and of the rows the first per signature is kept.
-    Each rule's bounds come from a per-process table, with their vectors
-    over the occupied membership cells: a rule table's are evaluated on
-    every call (`_cell_vectors`), the thm2 table's are cached with it by
-    the families' cell pattern (`_thm2_table`).  Only the kept rows are
-    expanded to labels.  `capacities` give the right sides as in
-    `instantiate`.
-    """
+) -> _CellKernel:
+    """The `_CellKernel` holding the rows of the named rules (any of
+    BOUND_RULES), walked in the order given, so the first rule to produce a
+    row names its provenance.  Each rule's bounds come from a per-process
+    table, with their vectors over the occupied membership cells: a rule
+    table's are evaluated on every call (`_cell_vectors`), the thm2 table's
+    are cached with it by the families' cell pattern (`_thm2_table`)."""
     K = cut_family.size
     kernel = _CellKernel(cut_family, msg_family, capacities)
     for rule in check_rules(rules, BOUND_RULES):
@@ -861,4 +857,32 @@ def bound_rows(
             vectors = _cell_vectors(table, kernel.cells, K)
         for bound, vector in zip(table, vectors):
             kernel.add(vector, bound)
-    return kernel.in_signature_order()
+    return kernel
+
+
+def bound_rows(
+    rules: Sequence[str],
+    cut_family: SubsetFamily,
+    msg_family: SubsetFamily,
+    capacities: Optional[Mapping] = None,
+) -> list:
+    """Instantiated rows of the named rules (any of BOUND_RULES), sorted by
+    signature.
+
+    Rules are walked in the order given, so the first rule to produce a row
+    names its provenance, and of the rows the first per signature is kept
+    (`_row_kernel`).  The kernel's `ordered()` entries are expanded to label
+    dicts here, and only those.  `capacities` give the right sides as in
+    `instantiate`.
+    """
+    kernel = _row_kernel(rules, cut_family, msg_family, capacities)
+    msg, cut = kernel.msg, kernel.cut
+    return [
+        InstantiatedInequality(
+            msg.coeffs(vector),
+            cut.coeffs(vector),
+            None if rhs is None else Fraction(rhs, kernel.denominator),
+            bound.provenance,
+        )
+        for vector, rhs, bound in kernel.ordered()
+    ]

@@ -23,18 +23,21 @@ import contextlib
 import functools
 import itertools
 import json
+import operator
 import os
 import random
 import re
 import sys
 from fractions import Fraction
 from importlib import resources
-from math import comb, isfinite
+from math import comb, gcd, isfinite
 
 from .bounds import (
     BOUND_RULES,
     ENUMERATION_RULES,
     _cell_family,
+    _picker,
+    _row_kernel,
     alpha_beta_identity,
     bound_rows,
     check_rules,
@@ -58,6 +61,7 @@ from .network import (
 )
 from .polytope import (
     LinearSystem,
+    Row,
     contains,
     corner_points_symmetric,
     format_rational,
@@ -85,6 +89,7 @@ from .setfn import (
 
 _DOC_KEYS = ("nodes", "arcs", "source", "sinks", "messages", "demands")
 _ARC_KEYS = ("from", "to", "capacity")
+_ARC_KEY_SET = frozenset(_ARC_KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +142,15 @@ def load_network_document(path: str) -> BroadcastNetwork:
     nodes = _string_list(doc["nodes"], "nodes")
     _require(isinstance(doc["arcs"], list), "arcs must be a list")
     arcs = []
+    # a document repeats few capacity strings, so each is parsed once
+    parsed = {"inf": None}
     for position, entry in enumerate(doc["arcs"]):
         _require(isinstance(entry, dict), f"arc {position} must be an object")
-        unknown = set(entry) - set(_ARC_KEYS)
-        _require(not unknown, f"arc {position} has unknown keys: {sorted(unknown)}")
-        missing = set(_ARC_KEYS) - set(entry)
-        _require(not missing, f"arc {position} is missing keys: {sorted(missing)}")
+        if entry.keys() != _ARC_KEY_SET:
+            unknown = set(entry) - _ARC_KEY_SET
+            _require(not unknown, f"arc {position} has unknown keys: {sorted(unknown)}")
+            missing = _ARC_KEY_SET - set(entry)
+            _require(not missing, f"arc {position} is missing keys: {sorted(missing)}")
         _require(
             isinstance(entry["from"], str) and isinstance(entry["to"], str),
             f"arc {position} endpoints must be strings",
@@ -152,11 +160,11 @@ def load_network_document(path: str) -> BroadcastNetwork:
             isinstance(raw, str),
             f"arc {position} capacity must be a string like \"3/4\" or \"inf\"",
         )
-        if raw == "inf":
-            capacity = None
+        if raw in parsed:
+            capacity = parsed[raw]
         else:
             try:
-                capacity = parse_rational(raw)
+                capacity = parsed[raw] = parse_rational(raw)
             except ParameterError:
                 raise SchemaError(
                     f"arc {position} capacity {raw!r} is not a rational"
@@ -172,6 +180,8 @@ def load_network_document(path: str) -> BroadcastNetwork:
 
     demands_doc = doc["demands"]
     _require(isinstance(demands_doc, dict), "demands must be an object keyed by sink")
+    # a repeated sink would otherwise fail the comparison below
+    _require(len(set(sinks)) == len(sinks), "sinks must be distinct")
     _require(
         set(demands_doc) == set(sinks),
         "demands must name every sink exactly once",
@@ -241,23 +251,50 @@ def _row_payload(net: BroadcastNetwork, row) -> dict:
 
 
 _quote = json.encoder.encode_basestring_ascii
+# each coefficient's text and the closing quote; every kernel coefficient
+# is below 256 (`bounds._cell_vectors`)
+_COEFF_TEXT = tuple(f'{c}"' for c in range(256))
 
 
-def _report_json(items: list) -> str:
-    """`json.dumps(items, indent=2) + "\n"` for a list of objects whose
-    values are strings or objects of strings, written directly: given an
-    indent, `json.dumps` runs its pure-Python encoder."""
+def _coeff_writer(labels, slots):
+    """A function writing the nonzero coefficients of a kernel vector on
+    `labels`, in their order, as one JSON object of strings at the depth of
+    a report row; `slots` gives each label's slot, None for a label in no
+    member, which is left out."""
+    held = [(_quote(label) + ': "', s) for label, s in zip(labels, slots) if s is not None]
+    prefixes = [prefix for prefix, _ in held]
+    pick = _picker([s for _, s in held])
+    text = _COEFF_TEXT.__getitem__
+    join = ",\n      ".join
+
+    def write(vector) -> str:
+        values = pick(vector)
+        texts = map(text, itertools.compress(values, values))
+        pairs = join(map(operator.add, itertools.compress(prefixes, values), texts))
+        return "{\n      " + pairs + "\n    }" if pairs else "{}"
+
+    return write
+
+
+def _report_text(net: BroadcastNetwork, kernel) -> str:
+    """The report of a row kernel's kept rows, byte-identical to
+    `json.dumps(rows, indent=2) + "\n"` on the `_row_payload` of each
+    `bound_rows` row with its "rhs_value": written from the kernel's
+    vectors, labels in document order, without the pure-Python encoder that
+    `json.dumps` runs given an indent."""
+    rates = _coeff_writer(net.messages, kernel.msg.slots)
+    caps = _coeff_writer([arc.label for arc in net.arcs], kernel.cut.slots)
+    denominator = kernel.denominator
     blocks = []
-    for item in items:
-        fields = []
-        for key, value in item.items():
-            if type(value) is dict:
-                pairs = [f"{_quote(k)}: {_quote(v)}" for k, v in value.items()]
-                value = "{\n      " + ",\n      ".join(pairs) + "\n    }" if pairs else "{}"
-            else:
-                value = _quote(value)
-            fields.append(f"{_quote(key)}: {value}")
-        blocks.append("{\n    " + ",\n    ".join(fields) + "\n  }" if fields else "{}")
+    for vector, rhs, bound in kernel.ordered():
+        g = gcd(rhs, denominator)
+        value = str(rhs // g) if g == denominator else f"{rhs // g}/{denominator // g}"
+        blocks.append(
+            f'{{\n    "provenance": {_quote(bound.provenance)},'
+            f'\n    "rate_coeffs": {rates(vector)},'
+            f'\n    "capacity_coeffs": {caps(vector)},'
+            f'\n    "rhs_value": "{value}"\n  }}'
+        )
     return "[\n  " + ",\n  ".join(blocks) + "\n]\n" if blocks else "[]\n"
 
 
@@ -267,11 +304,8 @@ def cmd_bounds(args) -> int:
     cut_family, msg_family = cut_and_message_families(net, _load_cuts(net, args.cuts))
     capacities = {arc.label: arc.capacity for arc in net.arcs}
     # verified cuts hold no unbounded arc, so every right side is finite
-    payload = [
-        {**_row_payload(net, row), "rhs_value": format_rational(row.rhs_value)}
-        for row in bound_rows(rules, cut_family, msg_family, capacities)
-    ]
-    _write_text(_report_json(payload), args.out)
+    kernel = _row_kernel(rules, cut_family, msg_family, capacities)
+    _write_text(_report_text(net, kernel), args.out)
     return 0
 
 
@@ -510,11 +544,17 @@ def _file_region_system(net: BroadcastNetwork, which: str, families) -> LinearSy
     never hold an unbounded arc."""
     rules = ("csb",) if which == "cutset" else ENUMERATION_RULES
     capacities = {arc.label: arc.capacity for arc in net.arcs}
+    kernel = _row_kernel(rules, *families, capacities)
+    # an undemanded message reads the zero byte appended past the last slot
+    zero = len(kernel.cells)
+    pick = _picker([zero if s is None else s for s in kernel.msg.slots])
+    # a row's right side is over the denominator, so its left side is scaled up
+    scale = kernel.denominator
     rows = [
-        (row.rate_coeffs, row.rhs_value)
-        for row in bound_rows(rules, *families, capacities)
+        Row(tuple(scale * c for c in pick(vector + b"\0")), rhs)
+        for vector, rhs, _ in kernel.ordered()
     ]
-    return LinearSystem.from_rows(net.messages, rows)
+    return LinearSystem(net.messages, rows, (True,) * len(net.messages))
 
 
 def _region_csv(points) -> str:

@@ -8,12 +8,15 @@ the closed forms, and exit codes from the documented mapping
 0 ok / 1 violation-or-diff / 2 schema / 3 cut / 4 unbounded.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 from cutbounds import bounds, cli
 from cutbounds.errors import SchemaError
 from cutbounds.network import cut_and_message_families
-from cutbounds.polytope import Row
+from cutbounds.polytope import Row, format_rational
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -443,6 +446,45 @@ class TestCmdBounds:
         assert cli.main(["bounds", path, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("demanding", [["t1", "t2"], ["t1"]])
+    def test_repeated_sink_names_the_fault(self, tmp_path, capsys, demanding):
+        doc = two_sink_doc()
+        doc["sinks"] = ["t1", "t1"]
+        doc["demands"] = {sink: ["WA"] for sink in demanding}
+        assert cli.main(["bounds", write_doc(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sinks must be distinct\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"note": "x"}, "arc 1 has unknown keys: ['note']"),
+            ({"capacity": None}, "arc 1 is missing keys: ['capacity']"),
+            ({"to": None, "note": "x", "b": 1}, "arc 1 has unknown keys: ['b', 'note']"),
+            ({"from": None, "to": None}, "arc 1 is missing keys: ['from', 'to']"),
+        ],
+    )
+    def test_arc_key_errors(self, tmp_path, edit, message):
+        doc = two_sink_doc()
+        arc = dict(doc["arcs"][1], **edit)
+        doc["arcs"][1] = {key: value for key, value in arc.items() if value is not None}
+        with pytest.raises(SchemaError) as raised:
+            cli.load_network_document(write_doc(tmp_path, doc))
+        assert str(raised.value) == message
+
+    def test_repeated_capacity_strings(self, tmp_path):
+        doc = two_sink_doc()
+        for arc, capacity in zip(doc["arcs"], ["3/4", "3/4", "inf", "3/4"]):
+            arc["capacity"] = capacity
+        net = cli.load_network_document(write_doc(tmp_path, doc))
+        assert [arc.capacity for arc in net.arcs] == [F(3, 4), F(3, 4), None, F(3, 4)]
+        # a rejected string is named at the first arc that holds it
+        for arc in doc["arcs"][1:]:
+            arc["capacity"] = "1/0"
+        with pytest.raises(SchemaError, match=r"^arc 1 capacity '1/0' is not a rational$"):
+            cli.load_network_document(write_doc(tmp_path, doc))
+
     def test_missing_file_exit2(self, tmp_path):
         assert cli.main(["bounds", str(tmp_path / "absent.json")]) == 2
 
@@ -787,44 +829,135 @@ class TestCompleteK5:
 # ---------------------------------------------------------------------------
 # report writer
 
-any_text = st.text()
-coefficients = st.dictionaries(any_text, any_text)
+# message labels that JSON escapes: quotes, backslashes, control
+# characters, DEL, non-ASCII, U+2028 and an astral character
+HOSTILE_LABELS = ['thm2("q") \\ x', "a\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\n\t\r\b\f"]
+
+
+def report_document(K, mixers, direct, messages, demands, order):
+    """A network document: one source arc per mixer (a nonempty sink mask
+    and a capacity string), each mixer feeding its sinks by unbounded arcs
+    or by a capacity string, direct source-to-sink arcs, the arcs listed
+    in `order`; and one `--cuts` document of the source arcs over each
+    sink, which never holds an unbounded arc."""
+    sinks = [f"t{k}" for k in range(1, K + 1)]
+    arcs, over = [], {sink: [] for sink in sinks}
+    for j, (mask, capacity, feeds) in enumerate(mixers):
+        source_arc = len(arcs)
+        arcs.append({"from": "s", "to": f"v{j}", "capacity": capacity})
+        for k, sink in enumerate(sinks):
+            if mask >> k & 1:
+                over[sink].append(source_arc)
+                arcs.append({"from": f"v{j}", "to": sink, "capacity": feeds})
+    for k, capacity in direct:
+        over[sinks[k]].append(len(arcs))
+        arcs.append({"from": "s", "to": sinks[k], "capacity": capacity})
+    place = {old: new for new, old in enumerate(order(len(arcs)))}
+    doc = {
+        "nodes": ["s"] + [f"v{j}" for j in range(len(mixers))] + sinks,
+        "arcs": [arcs[old] for old in sorted(place, key=place.get)],
+        "source": "s",
+        "sinks": sinks,
+        "messages": messages,
+        "demands": dict(zip(sinks, demands)),
+    }
+    cuts = {sink: [f"a{place[i]}" for i in over[sink]] for sink in sinks}
+    return doc, cuts
+
+
+def hostile_case(labels):
+    """Two sinks, three mixers, every label demanded by some sink."""
+    doc, cuts = report_document(
+        2,
+        [(1, "1", "inf"), (2, "3/4", "inf"), (3, "2", "inf")],
+        [],
+        labels,
+        [labels[::2], labels[1::2] or labels],
+        range,
+    )
+    return doc, "csb,gcsb3,cor3,cor2,thm2", None, False
+
+
+rationals = st.builds(
+    lambda n, d: str(n) if d == 1 else f"{n}/{d}", st.integers(1, 12), st.integers(1, 6)
+)
+
+
+@st.composite
+def report_cases(draw):
+    """A random document with hostile message labels (some undemanded),
+    rational capacities and arcs in any order; a rule list in any order
+    (thm2 at K <= 3); minimum cuts, or a `--cuts` file of cuts that are
+    not minimal; and whether to write with `--out` too."""
+    K = draw(st.integers(1, 4))
+    feeds = st.one_of(st.just("inf"), rationals)
+    mixers = draw(st.lists(st.tuples(st.integers(1, (1 << K) - 1), rationals, feeds), max_size=6))
+    covered = 0
+    for mask, _, _ in mixers:
+        covered |= mask
+    # every sink sits below a mixer, so the source reaches it
+    mixers += [(1 << k, "1", "inf") for k in range(K) if not covered >> k & 1]
+    direct = draw(st.lists(st.tuples(st.integers(0, K - 1), rationals), max_size=2))
+    label = st.one_of(st.sampled_from(HOSTILE_LABELS), st.text(max_size=4))
+    messages = draw(st.lists(label, min_size=1, max_size=6, unique=True))
+    demanded = st.lists(st.sampled_from(messages), min_size=1, unique=True)
+    demands = [draw(demanded) for _ in range(K)]
+    doc, cuts = report_document(
+        K, mixers, direct, messages, demands, lambda n: draw(st.permutations(range(n)))
+    )
+    if draw(st.booleans()):
+        cuts = None
+    else:
+        # extra finite arcs keep a cut a cut, but not a minimum one
+        finite = [f"a{i}" for i, arc in enumerate(doc["arcs"]) if arc["capacity"] != "inf"]
+        for sink in cuts:
+            extra = draw(st.lists(st.sampled_from(finite), max_size=3))
+            cuts[sink] = list(dict.fromkeys(cuts[sink] + extra))
+    pool = ["csb", "gcsb3", "cor3", "cor2"] + (["thm2"] if K <= 3 else [])
+    rules = ",".join(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
+    return doc, rules, cuts, draw(st.booleans())
 
 
 class TestReportJson:
-    """The direct report writer against `json.dumps(items, indent=2)`."""
+    """`bounds` reports, written from the row kernel's vectors, against
+    `json.dumps(..., indent=2)` of the `bound_rows` rows in document order."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.fixed_dictionaries(
-                    {
-                        "provenance": any_text,
-                        "rate_coeffs": coefficients,
-                        "capacity_coeffs": coefficients,
-                        "rhs_value": any_text,
-                    }
-                ),
-                st.dictionaries(any_text, st.one_of(any_text, coefficients)),
-            ),
-            max_size=4,
-        )
-    )
-    @example([])
-    @example([{}])
-    @example(
-        [
-            {
-                "provenance": 'thm2("q") \\ x',
-                "rate_coeffs": {},
-                "capacity_coeffs": {"a\x00\x1f\x7f": "\u00e9\u2028\U0001f600"},
-                "rhs_value": "\n\t\r\b\f",
-            }
-        ]
-    )
-    def test_matches_json_dumps(self, items):
-        assert cli._report_json(items) == json.dumps(items, indent=2) + "\n"
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(report_cases())
+    @example(hostile_case(HOSTILE_LABELS))
+    @example(hostile_case(["", "W"]))
+    def test_matches_json_dumps(self, case):
+        doc, rules, cuts, to_file = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "net.json")
+            Path(path).write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["bounds", path, "--rules", rules]
+            cuts_path = None
+            if cuts is not None:
+                cuts_path = os.path.join(directory, "cuts.json")
+                Path(cuts_path).write_text(json.dumps(cuts), encoding="utf-8")
+                argv += ["--cuts", cuts_path]
+
+            net = cli.load_network_document(path)
+            families = cut_and_message_families(net, cli._load_cuts(net, cuts_path))
+            capacities = {arc.label: arc.capacity for arc in net.arcs}
+            payload = [
+                {**cli._row_payload(net, row), "rhs_value": format_rational(row.rhs_value)}
+                for row in bounds.bound_rows(rules.split(","), *families, capacities)
+            ]
+            expected = json.dumps(payload, indent=2) + "\n"
+
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert cli.main(argv) == 0
+            assert stdout.getvalue() == expected
+            if to_file:
+                out = os.path.join(directory, "report.json")
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    assert cli.main(argv + ["--out", out]) == 0
+                assert stdout.getvalue() == ""
+                assert Path(out).read_bytes() == expected.encode()
 
 
 # ---------------------------------------------------------------------------
