@@ -543,15 +543,22 @@ def _picker(indices: Sequence[int]):
 
 class _CellSide:
     """One family's labels in sorted order, the elements in no member left
-    out, and a picker of their cells' slots in a kernel vector; `slots`
-    gives each element's slot in ground order, None for one in no member."""
+    out, and a picker of their cells' slots in a kernel vector;
+    `ground_coeffs` reads every element's coefficient in ground order."""
 
     def __init__(self, family: SubsetFamily, cells: list, slot: dict):
-        self.slots = [slot[c] if c else None for c in cells]
+        slots = [slot[c] if c else None for c in cells]
         label = family.ground.label
-        ranked = sorted((label(p), s) for p, s in enumerate(self.slots) if s is not None)
+        ranked = sorted((label(p), s) for p, s in enumerate(slots) if s is not None)
         self.labels = tuple(name for name, _ in ranked)
         self.pick = _picker([s for _, s in ranked])
+        # an element in no member reads the zero byte `ground_coeffs` appends
+        self._ground = _picker([len(slot) if s is None else s for s in slots])
+
+    def ground_coeffs(self, vector) -> tuple:
+        """The coefficient of every ground element in a vector, in ground
+        order: 0 for an element in no member."""
+        return self._ground(vector + b"\0")
 
     def coeffs(self, vector) -> dict:
         """The label-keyed nonzero coefficients of a vector, in label order."""
@@ -584,8 +591,8 @@ class _CellKernel:
     `ordered()` gives the kept entries (vector, right side, bound) sorted
     as their rows' signatures sort, the one order of the kept rows:
     `bound_rows` expands them to label dicts, and a caller that writes rows
-    itself reads each label's coefficient at its slot (`msg.slots`,
-    `cut.slots`).
+    itself reads their coefficients in ground order (`msg.ground_coeffs`,
+    `cut.ground_coeffs`).
     """
 
     def __init__(self, cut_family, msg_family, capacities=None):

@@ -36,7 +36,6 @@ from .bounds import (
     BOUND_RULES,
     ENUMERATION_RULES,
     _cell_family,
-    _picker,
     _row_kernel,
     alpha_beta_identity,
     bound_rows,
@@ -88,8 +87,7 @@ from .setfn import (
 )
 
 _DOC_KEYS = ("nodes", "arcs", "source", "sinks", "messages", "demands")
-_ARC_KEYS = ("from", "to", "capacity")
-_ARC_KEY_SET = frozenset(_ARC_KEYS)
+_ARC_KEYS = frozenset(("from", "to", "capacity"))
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +140,12 @@ def load_network_document(path: str) -> BroadcastNetwork:
     nodes = _string_list(doc["nodes"], "nodes")
     _require(isinstance(doc["arcs"], list), "arcs must be a list")
     arcs = []
-    # a document repeats few capacity strings, so each is parsed once
-    parsed = {"inf": None}
     for position, entry in enumerate(doc["arcs"]):
         _require(isinstance(entry, dict), f"arc {position} must be an object")
-        if entry.keys() != _ARC_KEY_SET:
-            unknown = set(entry) - _ARC_KEY_SET
+        if entry.keys() != _ARC_KEYS:
+            unknown = set(entry) - _ARC_KEYS
             _require(not unknown, f"arc {position} has unknown keys: {sorted(unknown)}")
-            missing = _ARC_KEY_SET - set(entry)
+            missing = _ARC_KEYS - set(entry)
             _require(not missing, f"arc {position} is missing keys: {sorted(missing)}")
         _require(
             isinstance(entry["from"], str) and isinstance(entry["to"], str),
@@ -160,11 +156,11 @@ def load_network_document(path: str) -> BroadcastNetwork:
             isinstance(raw, str),
             f"arc {position} capacity must be a string like \"3/4\" or \"inf\"",
         )
-        if raw in parsed:
-            capacity = parsed[raw]
+        if raw == "inf":
+            capacity = None
         else:
             try:
-                capacity = parsed[raw] = parse_rational(raw)
+                capacity = parse_rational(raw)
             except ParameterError:
                 raise SchemaError(
                     f"arc {position} capacity {raw!r} is not a rational"
@@ -256,19 +252,17 @@ _quote = json.encoder.encode_basestring_ascii
 _COEFF_TEXT = tuple(f'{c}"' for c in range(256))
 
 
-def _coeff_writer(labels, slots):
+def _coeff_writer(labels, side):
     """A function writing the nonzero coefficients of a kernel vector on
-    `labels`, in their order, as one JSON object of strings at the depth of
-    a report row; `slots` gives each label's slot, None for a label in no
-    member, which is left out."""
-    held = [(_quote(label) + ': "', s) for label, s in zip(labels, slots) if s is not None]
-    prefixes = [prefix for prefix, _ in held]
-    pick = _picker([s for _, s in held])
+    `labels`, the ground of the kernel's `side` in order, as one JSON object
+    of strings at the depth of a report row."""
+    prefixes = [_quote(label) + ': "' for label in labels]
+    read = side.ground_coeffs
     text = _COEFF_TEXT.__getitem__
     join = ",\n      ".join
 
     def write(vector) -> str:
-        values = pick(vector)
+        values = read(vector)
         texts = map(text, itertools.compress(values, values))
         pairs = join(map(operator.add, itertools.compress(prefixes, values), texts))
         return "{\n      " + pairs + "\n    }" if pairs else "{}"
@@ -282,8 +276,8 @@ def _report_text(net: BroadcastNetwork, kernel) -> str:
     `bound_rows` row with its "rhs_value": written from the kernel's
     vectors, labels in document order, without the pure-Python encoder that
     `json.dumps` runs given an indent."""
-    rates = _coeff_writer(net.messages, kernel.msg.slots)
-    caps = _coeff_writer([arc.label for arc in net.arcs], kernel.cut.slots)
+    rates = _coeff_writer(net.messages, kernel.msg)
+    caps = _coeff_writer([arc.label for arc in net.arcs], kernel.cut)
     denominator = kernel.denominator
     blocks = []
     for vector, rhs, bound in kernel.ordered():
@@ -545,13 +539,11 @@ def _file_region_system(net: BroadcastNetwork, which: str, families) -> LinearSy
     rules = ("csb",) if which == "cutset" else ENUMERATION_RULES
     capacities = {arc.label: arc.capacity for arc in net.arcs}
     kernel = _row_kernel(rules, *families, capacities)
-    # an undemanded message reads the zero byte appended past the last slot
-    zero = len(kernel.cells)
-    pick = _picker([zero if s is None else s for s in kernel.msg.slots])
+    read = kernel.msg.ground_coeffs
     # a row's right side is over the denominator, so its left side is scaled up
     scale = kernel.denominator
     rows = [
-        Row(tuple(scale * c for c in pick(vector + b"\0")), rhs)
+        Row(tuple(scale * c for c in read(vector)), rhs)
         for vector, rhs, _ in kernel.ordered()
     ]
     return LinearSystem(net.messages, rows, (True,) * len(net.messages))
