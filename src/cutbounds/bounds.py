@@ -1,17 +1,19 @@
 """Builders for cut-type rate bounds on broadcast-style networks.
 
 A bound is a weighted list of (level, sink-subset) terms.  The same term
-list is read twice during instantiation: against the demand family it
-produces message-rate coefficients, against the basic-cut family it
-produces arc-capacity coefficients.  Keeping one term list for both sides
-is what makes the rate/capacity symmetry of these bounds structural rather
-than something each builder has to re-establish.  It also means a term list
-gives one coefficient to all elements held by the same members, so
-`bound_rows` evaluates and deduplicates rows on these membership cells and
-lists labels only for the rows it keeps.  For the same reason the thm2
-search, whose side conditions compare levels, depends only on which cells
-the two families occupy: it runs once per such pattern, on families of one
-element per cell.
+list is read twice: against the demand family it gives message-rate
+coefficients, against the basic-cut family arc-capacity coefficients.
+Keeping one term list for both sides is what makes the rate/capacity
+symmetry of these bounds structural rather than something each builder
+has to re-establish.  It also means a term list gives one coefficient to
+all elements held by the same members, so every row the program builds
+comes from `_CellKernel`, which evaluates and deduplicates rows on these
+membership cells; `bound_rows` and `thm2_search` list labels only for the
+rows it keeps.  For the same reason the thm2 search, whose side conditions
+compare levels, depends only on which cells the two families occupy: it
+runs once per such pattern, on families of one element per cell
+(`_thm2_table`).  `instantiate` walks a term list label by label; the
+program does not call it, and tests use it as the independent reference.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .setcalc import (
 )
 
 MAX_BETA_SET_SIZE = 6
-# thm2_search walks (2^K - 1)^3 sink-set triples (G, U, T): 29791 at K = 5,
+# _thm2_table walks (2^K - 1)^3 sink-set triples (G, U, T): 29791 at K = 5,
 # where the complete network's all-rule report takes under a second, and
 # 250047 at K = 6
 MAX_SEARCH_SINKS = 5
@@ -449,18 +451,14 @@ def _capacity_units(labels, capacities: Mapping) -> tuple:
     return units, denominator
 
 
-def _missing_capacity(cap: dict, units: dict) -> ParameterError:
-    """The error naming the first arc of `cap` whose capacity is not given."""
-    label = next(label for label in cap if units[label] is _MISSING)
-    return ParameterError(f"no capacity given for arc {label!r}")
-
-
 def _right_side(cap: dict, units: dict, denominator: int) -> Optional[Fraction]:
     """The right side of label-keyed capacity coefficients, one Fraction
-    over the units' common denominator; None when an arc is unbounded."""
+    over the units' common denominator; None when an arc is unbounded.  The
+    first arc of `cap` whose capacity is not given is an error."""
     values = [units[label] for label in cap]
     if _MISSING in values:
-        raise _missing_capacity(cap, units)
+        label = next(label for label in cap if units[label] is _MISSING)
+        raise ParameterError(f"no capacity given for arc {label!r}")
     if None in values:
         return None
     return Fraction(sum(map(operator.mul, cap.values(), values)), denominator)
@@ -586,19 +584,20 @@ class _CellKernel:
     common denominator of the capacities, from the capacities summed per
     cut cell once per call: every cut arc's capacity must be an int, a
     Fraction or None, and a missing one is an error only for a kept row on
-    it, named as `instantiate` names it.
+    it.  The error names the arc `instantiate` would: the lowest-position
+    arc with no capacity in the cut level of the row's first term, in
+    canonical order, that holds one.
 
-    `ordered()` gives the kept entries (vector, right side, bound) sorted
-    as their rows' signatures sort, the one order of the kept rows:
-    `bound_rows` expands them to label dicts, and a caller that writes rows
-    itself reads their coefficients in ground order (`msg.ground_coeffs`,
-    `cut.ground_coeffs`).
+    `rows` holds the kept entries (vector, right side, bound) in the order
+    added, the order `thm2_search` lists.  `ordered()` gives them sorted as
+    their rows' signatures sort: `bound_rows` expands them to label dicts,
+    and a caller that writes rows itself reads their coefficients in ground
+    order (`msg.ground_coeffs`, `cut.ground_coeffs`).
     """
 
     def __init__(self, cut_family, msg_family, capacities=None):
         if cut_family.size != msg_family.size:
             raise ParameterError("cut and message families must have the same sink count")
-        self.families = cut_family, msg_family
         msg_cells, cut_cells = _element_cells(msg_family), _element_cells(cut_family)
         self.pattern = _occupied(cut_cells), _occupied(msg_cells)
         self.cells = sorted(set().union(*self.pattern))
@@ -610,19 +609,21 @@ class _CellKernel:
         if capacities is None:
             return
         labels = [cut_family.ground.label(p) for p in range(cut_family.ground.size)]
-        self.arc_units, self.denominator = _capacity_units(labels, capacities)
+        arc_units, self.denominator = _capacity_units(labels, capacities)
         self.units = [0] * len(self.cells)
-        missing, unbounded = set(), set()
+        # (label, cell) of each arc with no capacity given, in ground order
+        self.missing = []
+        unbounded = set()
         for label, cell in zip(labels, cut_cells):
             if cell:
-                s, unit = slot[cell], self.arc_units[label]
+                s, unit = slot[cell], arc_units[label]
                 if unit is _MISSING:
-                    missing.add(s)
+                    self.missing.append((label, cell))
                 elif unit is None:
                     unbounded.add(s)
                 else:
                     self.units[s] += unit
-        self.missing, self.unbounded = sorted(missing), sorted(unbounded - missing)
+        self.unbounded = sorted(unbounded)
 
     def add(self, vector: bytes, bound: BoundInequality) -> None:
         """Keep the row `vector` of `bound` unless its key was met before."""
@@ -636,9 +637,13 @@ class _CellKernel:
     def _right_side(self, vector: bytes, bound: BoundInequality) -> Optional[int]:
         """The row's right side times `denominator`; None when it holds an
         unbounded arc."""
-        if any(vector[s] for s in self.missing):
-            row = instantiate(bound, *self.families)
-            raise _missing_capacity(row.capacity_coeffs, self.arc_units)
+        # a term holds a cell's arcs when the cell meets its indices in
+        # `level` members or more (`_cell_vectors`)
+        for t in bound.terms if self.missing else ():
+            members = _bits(i - 1 for i in t.indices)
+            for label, cell in self.missing:
+                if (cell & members).bit_count() >= t.level:
+                    raise ParameterError(f"no capacity given for arc {label!r}")
         if any(vector[s] for s in self.unbounded):
             return None
         return sum(map(operator.mul, vector, self.units))
@@ -831,15 +836,13 @@ def thm2_search(
     msg_family: SubsetFamily,
     capacities: Optional[Mapping] = None,
 ) -> list:
-    """Instantiate every valid parameterization of the general bound on the
-    given families, deduplicated by signature, in search order (see
-    `_thm2_table`, which searches once per pattern of occupied membership
-    cells); `capacities` give the right sides as in `instantiate`."""
-    if cut_family.size != msg_family.size:
-        raise ParameterError("cut and message families must have the same sink count")
-    pattern = _occupied(_element_cells(cut_family)), _occupied(_element_cells(msg_family))
-    bounds, _ = _thm2_table(cut_family.size, *pattern)
-    return [instantiate(b, cut_family, msg_family, capacities) for b in bounds]
+    """Every valid parameterization of the general bound instantiated on
+    the given families, deduplicated by signature, in search order: the
+    thm2 rows of `_row_kernel` as kept, for the table they come from
+    (`_thm2_table`) is already deduplicated.  `capacities` give the right
+    sides as in `instantiate`."""
+    kernel = _row_kernel(("thm2",), cut_family, msg_family, capacities)
+    return _inequalities(kernel, kernel.rows.values())
 
 
 def _row_kernel(
@@ -878,11 +881,15 @@ def bound_rows(
 
     Rules are walked in the order given, so the first rule to produce a row
     names its provenance, and of the rows the first per signature is kept
-    (`_row_kernel`).  The kernel's `ordered()` entries are expanded to label
-    dicts here, and only those.  `capacities` give the right sides as in
-    `instantiate`.
+    (`_row_kernel`).  `capacities` give the right sides as in `instantiate`.
     """
     kernel = _row_kernel(rules, cut_family, msg_family, capacities)
+    return _inequalities(kernel, kernel.ordered())
+
+
+def _inequalities(kernel: _CellKernel, entries) -> list:
+    """Kernel entries (vector, right side, bound) as instantiated rows, the
+    coefficients in label order."""
     msg, cut = kernel.msg, kernel.cut
     return [
         InstantiatedInequality(
@@ -891,5 +898,5 @@ def bound_rows(
             None if rhs is None else Fraction(rhs, kernel.denominator),
             bound.provenance,
         )
-        for vector, rhs, bound in kernel.ordered()
+        for vector, rhs, bound in entries
     ]

@@ -38,7 +38,6 @@ from .bounds import (
     _cell_family,
     _row_kernel,
     alpha_beta_identity,
-    bound_rows,
     check_rules,
 )
 from .errors import (
@@ -228,24 +227,6 @@ def _write_text(text: str, destination) -> None:
         ) from None
 
 
-def _row_payload(net: BroadcastNetwork, row) -> dict:
-    rates = {
-        label: format_rational(row.rate_coeffs[label])
-        for label in net.messages
-        if label in row.rate_coeffs
-    }
-    caps = {
-        arc.label: format_rational(row.capacity_coeffs[arc.label])
-        for arc in net.arcs
-        if arc.label in row.capacity_coeffs
-    }
-    return {
-        "provenance": row.provenance,
-        "rate_coeffs": rates,
-        "capacity_coeffs": caps,
-    }
-
-
 _quote = json.encoder.encode_basestring_ascii
 # each coefficient's text and the closing quote; every kernel coefficient
 # is below 256 (`bounds._cell_vectors`)
@@ -270,12 +251,20 @@ def _coeff_writer(labels, side):
     return write
 
 
+def _network_kernel(net: BroadcastNetwork, rules, families):
+    """The row kernel of the named rules on the network's (cut, message)
+    `families` under its arc capacities."""
+    capacities = {arc.label: arc.capacity for arc in net.arcs}
+    # verified cuts hold no unbounded arc, so every right side is finite
+    return _row_kernel(rules, *families, capacities)
+
+
 def _report_text(net: BroadcastNetwork, kernel) -> str:
-    """The report of a row kernel's kept rows, byte-identical to
-    `json.dumps(rows, indent=2) + "\n"` on the `_row_payload` of each
-    `bound_rows` row with its "rhs_value": written from the kernel's
-    vectors, labels in document order, without the pure-Python encoder that
-    `json.dumps` runs given an indent."""
+    """The report of a row kernel's `ordered()` rows, each its provenance,
+    nonzero coefficients as strings in document order, and "rhs_value":
+    byte-identical to `json.dumps(rows, indent=2) + "\n"`, written from the
+    kernel's vectors without the pure-Python encoder that `json.dumps` runs
+    given an indent."""
     rates = _coeff_writer(net.messages, kernel.msg)
     caps = _coeff_writer([arc.label for arc in net.arcs], kernel.cut)
     denominator = kernel.denominator
@@ -295,11 +284,8 @@ def _report_text(net: BroadcastNetwork, kernel) -> str:
 def cmd_bounds(args) -> int:
     net = load_network_document(args.net_file)
     rules = check_rules((token.strip() for token in args.rules.split(",")), BOUND_RULES)
-    cut_family, msg_family = cut_and_message_families(net, _load_cuts(net, args.cuts))
-    capacities = {arc.label: arc.capacity for arc in net.arcs}
-    # verified cuts hold no unbounded arc, so every right side is finite
-    kernel = _row_kernel(rules, cut_family, msg_family, capacities)
-    _write_text(_report_text(net, kernel), args.out)
+    families = cut_and_message_families(net, _load_cuts(net, args.cuts))
+    _write_text(_report_text(net, _network_kernel(net, rules, families)), args.out)
     return 0
 
 
@@ -534,11 +520,9 @@ def _symmetric_system(K: int, caps, which: str) -> LinearSystem:
 def _file_region_system(net: BroadcastNetwork, which: str, families) -> LinearSystem:
     """Outer-bound system over the network's message rates.  `which` picks
     the plain cut-set rows or the full generalized set; `families` are the
-    (cut, message) families.  Every right side is finite: verified cuts
-    never hold an unbounded arc."""
+    (cut, message) families."""
     rules = ("csb",) if which == "cutset" else ENUMERATION_RULES
-    capacities = {arc.label: arc.capacity for arc in net.arcs}
-    kernel = _row_kernel(rules, *families, capacities)
+    kernel = _network_kernel(net, rules, families)
     read = kernel.msg.ground_coeffs
     # a row's right side is over the denominator, so its left side is scaled up
     scale = kernel.denominator
@@ -623,10 +607,14 @@ def _load_golden(name: str) -> str:
 
 
 def _regen_k3_complete() -> dict:
+    """The rows `bounds --rules csb,gcsb3` reports on the complete network,
+    without their right sides, which the table leaves out."""
     net = complete_combination_network(3)
     families = cut_and_message_families(net, _load_cuts(net, None))
-    rows = bound_rows(("csb", "gcsb3"), *families)
-    return {"rows": [_row_payload(net, row) for row in rows]}
+    rows = json.loads(_report_text(net, _network_kernel(net, ("csb", "gcsb3"), families)))
+    for row in rows:
+        del row["rhs_value"]
+    return {"rows": rows}
 
 
 def _regen_k3_symmetric() -> dict:

@@ -126,16 +126,14 @@ class SubsetFamily:
     """An ordered family (S_1, ..., S_K) of subsets of one ground set.
 
     `masks` holds the members' bit masks, computed once on construction,
-    `_levels` the levels of each index set asked for through `levels`, and
-    `_level_labels` the level members asked for through `level_labels`;
-    none takes part in equality, hashing or repr.
+    and `_levels` the levels of each index set asked for through `levels`;
+    neither takes part in equality, hashing or repr.
     """
 
     ground: GroundSet
     sets: tuple[ElementSet, ...]
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _levels: dict = field(init=False, repr=False, compare=False)
-    _level_labels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -148,7 +146,6 @@ class SubsetFamily:
                 raise GroundMismatchError("family member over a different ground")
         object.__setattr__(self, "masks", tuple(s.mask for s in self.sets))
         object.__setattr__(self, "_levels", {})
-        object.__setattr__(self, "_level_labels", {})
 
     @property
     def size(self) -> int:
@@ -165,22 +162,15 @@ class SubsetFamily:
 
     def level_labels(self, level: int, indices) -> tuple[str, ...]:
         """Labels of the elements lying in at least `level` of the members
-        named by the 1-based `indices` (a hashable set), in position order;
-        validated and computed on first request."""
-        key = level, indices
-        found = self._level_labels.get(key)
-        if found is None:
-            pos = _check_indices(self, indices)
-            if not 1 <= level <= len(pos):
-                raise ParameterError(
-                    f"level {level} is out of range for a set of {len(pos)} indices"
-                )
-            mask = self.levels(sum(1 << p for p in pos))[level]
-            label = self.ground.label
-            found = self._level_labels[key] = tuple(
-                label(p) for p in range(mask.bit_length()) if mask >> p & 1
+        named by the 1-based `indices`, in position order; validated."""
+        pos = _check_indices(self, indices)
+        if not 1 <= level <= len(pos):
+            raise ParameterError(
+                f"level {level} is out of range for a set of {len(pos)} indices"
             )
-        return found
+        mask = self.levels(sum(1 << p for p in pos))[level]
+        label = self.ground.label
+        return tuple(label(p) for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 def _check_indices(family: SubsetFamily, indices: Iterable[int]) -> tuple[int, ...]:

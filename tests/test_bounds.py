@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutbounds import bounds
 from cutbounds.bounds import (
     BOUND_RULES,
     MAX_BETA_SET_SIZE,
@@ -673,9 +674,19 @@ def row_record(row):
     )
 
 
+def in_label_order(rows):
+    """Reference rows with their coefficients in label order, the order in
+    which the row kernel lists them."""
+    for row in rows:
+        row.rate_coeffs = dict(sorted(row.rate_coeffs.items()))
+        row.capacity_coeffs = dict(sorted(row.capacity_coeffs.items()))
+    return rows
+
+
 def assert_search_matches_reference(cut, msg, capacities=None):
     got = [row_record(r) for r in thm2_search(cut, msg, capacities)]
-    assert got == [row_record(r) for r in reference_thm2_search(cut, msg, capacities)]
+    reference = in_label_order(reference_thm2_search(cut, msg, capacities))
+    assert got == [row_record(r) for r in reference]
     return got
 
 
@@ -713,7 +724,8 @@ def network_families(net, cuts):
 
 class TestThm2Oracle:
     """thm2_search against the per-candidate gcsbK loop it replaced: the
-    same rows, coefficients, right sides and provenance, in the same order."""
+    same rows, coefficients, right sides and provenance, in the same order,
+    each row's coefficients in label order."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(search_families())
@@ -950,13 +962,37 @@ class TestThm2Table:
         for cut, msg, caps in pattern_sharing_cases()[::order]:
             assert_same_outcome(
                 lambda: thm2_search(cut, msg, caps),
-                lambda: reference_thm2_search(cut, msg, caps),
+                lambda: in_label_order(reference_thm2_search(cut, msg, caps)),
                 row_record,
             )
             for rules in (("thm2",), BOUND_RULES):
                 assert_rows_match_reference(rules, cut, msg, caps)
         info = _thm2_table.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+
+    def test_rows_come_from_the_kernel_alone(self, monkeypatch):
+        """With the label walk replaced by a function that raises, the rows
+        and the error naming a missing capacity still match the references,
+        which call the real `instantiate`."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the label walk ran")
+
+        monkeypatch.setattr(bounds, "instantiate", refuse)
+        for cut, msg, caps in pattern_sharing_cases():
+            assert_same_outcome(
+                lambda: thm2_search(cut, msg, caps),
+                lambda: in_label_order(reference_thm2_search(cut, msg, caps)),
+                row_record,
+            )
+            for rules in (("thm2",), BOUND_RULES):
+                assert_rows_match_reference(rules, cut, msg, caps)
+        missing = pattern_sharing_cases()[2]
+        with pytest.raises(ParameterError, match="^no capacity given for arc 'z2'$"):
+            thm2_search(*missing)
+        for rules in (("thm2",), BOUND_RULES):
+            with pytest.raises(ParameterError, match="^no capacity given for arc 'z2'$"):
+                bound_rows(rules, *missing)
 
     def test_cache_size(self):
         assert _thm2_table.cache_info().maxsize == 8

@@ -918,6 +918,26 @@ def report_cases(draw):
     return doc, rules, cuts, draw(st.booleans())
 
 
+def row_payload(net, row) -> dict:
+    """A `bound_rows` row as a report object without its right side, labels
+    in document order: the reference the report writer is checked against."""
+    rates = {
+        label: format_rational(row.rate_coeffs[label])
+        for label in net.messages
+        if label in row.rate_coeffs
+    }
+    caps = {
+        arc.label: format_rational(row.capacity_coeffs[arc.label])
+        for arc in net.arcs
+        if arc.label in row.capacity_coeffs
+    }
+    return {
+        "provenance": row.provenance,
+        "rate_coeffs": rates,
+        "capacity_coeffs": caps,
+    }
+
+
 class TestReportJson:
     """`bounds` reports, written from the row kernel's vectors, against
     `json.dumps(..., indent=2)` of the `bound_rows` rows in document order."""
@@ -942,7 +962,7 @@ class TestReportJson:
             families = cut_and_message_families(net, cli._load_cuts(net, cuts_path))
             capacities = {arc.label: arc.capacity for arc in net.arcs}
             payload = [
-                {**cli._row_payload(net, row), "rhs_value": format_rational(row.rhs_value)}
+                {**row_payload(net, row), "rhs_value": format_rational(row.rhs_value)}
                 for row in bounds.bound_rows(rules.split(","), *families, capacities)
             ]
             expected = json.dumps(payload, indent=2) + "\n"

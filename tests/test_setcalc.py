@@ -264,7 +264,6 @@ class TestSubsetFamily:
                 for r in range(1, size + 1):
                     labels = fam.level_labels(r, indices)
                     assert labels == intersect_level(fam, ids, r).member_labels()
-                    assert fam.level_labels(r, indices) is labels
         assert fam.level_labels(2, frozenset({1, 2, 3})) == ("a", "d", "b")
 
     def test_level_labels_validate_level_and_indices(self):
