@@ -440,8 +440,13 @@ _MISSING = object()
 def _capacity_units(labels, capacities: Mapping) -> tuple:
     """Per label, its capacity times the common denominator of the bounded
     ones (None when unbounded, _MISSING when not given); and that
-    denominator."""
+    denominator.  A given capacity must be an int, a Fraction or None."""
     values = {label: capacities.get(label, _MISSING) for label in labels}
+    for label, v in values.items():
+        if not (v is None or v is _MISSING or isinstance(v, (int, Fraction))):
+            raise ParameterError(
+                f"the capacity of arc {label!r} must be an int, a Fraction or None"
+            )
     bounded = [v for v in values.values() if v is not None and v is not _MISSING]
     denominator = math.lcm(*[v.denominator for v in bounded])
     units = {

@@ -36,6 +36,7 @@ from .bounds import (
     BOUND_RULES,
     ENUMERATION_RULES,
     _cell_family,
+    _picker,
     _row_kernel,
     alpha_beta_identity,
     check_rules,
@@ -517,20 +518,29 @@ def _symmetric_system(K: int, caps, which: str) -> LinearSystem:
     return LinearSystem.from_rows(("R0", "Rsp"), rows)
 
 
-def _file_region_system(net: BroadcastNetwork, which: str, families) -> LinearSystem:
-    """Outer-bound system over the network's message rates.  `which` picks
-    the plain cut-set rows or the full generalized set; `families` are the
-    (cut, message) families."""
+def _file_region_system(net: BroadcastNetwork, which: str, families, axes) -> LinearSystem:
+    """The slice of the outer-bound region on the message rates `axes`.
+    `which` picks the plain cut-set rows or the full generalized set;
+    `families` are the (cut, message) families.
+
+    Every row's rate coefficients are level counts, so nonnegative, and
+    rates are nonnegative too.  So the slice is the rows with every other
+    rate column dropped: a point of it lifts with the other rates at 0, and
+    dropping nonnegative terms keeps every row valid."""
     rules = ("csb",) if which == "cutset" else ENUMERATION_RULES
     kernel = _network_kernel(net, rules, families)
+    for v in axes:
+        if v not in net.messages:
+            raise ParameterError(f"unknown variable {v!r}")
+    pick = _picker([net.messages.index(v) for v in axes])
     read = kernel.msg.ground_coeffs
     # a row's right side is over the denominator, so its left side is scaled up
     scale = kernel.denominator
     rows = [
-        Row(tuple(scale * c for c in read(vector)), rhs)
-        for vector, rhs, _ in kernel.ordered()
+        Row(tuple(scale * c for c in pick(read(vector))), rhs)
+        for vector, rhs, _ in kernel.rows.values()
     ]
-    return LinearSystem(net.messages, rows, (True,) * len(net.messages))
+    return LinearSystem(axes, rows, (True,) * len(axes))
 
 
 def _region_csv(points) -> str:
@@ -559,8 +569,7 @@ def cmd_region(args) -> int:
         families = cut_and_message_families(net, _load_cuts(net, None))
 
         def build(which: str) -> LinearSystem:
-            system = _file_region_system(net, which, families)
-            return project(system, axes)
+            return _file_region_system(net, which, families, axes)
 
     primary = build(args.bounds)
     points = vertices_2d(primary)

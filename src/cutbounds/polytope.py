@@ -471,35 +471,17 @@ def fourier_motzkin(sys: LinearSystem, var: str) -> LinearSystem:
     )
 
 
-def _pairings(sys: LinearSystem, var: str) -> tuple[int, int]:
-    """(positive rows * negative rows, column) of `var`: the greedy order key."""
-    idx = sys.variables.index(var)
-    pos = neg = 0
-    for row in sys.rows:
-        c = row.coeffs[idx]
-        if c > 0:
-            pos += 1
-        elif c < 0:
-            neg += 1
-    return pos * neg, idx
-
-
 def project(sys: LinearSystem, keep: Sequence[str]) -> LinearSystem:
-    """Eliminate every variable outside `keep`; the columns follow `keep`.
-
-    Each step eliminates the variable with the fewest positive*negative
-    row pairings.
-    """
+    """Eliminate every variable outside `keep`, in variable order; the
+    columns follow `keep`."""
     keep = tuple(keep)
     for v in keep:
         if v not in sys.variables:
             raise ParameterError(f"unknown variable {v!r}")
     current = sys
-    pending = [v for v in sys.variables if v not in keep]
-    while pending:
-        var = min(pending, key=lambda v: _pairings(current, v))
-        pending.remove(var)
-        current = fourier_motzkin(current, var)
+    for var in sys.variables:
+        if var not in keep:
+            current = fourier_motzkin(current, var)
     index = [current.variables.index(v) for v in keep]
     rows = tuple(
         Row(tuple(r.coeffs[i] for i in index), r.rhs) for r in current.rows

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -492,6 +493,39 @@ class TestInstantiateComplete3:
         msg = SubsetFamily(mg, (mg.subset([0]),))
         with pytest.raises(ParameterError):
             instantiate(cutset_bound([1]), self.cut, msg)
+
+
+class TestCapacityTypes:
+    """A capacity must be an int, a Fraction or None; anything else is a
+    ParameterError naming the arc, on every path that reads capacities."""
+
+    def one_sink_free_arc(self):
+        # the cut holds a0; a1 is in no member, so no row's right side reads it
+        mg = GroundSet(1, labels=("W",))
+        ag = GroundSet(2, labels=("a0", "a1"))
+        return SubsetFamily(ag, (ag.subset([0]),)), SubsetFamily(mg, (mg.subset([0]),))
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, "1", Decimal(1)])
+    def test_bound_rows_on_an_arc_in_no_cut(self, value):
+        cut, msg = self.one_sink_free_arc()
+        with pytest.raises(ParameterError, match="^the capacity of arc 'a1' must be"):
+            bound_rows(("csb",), cut, msg, {"a0": 1, "a1": value})
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, "1"])
+    def test_thm2_search(self, value):
+        cut, msg = cn3_families()
+        caps = {a: 1 for a in ARCS}
+        caps["a13"] = value
+        with pytest.raises(ParameterError, match="^the capacity of arc 'a13' must be"):
+            thm2_search(cut, msg, caps)
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, "1"])
+    def test_instantiate_on_a_cut_arc(self, value):
+        cut, msg = cn3_families()
+        caps = {a: 1 for a in ARCS}
+        caps["a1"] = value
+        with pytest.raises(ParameterError, match="^the capacity of arc 'a1' must be"):
+            instantiate(cutset_bound([1]), cut, msg, caps)
 
 
 class TestEnumerate:

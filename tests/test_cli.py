@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutbounds import bounds, cli
+from cutbounds import bounds, cli, polytope
 from cutbounds.errors import SchemaError
 from cutbounds.network import cut_and_message_families
 from cutbounds.polytope import Row, format_rational
@@ -87,6 +87,14 @@ def complete_doc(K):
 
 def complete3_doc():
     return complete_doc(3)
+
+
+def complete3_rational_doc():
+    """The complete K=3 network with source-arc capacities 2/3 .. 8/3."""
+    doc = complete_doc(3)
+    for i, arc in enumerate(doc["arcs"][:7]):
+        arc["capacity"] = f"{i + 2}/3"
+    return doc
 
 
 # capacity strings outside the grammar -?[0-9]+(/[0-9]+)?, each of which
@@ -380,9 +388,7 @@ class TestCmdBounds:
             assert b["provenance"].startswith("csb(")
 
     def test_thm2_right_sides_on_a_document_with_unbounded_arcs(self, tmp_path, capsys):
-        doc = complete3_doc()
-        for i, arc in enumerate(doc["arcs"][:7]):
-            arc["capacity"] = f"{i + 2}/3"
+        doc = complete3_rational_doc()
         path = write_doc(tmp_path, doc)
         assert cli.main(["bounds", path, "--rules", "thm2"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -684,15 +690,13 @@ class TestCmdRegion:
         assert lines[-1] == "cutset contains gcsb: yes"
 
     def test_file_system_rows_are_the_finite_report_rows(self, tmp_path, capsys):
-        doc = complete3_doc()
-        for i, arc in enumerate(doc["arcs"][:7]):
-            arc["capacity"] = f"{i + 2}/3"
-        path = write_doc(tmp_path, doc)
+        # with every message as an axis, the slice is the whole system
+        path = write_doc(tmp_path, complete3_rational_doc())
         assert cli.main(["bounds", path, "--rules", "csb,gcsb3,cor3"]) == 0
         report = json.loads(capsys.readouterr().out)
         net = cli.load_network_document(path)
         families = cut_and_message_families(net, cli._load_cuts(net, None))
-        system = cli._file_region_system(net, "gcsb", families)
+        system = cli._file_region_system(net, "gcsb", families, tuple(net.messages))
         assert system.variables == tuple(net.messages)
         from_report = sorted(
             (canonical.coeffs, canonical.rhs)
@@ -704,6 +708,30 @@ class TestCmdRegion:
         )
         from_system = sorted((tuple(row.coeffs), row.rhs) for row in system.rows)
         assert from_system == from_report
+
+    def test_file_slice_runs_no_elimination(self, tmp_path, capsys, monkeypatch):
+        # the slice is read off the bound rows, so no projection may run
+        path = write_doc(tmp_path, complete3_rational_doc())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("region eliminated a variable")
+
+        for name in ("project", "fourier_motzkin"):
+            monkeypatch.setattr(polytope, name, refuse)
+            monkeypatch.setattr(cli, name, refuse, raising=False)
+        args = ["region", path, "--axes", "W1,W23", "--compare", "cutset"]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "x,y",
+            "0,0",
+            "7,0",
+            "7,10/3",
+            "4,19/3",
+            "4/3,23/3",
+            "0,23/3",
+            "cutset contains gcsb: yes",
+            "gcsb contains cutset: no",
+        ]
 
     def test_unconstrained_message_unbounded_exit4(self, tmp_path, capsys):
         path = write_doc(tmp_path, two_sink_doc(extra_message=True))
@@ -824,6 +852,24 @@ class TestCompleteK5:
         path = write_doc(tmp_path, complete_doc(5))
         assert cli.main(["region", path, "--axes", "W1,W2", "--bounds", "cutset"]) == 0
         assert capsys.readouterr().out.split() == ["x,y", "0,0", "16,0", "16,8", "8,16", "0,16"]
+
+    @pytest.mark.parametrize(
+        "axes, csv, verdicts",
+        [
+            ("W1,W2", ["0,0", "16,0", "16,8", "8,16", "0,16"], ["yes", "yes"]),
+            ("W12,W345", ["0,0", "16,0", "16,4", "12,12", "4,16", "0,16"], ["yes", "no"]),
+        ],
+    )
+    def test_gcsb_slices_against_cutset(self, tmp_path, capsys, axes, csv, verdicts):
+        # the outputs that eliminating the other 29 rates gave
+        path = write_doc(tmp_path, complete_doc(5))
+        assert cli.main(["region", path, "--axes", axes, "--compare", "cutset"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "x,y",
+            *csv,
+            f"cutset contains gcsb: {verdicts[0]}",
+            f"gcsb contains cutset: {verdicts[1]}",
+        ]
 
 
 # ---------------------------------------------------------------------------
