@@ -441,13 +441,15 @@ def _capacity_units(labels, capacities: Mapping) -> tuple:
     """Per label, its capacity times the common denominator of the bounded
     ones (None when unbounded, _MISSING when not given); and that
     denominator.  A given capacity must be an int, a Fraction or None."""
-    values = {label: capacities.get(label, _MISSING) for label in labels}
-    for label, v in values.items():
-        if not (v is None or v is _MISSING or isinstance(v, (int, Fraction))):
+    values, bounded = {}, []
+    for label in labels:
+        values[label] = v = capacities.get(label, _MISSING)
+        if isinstance(v, (int, Fraction)):
+            bounded.append(v)
+        elif v is not None and v is not _MISSING:
             raise ParameterError(
                 f"the capacity of arc {label!r} must be an int, a Fraction or None"
             )
-    bounded = [v for v in values.values() if v is not None and v is not _MISSING]
     denominator = math.lcm(*[v.denominator for v in bounded])
     units = {
         label: v if v is None or v is _MISSING else v.numerator * (denominator // v.denominator)

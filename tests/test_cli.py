@@ -871,6 +871,18 @@ class TestCompleteK5:
             f"gcsb contains cutset: {verdicts[1]}",
         ]
 
+    def test_six_sink_slice_against_cutset(self, tmp_path, capsys):
+        # 63 rates, 62 of them off the axes: the slice keeps two columns of
+        # the bound rows and eliminates none
+        path = write_doc(tmp_path, complete_doc(6))
+        assert cli.main(["region", path, "--axes", "W12,W3456", "--compare", "cutset"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "x,y",
+            *["0,0", "32,0", "32,8", "24,24", "8,32", "0,32"],
+            "cutset contains gcsb: yes",
+            "gcsb contains cutset: no",
+        ]
+
 
 # ---------------------------------------------------------------------------
 # report writer

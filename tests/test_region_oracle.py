@@ -23,6 +23,8 @@ from cutbounds.errors import UnboundedRegionError
 from cutbounds.network import cut_and_message_families
 from cutbounds.polytope import LinearSystem, contains, format_rational, project, vertices_2d
 
+from test_cli import complete_doc
+
 FAMILIES = ("gcsb", "cutset")
 
 
@@ -56,22 +58,13 @@ def random_dag_document(seed):
 
 
 def complete_document(K, seed):
-    """The complete K-sink combination network with rational capacities on
-    its source arcs and unbounded delivery arcs."""
+    """The complete K-sink network of `complete_doc` with seeded rational
+    capacities on its 2^K - 1 source arcs."""
     rng = random.Random(f"region-complete:{K}:{seed}")
-    sinks = "123456789"[:K]
-    subsets = ["".join(c) for size in range(1, K + 1) for c in itertools.combinations(sinks, size)]
-    arcs = [{"from": "s", "to": f"v{u}", "capacity": rational(rng)} for u in subsets]
-    for k in sinks:
-        arcs += [{"from": f"v{u}", "to": f"t{k}", "capacity": "inf"} for u in subsets if k in u]
-    return {
-        "nodes": ["s"] + [f"v{u}" for u in subsets] + [f"t{k}" for k in sinks],
-        "arcs": arcs,
-        "source": "s",
-        "sinks": [f"t{k}" for k in sinks],
-        "messages": [f"W{u}" for u in subsets],
-        "demands": {f"t{k}": [f"W{u}" for u in subsets if k in u] for k in sinks},
-    }
+    doc = complete_doc(K)
+    for arc in doc["arcs"][: 2**K - 1]:
+        arc["capacity"] = rational(rng)
+    return doc
 
 
 def run_region(argv):
