@@ -734,11 +734,11 @@ _RULE_BOUNDS = {
 # is built once per process; eight sink counts of all four rules fit
 @functools.lru_cache(maxsize=32)
 def _rule_table(K: int, rule: str) -> tuple:
-    """The bounds of one rule of _RULE_BOUNDS for K sinks, in builder order,
-    deduplicated by canonical term list with the first origin kept.  The
-    bounds are frozen, so every caller shares them; the cor3 and cor2
+    """The bounds of one rule of _RULE_BOUNDS for K sinks, in builder order.
+    No builder repeats a canonical term list, so a table needs no dedupe.
+    The bounds are frozen, so every caller shares them; the cor3 and cor2
     builders hand all bounds of one sink set the same index frozenset."""
-    return tuple(_first_per_terms(_RULE_BOUNDS[rule](K)))
+    return tuple(_RULE_BOUNDS[rule](K))
 
 
 def enumerate_bounds(K: int, rules: Sequence[str]) -> list:

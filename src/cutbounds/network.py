@@ -5,14 +5,16 @@ and a message index set; each sink demands a nonempty subset of the
 messages.  Arc capacities are positive rationals, or ``None`` for arcs
 that can never be cut (the unbounded delivery links of a combination
 network).  Arc sets are :class:`ElementSet` bit masks over the arcs in
-declaration order.  A minimum cut runs its flow on integers: the finite
-capacities scaled to their common denominator, an unbounded arc one unit
-above the finite total.  Cut capacities are exact, and the internal
+declaration order.  A network scales its finite capacities once, to ints
+over their common denominator; cut capacities are summed in those units,
+and a minimum cut runs its flow on them, an unbounded arc one unit above
+the finite total.  Cut capacities are exact, and the internal
 max-flow == min-cut check is an equality, not a tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,12 +96,12 @@ class BroadcastNetwork:
         self.arcs = tuple(arcs)
         if not self.arcs:
             raise ParameterError("a network needs at least one arc")
+        if not all(isinstance(a, Arc) for a in self.arcs):
+            raise ParameterError("arcs must be Arc instances")
         labels = [a.label for a in self.arcs]
         if len(set(labels)) != len(labels):
             raise ParameterError("arc labels must be distinct")
         for a in self.arcs:
-            if not isinstance(a, Arc):
-                raise ParameterError("arcs must be Arc instances")
             if a.tail not in node_set or a.head not in node_set:
                 raise ParameterError(f"arc {a.label!r} references an unknown node")
 
@@ -156,6 +158,15 @@ class BroadcastNetwork:
         self.message_ground = GroundSet(len(self.messages), self.messages)
         self._by_label = {a.label: a for a in self.arcs}
 
+        # the one scaling of the capacities: each finite capacity as an int
+        # over their common denominator, None for an unbounded arc
+        caps = [a.capacity for a in self.arcs]
+        self._scale = lcm(*(c.denominator for c in caps if c is not None))
+        self._units = tuple(
+            None if c is None else c.numerator * (self._scale // c.denominator)
+            for c in caps
+        )
+
     @property
     def K(self) -> int:
         return len(self.sinks)
@@ -174,6 +185,24 @@ class BroadcastNetwork:
             return self._by_label[label]
         except KeyError:
             raise ParameterError(f"unknown arc label {label!r}") from None
+
+    @functools.cached_property
+    def _flow_graph(self) -> tuple:
+        """(residual, neighbours, unbounded) for min_cut, built on its first
+        call: the residual capacity of every arc and reverse arc in scaled
+        units, each node's residual neighbours, and the unit count of an
+        unbounded arc, one above the finite total.  min_cut works on a copy
+        of `residual`; the neighbour lists are only read."""
+        unbounded = sum(u for u in self._units if u is not None) + 1
+        residual: dict = {}
+        neighbours = {n: [] for n in self.nodes}
+        for a, u in zip(self.arcs, self._units):
+            for tail, head in ((a.tail, a.head), (a.head, a.tail)):
+                if (tail, head) not in residual:
+                    residual[tail, head] = 0
+                    neighbours[tail].append(head)
+            residual[a.tail, a.head] += unbounded if u is None else u
+        return residual, neighbours, unbounded
 
     def _check_acyclic(self) -> None:
         indeg = {n: 0 for n in self.nodes}
@@ -227,44 +256,28 @@ def make_cut(net: BroadcastNetwork, arcs, k: int) -> Cut:
         raise CutVerificationError(
             f"arc set {sorted(arcs.member_labels())} does not disconnect sink {k}"
         )
-    caps = [net.arcs[i].capacity for i in arcs.members()]
-    if any(c is None for c in caps):
+    units = [net._units[i] for i in arcs.members()]
+    if None in units:
         raise CutVerificationError("cuts may not contain unbounded arcs")
-    # summed as integers over the common denominator: one Fraction, not one
-    # per member
-    scale = lcm(*(c.denominator for c in caps))
-    total = sum(c.numerator * (scale // c.denominator) for c in caps)
-    return Cut(arcs=arcs, sink=k, capacity=Fraction(total, scale))
+    # summed as integers over the network's common denominator: one
+    # Fraction, not one per member
+    return Cut(arcs=arcs, sink=k, capacity=Fraction(sum(units), net._scale))
 
 
 def min_cut(net: BroadcastNetwork, k: int) -> Cut:
     """Minimum-capacity cut for sink k via shortest augmenting paths.
 
-    The flow is integral: finite capacities are scaled by their common
-    denominator, and an unbounded arc carries one unit more than the finite
-    total.  Unless a path of unbounded arcs alone reaches the sink, the
+    The flow is integral: it runs on a copy of the network's flow graph,
+    whose finite capacities are scaled once by their common denominator and
+    whose unbounded arcs carry one unit more than the finite total.  Unless a path of unbounded arcs alone reaches the sink, the
     finite arcs form a cut, so the flow stays below that total and no
     unbounded arc saturates; such a path exists exactly when the flow
     reaches it.  Ties break to the source side: the cut consists of the
     arcs leaving the set of nodes reachable in the final residual graph.
     """
     target = _check_sink_index(net, k)
-
-    finite = [a.capacity for a in net.arcs if a.capacity is not None]
-    scale = lcm(*(c.denominator for c in finite))
-    unbounded = sum(c.numerator * (scale // c.denominator) for c in finite) + 1
-
-    residual: dict = {}
-    neighbours = {n: [] for n in net.nodes}
-    for a in net.arcs:
-        for u, v in ((a.tail, a.head), (a.head, a.tail)):
-            if (u, v) not in residual:
-                residual[u, v] = 0
-                neighbours[u].append(v)
-        c = a.capacity
-        residual[a.tail, a.head] += (
-            unbounded if c is None else c.numerator * (scale // c.denominator)
-        )
+    shared, neighbours, unbounded = net._flow_graph
+    residual = dict(shared)
 
     flow = 0
     while True:
@@ -302,9 +315,9 @@ def min_cut(net: BroadcastNetwork, k: int) -> Cut:
     )
     cut = make_cut(net, ElementSet(net.arc_ground, crossing), k)
     # max-flow/min-cut equality is an internal consistency check, not user input
-    if Fraction(flow, scale) != cut.capacity:
+    if Fraction(flow, net._scale) != cut.capacity:
         raise AssertionError(
-            f"max-flow {Fraction(flow, scale)} differs from cut capacity {cut.capacity}"
+            f"max-flow {Fraction(flow, net._scale)} differs from cut capacity {cut.capacity}"
         )
     return cut
 

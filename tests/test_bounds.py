@@ -581,8 +581,7 @@ class TestEnumerate:
 
 def fresh_rule_table(K, rule):
     """(terms, provenance) of one rule's bounds for K sinks, built afresh
-    from the public builders in enumeration order, the first bound of each
-    canonical term list kept."""
+    from the public builders in enumeration order."""
     sinks = range(1, K + 1)
     subsets = [s for size in sinks for s in itertools.combinations(sinks, size)]
     if rule == "csb":
@@ -604,10 +603,7 @@ def fresh_rule_table(K, rule):
             for n in range(len(s))
             for qs in itertools.combinations(range(2, len(s) + 1), n)
         ]
-    first = {}
-    for b in bounds:
-        first.setdefault(b.terms, b.provenance)
-    return list(first.items())
+    return [(b.terms, b.provenance) for b in bounds]
 
 
 class TestRuleTables:
@@ -617,6 +613,14 @@ class TestRuleTables:
         table = _rule_table(K, rule)
         assert [(b.terms, b.provenance) for b in table] == fresh_rule_table(K, rule)
         assert _rule_table(K, rule) is table
+
+    @pytest.mark.parametrize("rule", ["csb", "gcsb3", "cor3", "cor2"])
+    @pytest.mark.parametrize("K", range(2, 8))
+    def test_no_builder_repeats_a_term_list(self, K, rule):
+        # K >= 6 reaches every cor2 sink-set size, so K = 2..7 covers
+        # every case; the tables keep their builders' bounds undeduplicated
+        terms = [terms for terms, _ in fresh_rule_table(K, rule)]
+        assert len(set(terms)) == len(terms)
 
     @pytest.mark.parametrize("rules", [("cor3",), ("csb", "gcsb3", "cor3")])
     def test_enumeration_returns_a_new_list(self, rules):

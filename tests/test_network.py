@@ -107,6 +107,10 @@ class TestConstruction:
                 {1: ["M"]},
             )
 
+    def test_non_arc_rejected_before_its_label_is_read(self):
+        with pytest.raises(ParameterError, match="arcs must be Arc instances"):
+            BroadcastNetwork(["s", "t"], [("s", "t")], "s", ["t"], ["W"], {1: ["W"]})
+
     def test_duplicate_arc_labels_rejected(self):
         with pytest.raises(ParameterError):
             tiny_net(
@@ -363,6 +367,49 @@ class TestMinCut:
             assert cut.capacity == best
             assert set(cut.arcs.member_labels()) == leaving(net, frozenset.intersection(*minimal))
         assert ties > 100  # 231 draws have minimum cuts with different arc sets
+
+
+def mixed_denominator_net():
+    """Three sinks, capacities over denominators 2..9 (lcm 2520), parallel
+    finite arcs into `a` and one unbounded arc from `a` to `b`."""
+    return BroadcastNetwork(
+        ["s", "a", "b", "t1", "t2", "t3"],
+        [
+            Arc("e0", "s", "a", Fraction(1, 3)),
+            Arc("e1", "s", "a", Fraction(2, 5)),
+            Arc("e2", "s", "b", Fraction(3, 7)),
+            Arc("e3", "a", "t1", Fraction(1, 2)),
+            Arc("e4", "a", "b", None),
+            Arc("e5", "b", "t2", Fraction(5, 6)),
+            Arc("e6", "a", "t2", Fraction(1, 4)),
+            Arc("e7", "b", "t3", Fraction(7, 8)),
+            Arc("e8", "s", "t3", Fraction(2, 9)),
+        ],
+        "s",
+        ["t1", "t2", "t3"],
+        ["M"],
+        {1: ["M"], 2: ["M"], 3: ["M"]},
+    )
+
+
+class TestSharedFlowGraph:
+    def test_calls_in_any_order_agree_with_a_fresh_network(self):
+        net = mixed_denominator_net()
+        sinks = range(1, net.K + 1)
+        forward = {k: min_cut(net, k) for k in sinks}
+        backward = {k: min_cut(net, k) for k in reversed(sinks)}
+        assert backward == forward
+        fresh = mixed_denominator_net()
+        assert {k: min_cut(fresh, k) for k in sinks} == forward
+        for k, cut in forward.items():
+            assert cut.capacity == brute_force_min(net, k)
+
+    def test_make_cut_sums_exactly_below_the_network_denominator(self):
+        net = mixed_denominator_net()
+        cut = make_cut(net, ["e0", "e1"], 1)
+        assert cut.capacity == Fraction(11, 15)
+        assert type(cut.capacity) is Fraction and cut.capacity.denominator == 15
+        assert make_cut(net, ["e3"], 1).capacity == Fraction(1, 2)
 
 
 class TestFamilies:
