@@ -8,7 +8,8 @@ the levels shrink as r grows.
 Every level comes from one kernel, :func:`level_masks`: a counter that
 adds the members one at a time and keeps, for each r, the bit mask of the
 elements met at least r times.  All levels of n members cost O(n^2) word
-operations, not one intersection per r-subset.
+operations, not one intersection per r-subset.  :func:`prefix_levels` runs
+the same counter once for level r of every prefix of the members.
 """
 
 from __future__ import annotations
@@ -203,6 +204,30 @@ def level_masks(masks: Sequence[int], positions: Iterable[int]) -> list[int]:
     return out
 
 
+def prefix_levels(masks: Sequence[int], positions: Sequence[int], r: int) -> list[int]:
+    """Level r of every prefix of the positions: entry j equals
+    ``level_masks(masks, positions[:j])[r]``, and is 0 (no element) for
+    j < r, where that list has no entry r.
+
+    One pass of the `level_masks` counter, kept to levels 0..r, since level
+    r never reads a level above it: O(n r) word operations for all n + 1
+    prefixes, not one counter per prefix.
+    """
+    out = [-1]
+    found = [-1 if r == 0 else 0]
+    for p in positions:
+        m = masks[p]
+        below = -1
+        for k in range(1, len(out)):
+            level = out[k]
+            out[k] = level | (below & m)
+            below = level
+        if len(out) <= r:
+            out.append(below & m)
+        found.append(out[r] if r < len(out) else 0)
+    return found
+
+
 def intersect_level(family: SubsetFamily, indices: Iterable[int], r: int) -> ElementSet:
     """Level-r intersection of the family members named by 1-based `indices`.
 
@@ -216,11 +241,11 @@ def intersect_level(family: SubsetFamily, indices: Iterable[int], r: int) -> Ele
     return ElementSet(family.ground, level_masks(family.masks, pos)[r])
 
 
-def _prefix_extended_masks(masks: Sequence[int], cutoff: int, count: int) -> list[int]:
-    out = list(masks[:cutoff])
-    for r in range(cutoff + 1, count + 1):
-        out.append(masks[r - 1] | level_masks(masks, range(r))[cutoff + 1])
-    return out
+def _prefix_extended_masks(masks: Sequence[int], cutoff: int, pads: Sequence[int]) -> list[int]:
+    """G_1, ..., G_count from ``pads = prefix_levels(masks, range(count), cutoff + 1)``."""
+    return list(masks[:cutoff]) + [
+        masks[r - 1] | pads[r] for r in range(cutoff + 1, len(pads))
+    ]
 
 
 def prefix_extended_family(
@@ -233,7 +258,10 @@ def prefix_extended_family(
     0 < cutoff < count <= family size.
     """
     _check_cutoff(family, cutoff, count)
-    ext = _prefix_extended_masks(family.masks, cutoff, count)
+    masks = family.masks
+    ext = _prefix_extended_masks(
+        masks, cutoff, prefix_levels(masks, range(count), cutoff + 1)
+    )
     return SubsetFamily(
         family.ground, tuple(ElementSet(family.ground, m) for m in ext)
     )
@@ -248,10 +276,10 @@ def _check_cutoff(family: SubsetFamily, cutoff: int, count: int) -> None:
 
 def _prefix_identity_masks(masks: Sequence[int], cutoff: int, count: int) -> bool:
     """Mask-level core of prefix_extension_identity; no validation."""
-    lhs = level_masks(_prefix_extended_masks(masks, cutoff, count), range(count))
+    pads = prefix_levels(masks, range(count), cutoff + 1)
+    lhs = level_masks(_prefix_extended_masks(masks, cutoff, pads), range(count))
     rhs = level_masks(masks, range(count))[: cutoff + 1] + [
-        level_masks(masks, range(count - r + cutoff + 1))[cutoff + 1]
-        for r in range(cutoff + 1, count + 1)
+        pads[count - r + cutoff + 1] for r in range(cutoff + 1, count + 1)
     ]
     return lhs == rhs
 
@@ -265,8 +293,8 @@ def prefix_extension_identity(
     level-r set of G over the first `count` indices equals the level-r set of
     the original family for r <= cutoff, and equals the level-(cutoff+1) set
     of the first (count - r + cutoff + 1) original members for r > cutoff.
-    Both sides are read off `level_masks`, each from its own family and
-    prefix; the tests check that kernel against the definition.
+    Both sides are read off the `level_masks` counter, the prefixes' levels
+    through `prefix_levels`; the tests check both against the definition.
     """
     _check_cutoff(family, cutoff, count)
     return _prefix_identity_masks(family.masks, cutoff, count)

@@ -1,11 +1,12 @@
 """Set functions over a ground set and the chained exchange-gap evaluators.
 
-Two backings are supported: modular functions given by per-element weights,
-and tables indexed by subset mask (explicit value lists, or entropy tables
-that compute each marginal on first lookup).  The gap evaluators return
-lhs - rhs  of the corresponding combination inequality, so a nonnegative
-result certifies one instance and an exactly zero result is expected
-whenever the function is modular.
+Every function is one lookup indexed by subset mask: an explicit value
+list, an entropy table that computes each marginal on first lookup, or a
+modular table that sums integer weights (the weights over their common
+denominator) on first lookup.  The gap evaluators return  lhs - rhs  of the
+corresponding combination inequality, so a nonnegative result certifies
+one instance and an exactly zero result is expected whenever the function
+is modular; a modular gap is an integer sum turned into one Fraction.
 
 Float sums go through :func:`_left_sum`, never ``builtins.sum``: from
 Python 3.12 on the builtin compensates float sums, which would change the
@@ -26,6 +27,7 @@ from .setcalc import (
     SubsetFamily,
     _check_indices,
     level_masks,
+    prefix_levels,
 )
 
 MAX_TABLE_GROUND = 20
@@ -49,29 +51,33 @@ def _left_sum(values):
 class SetFunction:
     """Nonnegative set function with f(empty) = 0.
 
-    Construct via :meth:`modular` or :meth:`from_table`.  Modular functions
-    keep exact Fraction weights so that gap computations cancel exactly;
-    table-backed functions evaluate by lookup (a sequence, or a mapping
-    that may fill itself on a missing mask).
+    Construct via :meth:`modular` or :meth:`from_table`.  Every function is
+    one mask -> value lookup, `_table` (a sequence, or a mapping that fills
+    itself on a missing mask).  A modular function keeps its weights as
+    ints over their common denominator `_scale`, so that gap computations
+    cancel exactly and turn into one Fraction at the end; a table-backed
+    function has no scale and returns its values as stored.
     """
 
-    __slots__ = ("ground", "_weights", "_table")
+    __slots__ = ("ground", "_table", "_scale")
 
-    def __init__(self, ground: GroundSet, weights=None, table=None):
+    def __init__(self, ground: GroundSet, table, scale: Optional[int] = None):
         self.ground = ground
-        self._weights = weights
         self._table = table
+        self._scale = scale
 
     @classmethod
     def modular(cls, ground: GroundSet, weights: Sequence[Number]) -> "SetFunction":
-        ws = tuple(Fraction(w) for w in weights)
+        ws = tuple(map(_exact_weight, weights))
         if len(ws) != ground.size:
             raise ParameterError(
                 f"expected {ground.size} weights, got {len(ws)}"
             )
         if any(w < 0 for w in ws):
             raise ParameterError("modular weights must be nonnegative")
-        return cls(ground, weights=ws)
+        scale = math.lcm(*(w.denominator for w in ws))
+        units = tuple(w.numerator * (scale // w.denominator) for w in ws)
+        return cls(ground, _ModularTable(units), scale)
 
     @classmethod
     def from_table(cls, ground: GroundSet, values: Sequence[Number]) -> "SetFunction":
@@ -88,27 +94,52 @@ class SetFunction:
             raise ParameterError("the empty set must map to 0")
         if any(v < 0 for v in table):
             raise ParameterError("set function values must be nonnegative")
-        return cls(ground, table=table)
+        # nan compares false both ways, so it passes the two checks above
+        if not all(v < math.inf for v in table):
+            raise ParameterError("set function values must be finite")
+        return cls(ground, table)
 
     @property
     def is_modular_backed(self) -> bool:
-        return self._weights is not None
+        return self._scale is not None
 
-    def _value(self, mask: int):
-        if self._weights is not None:
-            total = Fraction(0)
-            m = mask
-            while m:
-                low = m & -m
-                total += self._weights[low.bit_length() - 1]
-                m ^= low
-            return total
-        return self._table[mask]
+    def _exact(self, value):
+        """A table value or a gap of table values, in the function's units."""
+        return value if self._scale is None else Fraction(value, self._scale)
 
     def __call__(self, subset: ElementSet):
         if subset.ground != self.ground:
             raise GroundMismatchError("subset is over a different ground set")
-        return self._value(subset.mask)
+        return self._exact(self._table[subset.mask])
+
+
+def _exact_weight(weight) -> Fraction:
+    try:
+        return Fraction(weight)
+    except (ValueError, OverflowError):
+        # Fraction raises ValueError on nan and OverflowError on inf
+        raise ParameterError(f"modular weights must be finite, got {weight!r}") from None
+
+
+class _ModularTable(dict):
+    """Sum of the integer weights `units` over each mask, computed on first
+    lookup; the empty set is preloaded as 0."""
+
+    __slots__ = ("_units",)
+
+    def __init__(self, units):
+        super().__init__({0: 0})
+        self._units = units
+
+    def __missing__(self, mask: int) -> int:
+        total = 0
+        m = mask
+        while m:
+            low = m & -m
+            total += self._units[low.bit_length() - 1]
+            m ^= low
+        self[mask] = total
+        return total
 
 
 @dataclass(frozen=True)
@@ -124,15 +155,23 @@ class JointDistribution:
                 f"variable_count must be between 1 and {MAX_VARIABLES}: "
                 f"{VARIABLES_CAP_REASON}"
             )
-        pmf = tuple(float(p) for p in self.pmf)
+        pmf = tuple(map(float, self.pmf))
         object.__setattr__(self, "pmf", pmf)
         if len(pmf) != 1 << self.variable_count:
             raise ParameterError(
                 f"pmf must have {1 << self.variable_count} entries, got {len(pmf)}"
             )
-        if any(p < 0 for p in pmf):
-            raise ParameterError("pmf entries must be nonnegative")
-        if abs(_left_sum(pmf) - 1.0) > PMF_SUM_TOLERANCE:
+        # one pass: the sign check and the same left fold as `_left_sum`
+        total = 0
+        for p in pmf:
+            if p < 0:
+                raise ParameterError("pmf entries must be nonnegative")
+            total += p
+        # no entry is negative, so only a nan entry makes the total nan; an
+        # infinite one fails the sum check
+        if math.isnan(total):
+            raise ParameterError("pmf entries must not be nan")
+        if abs(total - 1.0) > PMF_SUM_TOLERANCE:
             raise ParameterError("pmf must sum to 1")
 
 
@@ -144,11 +183,11 @@ def random_joint_distribution(rng, variable_count: int) -> JointDistribution:
         )
     raw = [rng.expovariate(1.0) for _ in range(1 << variable_count)]
     total = _left_sum(raw)
-    pmf = [w / total for w in raw]
-    # discard sub-noise mass so downstream logs stay well conditioned
-    pmf = [0.0 if p < PMF_CLAMP else p for p in pmf]
+    # normalize and discard sub-noise mass in one pass, so downstream logs
+    # stay well conditioned
+    pmf = [0.0 if (p := w / total) < PMF_CLAMP else p for w in raw]
     total = _left_sum(pmf)
-    return JointDistribution(variable_count, tuple(p / total for p in pmf))
+    return JointDistribution(variable_count, tuple([p / total for p in pmf]))
 
 
 class _EntropyTable(dict):
@@ -159,7 +198,7 @@ class _EntropyTable(dict):
 
     def __init__(self, pmf):
         super().__init__({0: 0.0})
-        self._support = tuple((outcome, p) for outcome, p in enumerate(pmf) if p > 0.0)
+        self._support = [(outcome, p) for outcome, p in enumerate(pmf) if p > 0.0]
 
     def __missing__(self, amask: int) -> float:
         marginal: dict = {}
@@ -184,23 +223,24 @@ def entropy_function(dist: JointDistribution) -> SetFunction:
     A gap reads a handful of the 2^m marginals, so each is computed when
     first looked up and then kept.
     """
-    return SetFunction(GroundSet(dist.variable_count), table=_EntropyTable(dist.pmf))
+    return SetFunction(GroundSet(dist.variable_count), _EntropyTable(dist.pmf))
 
 
 def _exchanges(f: SetFunction):
     """(f(S+a), f(S+b), f(S+a+b), f(S)) for every S and every pair a < b
     outside S."""
     n = f.ground.size
+    table = f._table
     for base in range(1 << n):
-        f0 = f._value(base)
+        f0 = table[base]
         for a in range(n):
             if base >> a & 1:
                 continue
-            fa = f._value(base | 1 << a)
+            fa = table[base | 1 << a]
             for b in range(a + 1, n):
                 if base >> b & 1:
                     continue
-                yield fa, f._value(base | 1 << b), f._value(base | 1 << a | 1 << b), f0
+                yield fa, table[base | 1 << b], table[base | 1 << a | 1 << b], f0
 
 
 def is_submodular(f: SetFunction, tolerance: float = 0.0) -> bool:
@@ -234,9 +274,10 @@ def multiway_gap(f: SetFunction, family: SubsetFamily, indices: Iterable[int]):
     _check_function_family(f, family)
     positions = _check_indices(family, indices)
     masks = family.masks
-    lhs = _left_sum(f._value(masks[p]) for p in positions)
-    rhs = _left_sum(f._value(level) for level in level_masks(masks, positions)[1:])
-    return lhs - rhs
+    table = f._table
+    lhs = _left_sum(table[masks[p]] for p in positions)
+    rhs = _left_sum(table[level] for level in level_masks(masks, positions)[1:])
+    return f._exact(lhs - rhs)
 
 
 def prefix_multiway_gap(
@@ -270,18 +311,16 @@ def prefix_multiway_gap(
             raise GroundMismatchError("anchor is over a different ground set")
         amask = anchor.mask
     masks = family.masks
-    prefix = tuple(range(count))
-    pads = {
-        r: level_masks(masks, prefix[:r])[cutoff + 1] for r in range(cutoff + 1, count + 1)
-    }
+    table = f._table
+    prefix = range(count)
+    pads = prefix_levels(masks, prefix, cutoff + 1)
     levels = level_masks(masks, prefix)
-    lhs = _left_sum(f._value(masks[r - 1] | amask) for r in range(1, cutoff + 1))
-    lhs += _left_sum(
-        f._value(masks[r - 1] | pads[r] | amask) for r in range(cutoff + 1, count + 1)
-    )
-    rhs = _left_sum(f._value(levels[r] | amask) for r in range(1, cutoff + 1))
-    rhs += _left_sum(f._value(pads[r] | amask) for r in range(cutoff + 1, count + 1))
-    return lhs - rhs
+    late = range(cutoff + 1, count + 1)
+    lhs = _left_sum(table[masks[r - 1] | amask] for r in range(1, cutoff + 1))
+    lhs += _left_sum(table[masks[r - 1] | pads[r] | amask] for r in late)
+    rhs = _left_sum(table[levels[r] | amask] for r in range(1, cutoff + 1))
+    rhs += _left_sum(table[pads[r] | amask] for r in late)
+    return f._exact(lhs - rhs)
 
 
 def cross_level_gap(
@@ -321,17 +360,16 @@ def cross_level_gap(
             f"({ElementSet(ground, anchor).member_labels()}) is not contained in "
             f"level {t_prefix} of T ({ElementSet(ground, target).member_labels()})"
         )
-    lhs = _left_sum(f._value(masks[p]) for p in pos_t)
-    lhs += t_prefix * f._value(anchor)
+    table = f._table
+    pads = prefix_levels(masks, pos_t, t_prefix + 1)
+    lhs = _left_sum(table[masks[p]] for p in pos_t)
+    lhs += t_prefix * table[anchor]
     rhs = _left_sum(
-        f._value(t_levels[r]) + f._value(masks[pos_t[r - 1]] & anchor)
+        table[t_levels[r]] + table[masks[pos_t[r - 1]] & anchor]
         for r in range(1, t_prefix + 1)
     )
     rhs += _left_sum(
-        f._value(
-            masks[pos_t[r - 1]]
-            & (anchor | level_masks(masks, pos_t[:r])[t_prefix + 1])
-        )
+        table[masks[pos_t[r - 1]] & (anchor | pads[r])]
         for r in range(t_prefix + 1, len(pos_t) + 1)
     )
-    return lhs - rhs
+    return f._exact(lhs - rhs)

@@ -554,6 +554,46 @@ class TestCmdVerify:
             "min_gap=-8.881784197001252e-16 violations=0\n"
         )
 
+    # sha256 of the newline-joined repr of every trial's gap, in trial order
+    # (`verify --trials 200 --seed 3`); a modular campaign's gaps are all
+    # Fraction(0, 1), so its four digests agree
+    GAP_STREAMS = {
+        ("1", "--ground", "5"): "d4267c1d0c17beb472a7327a2a8d455e3a4a50eb64db77f7641ace0524b3f886",
+        ("1", "--ground", "6"): "3bc0369859349736877eb0a0d1ceb9eb724163d1321d605a9c85271bcad2db87",
+        ("cor1", "--ground", "5"): "defb9daa00e2de1f35b3cf72b7860c6224271d01eeb74ef42721b9fd924fd482",
+        ("cor1", "--ground", "6"): "2e78f3e4d442bbe69eac9acbaee9f619ea1ec85f136ad4b9b162dd934a411de0",
+        ("multiway", "--ground", "5"): "6051e23408d457f029e51ca69939a3cc95ec6f099f64a252ab3ee29c1c2f8d28",
+        ("multiway", "--ground", "6"): "3671782e476e099fd60723296b7f9014ad3083f15c2a2a4db48e7307b7d61a27",
+        ("2", "--ground", "5"): "8a2bbae137ab83123a5c1a0d8220014d1474a35d77fcd5d5daead113eacc70f3",
+        ("2", "--ground", "6"): "9b16e4a2dd4012326c64c4cba2bb9ff3fb112a85561dab0ceab3e5208cd813c4",
+        **{
+            (token, "--modular"): "698f55b2a7a2e3f501fe036bb2e678d2d0ffff5aff4d7d03a68f0245e97a8849"
+            for token in ("1", "2", "cor1", "multiway")
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(GAP_STREAMS))
+    def test_gap_stream_is_pinned(self, case, capsys, monkeypatch):
+        # every trial's gap, not only the minimum the command prints
+        token, *extra = case
+        records = []
+        trial = cli._GAP_TRIALS[token]
+
+        def recorded(rng, f, family):
+            gap = trial(rng, f, family)
+            records.append(repr(gap))
+            return gap
+
+        monkeypatch.setitem(cli._GAP_TRIALS, token, recorded)
+        code = cli.main(
+            ["verify", "--lemma", token, "--trials", "200", "--seed", "3"] + extra
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert len(records) == 200
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert digest == self.GAP_STREAMS[case]
+
     @pytest.mark.parametrize("token", ["1", "2", "cor1", "multiway"])
     def test_modular_gap_exactly_zero(self, token, capsys):
         code, out = self.entropy_run(token, capsys, extra=["--modular"])

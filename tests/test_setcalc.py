@@ -25,6 +25,7 @@ from cutbounds.setcalc import (
     level_masks,
     prefix_extended_family,
     prefix_extension_identity,
+    prefix_levels,
 )
 
 
@@ -242,6 +243,21 @@ class TestLevelKernel:
                 masks[r - 1] | direct_level(masks, range(r), cutoff + 1)
                 for r in range(cutoff + 1, count + 1)
             )
+
+    def test_prefix_levels_match_the_counter_per_prefix(self):
+        # entry j of the one-pass helper against a fresh counter over the
+        # first j positions, for every j and every level r up to past the end
+        rng = random.Random(103)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            masks = [rng.randrange(1 << n) for _ in range(rng.randint(1, 16))]
+            positions = rng.sample(range(len(masks)), rng.randint(0, len(masks)))
+            for r in range(len(positions) + 2):
+                found = prefix_levels(masks, positions, r)
+                assert len(found) == len(positions) + 1
+                for j, level in enumerate(found):
+                    levels = level_masks(masks, positions[:j])
+                    assert level == (levels[r] if r <= j else 0)
 
 
 class TestSubsetFamily:

@@ -91,6 +91,16 @@ class TestSetFunction:
         with pytest.raises(ParameterError):
             SetFunction.from_table(GroundSet(21), [0] * (1 << 21))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_table_rejects_nan_and_inf(self, value):
+        with pytest.raises(ParameterError, match="set function values must be finite"):
+            SetFunction.from_table(GroundSet(1), (0, value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_modular_rejects_nan_and_inf(self, value):
+        with pytest.raises(ParameterError, match="modular weights must be finite"):
+            SetFunction.modular(G3, (1, value, 0))
+
     def test_ground_mismatch(self):
         f = SetFunction.modular(G3, (1, 1, 1))
         with pytest.raises(GroundMismatchError):
@@ -107,6 +117,17 @@ class TestJointDistribution:
             JointDistribution(7, tuple([1.0] + [0.0] * 127))
         with pytest.raises(ParameterError):
             JointDistribution(2, (1.0, 0.0))
+
+    def test_nan_entries_rejected(self):
+        # nan passes both the sign and the sum comparison, and the entropy
+        # table's support filter would drop it: f would read 0 everywhere
+        for pmf in ((math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ParameterError, match="pmf entries must not be nan"):
+                JointDistribution(1, pmf)
+        with pytest.raises(ParameterError, match="pmf must sum to 1"):
+            JointDistribution(1, (math.inf, 0.0))
+        with pytest.raises(ParameterError, match="pmf entries must be nonnegative"):
+            JointDistribution(2, (math.nan, -0.5, 1.0, 0.5))
 
     def test_random_distribution_is_valid(self):
         for seed in range(10):
@@ -207,7 +228,7 @@ class TestLazyEntropyTable:
         order = range(size) if data is None else data.draw(st.permutations(range(size)))
         f = entropy_function(dist)
         for mask in order:
-            value = f._value(mask)
+            value = f._table[mask]
             assert value == reference[mask]
             assert repr(value) == repr(reference[mask])
         eager = SetFunction.from_table(GroundSet(dist.variable_count), reference)
@@ -242,6 +263,60 @@ class TestSubmodularityChecks:
     def test_zero_function_is_modular(self):
         f = SetFunction.from_table(G3, [0] * 8)
         assert is_modular(f, 0)
+
+
+def exact_weights(rng, n):
+    """Nonnegative weights of mixed kinds: Fractions with denominators up to
+    30, ints, and binary floats (0.1 is not 1/10)."""
+    kinds = (
+        lambda: Fraction(rng.randint(0, 60), rng.randint(1, 30)),
+        lambda: rng.randint(0, 9),
+        lambda: rng.choice((0.0, 0.5, 0.1, 0.25, 2.75)),
+    )
+    return [rng.choice(kinds)() for _ in range(n)]
+
+
+class TestModularExactness:
+    """Modular functions over up to 40 elements, against plain Fraction sums."""
+
+    def test_values_are_exact_fraction_sums(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(1, 40)
+            g = GroundSet(n)
+            weights = exact_weights(rng, n)
+            f = SetFunction.modular(g, weights)
+            for _ in range(20):
+                subset = ElementSet(g, rng.randrange(1 << n))
+                value = f(subset)
+                assert type(value) is Fraction
+                assert value == sum((Fraction(weights[i]) for i in subset.members()), Fraction(0))
+
+    def test_every_gap_is_exactly_zero(self):
+        rng = random.Random(32)
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            g = GroundSet(n)
+            f = SetFunction.modular(g, exact_weights(rng, n))
+            family = random_family(rng, g, rng.randint(1, 6))
+            k = family.size
+            count = rng.randint(1, k)
+            anchor = ElementSet(g, rng.randrange(1 << n))
+            gaps = [
+                multiway_gap(f, family, rng.sample(range(1, k + 1), rng.randint(1, k))),
+                prefix_multiway_gap(f, family, rng.randint(0, count), count),
+                prefix_multiway_gap(f, family, rng.randint(0, count), count, anchor=anchor),
+                cross_level_gap(f, family, range(1, k + 1), range(1, k + 1), 1, 1),
+            ]
+            gaps.extend(_valid_cross_level_gaps(f, family) if k <= 3 else ())
+            for gap in gaps:
+                assert type(gap) is Fraction and gap == 0
+
+    def test_checks_short_circuit_on_a_wide_ground(self):
+        # a sweep over 2^40 sets would not finish; the checks read no value
+        f = SetFunction.modular(GroundSet(40), exact_weights(random.Random(33), 40))
+        assert is_submodular(f) and is_modular(f)
+        assert set(f._table) == {0}
 
 
 class TestMultiwayGap:
