@@ -15,9 +15,11 @@ optimum, a 2-D vertex or a ray.  A system with no point is marked by the
 canonical witness row `0 <= -1`, which `LinearSystem.infeasible` reports.
 
 One exact LP oracle, `_dual_lp` (a fraction-free simplex, Bland's rule),
-decides feasibility, containment (one LP per outer row, any dimension)
-and tier 4 below.  It always ends with an exact verdict: no size budget,
-no "unknown".
+decides feasibility, containment (one LP per direction of the outer rows,
+any dimension), whether a 2-D system with a recession ray is unbounded or
+empty, and tier 4 below.  A 2-D system with no ray needs no LP: it has a
+vertex exactly when it has a point.  The LP always ends with an exact
+verdict: no size budget, no "unknown".
 
 Redundancy removal after each elimination runs in tiers:
 
@@ -552,23 +554,46 @@ def substitute(
 # two-dimensional geometry
 
 
-def _recession_ray(sys: LinearSystem):
-    """A direction the region runs along without end, as coprime
-    Fractions, or None: the axes and each row's two edge directions are
-    the candidates."""
+def _tightest_per_direction(rows: Iterable[Row]) -> list[Row]:
+    """For each direction `coeffs / g` (g the gcd of the coefficients), the
+    row with the least `rhs / g`; all-zero rows pass through.
+
+    The rows kept define the same region: a looser parallel row is implied
+    by its tighter sibling, and its line lies outside the region, so it
+    makes no vertex and cuts none.
+    """
+    zero = []
+    kept: dict = {}
+    for row in rows:
+        g = gcd(*row.coeffs)
+        if not g:
+            zero.append(row)
+            continue
+        key = row.coeffs if g == 1 else tuple(c // g for c in row.coeffs)
+        other = kept.get(key)
+        # rhs / g < other.rhs / other_g, denominators positive
+        if other is None or row.rhs * other[1] < other[0].rhs * g:
+            kept[key] = (row, g)
+    return zero + [row for row, _ in kept.values()]
+
+
+def _recession_ray(rows: Sequence[Row], nonneg: tuple[bool, ...]):
+    """A direction the region of `rows` runs along without end when it
+    has a point, as coprime Fractions, or None: the axes and each row's two
+    edge directions are the candidates, in that order."""
     candidates = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    for row in sys.rows:
+    for row in rows:
         a, b = row.coeffs
         candidates.append((b, -a))
         candidates.append((-b, a))
     for dx, dy in candidates:
         if (dx, dy) == (0, 0):
             continue
-        if sys.nonneg[0] and dx < 0:
+        if nonneg[0] and dx < 0:
             continue
-        if sys.nonneg[1] and dy < 0:
+        if nonneg[1] and dy < 0:
             continue
-        if all(r.coeffs[0] * dx + r.coeffs[1] * dy <= 0 for r in sys.rows):
+        if all(r.coeffs[0] * dx + r.coeffs[1] * dy <= 0 for r in rows):
             g = gcd(dx, dy)
             return (Fraction(dx // g), Fraction(dy // g))
     return None
@@ -580,28 +605,36 @@ def vertices_2d(sys: LinearSystem) -> list[tuple[Fraction, Fraction]]:
     The listing starts at the lowest vertex (ties broken leftward), which
     for regions touching the origin means starting there and walking the
     x-axis first.  Infeasible systems yield an empty list.
+
+    Only the tightest row per direction takes part, and the LP runs only
+    when the rows leave a ray, to tell an unbounded region from an empty
+    one; the ray reported is the first one of the canonical system.
     """
     if len(sys.variables) != 2:
         raise ParameterError("vertex enumeration needs exactly 2 variables")
-    sys = canonicalize(sys)
-    if sys.infeasible or not feasible(sys):
+    if sys.infeasible:
         return []
-    ray = _recession_ray(sys)
-    if ray is not None:
+    rows = _tightest_per_direction(sys.rows)
+    if _recession_ray(rows, sys.nonneg) is not None:
+        sys = canonicalize(sys)
+        if not feasible(sys):
+            return []
+        ray = _recession_ray(sys.rows, sys.nonneg)
         raise UnboundedRegionError(
             f"region is unbounded along the ray ({format_rational(ray[0])}, "
             f"{format_rational(ray[1])})",
             ray=ray,
         )
 
-    lines = [(*r.coeffs, r.rhs) for r in sys.rows]
+    lines = [(*r.coeffs, r.rhs) for r in rows]
     if sys.nonneg[0]:
         lines.append((-1, 0, 0))
     if sys.nonneg[1]:
         lines.append((0, -1, 0))
 
-    # the intersection of two lines is (x, y) / det; with det > 0 a line
-    # a*x + b*y <= c holds there exactly when a*x + b*y <= c*det does
+    # the intersection of two lines is (x, y) / det, kept as that triple in
+    # lowest terms; with det > 0 a line a*x + b*y <= c holds there exactly
+    # when a*x + b*y <= c*det does
     points = set()
     for i in range(len(lines)):
         a1, b1, c1 = lines[i]
@@ -614,45 +647,36 @@ def vertices_2d(sys: LinearSystem) -> list[tuple[Fraction, Fraction]]:
             if det < 0:
                 det, x, y = -det, -x, -y
             if all(a * x + b * y <= c * det for a, b, c in lines):
-                points.add((Fraction(x, det), Fraction(y, det)))
+                g = gcd(x, y, det)
+                points.add((x // g, y // g, det // g))
+    if not points:  # a bounded region with a point has a vertex
+        return []
 
-    ordered = sorted(points, key=lambda p: (p[1], p[0]))
-    if len(ordered) <= 2:
-        return ordered
-
-    # the ring runs around the centroid; scaled by n times the vertices'
-    # common denominator, every offset from it is a pair of ints
-    n = len(points)
-    scale = lcm(*(v.denominator for p in points for v in p))
-    scaled = {p: (p[0].numerator * (scale // p[0].denominator),
-                  p[1].numerator * (scale // p[1].denominator)) for p in points}
-    sx = sum(x for x, _ in scaled.values())
-    sy = sum(y for _, y in scaled.values())
-    offset = {p: (n * x - sx, n * y - sy) for p, (x, y) in scaled.items()}
-
-    def half(d):
-        dx, dy = d
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+    # over the common denominator the vertices are int pairs (y, x); they
+    # are in convex position, so the ring around their centroid is the
+    # order of their angles seen from the lowest one
+    scale = lcm(*(d for _, _, d in points))
+    ordered = sorted((y * (scale // d), x * (scale // d)) for x, y, d in points)
+    y0, x0 = ordered[0]
 
     def compare(p, q):
-        dp, dq = offset[p], offset[q]
-        hp, hq = half(dp), half(dq)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        c = dp[0] * dq[1] - dq[0] * dp[1]
+        c = (p[1] - x0) * (q[0] - y0) - (q[1] - x0) * (p[0] - y0)
         return -1 if c > 0 else (1 if c < 0 else 0)
 
-    ring = sorted(points, key=cmp_to_key(compare))
-    start = ring.index(ordered[0])
-    return ring[start:] + ring[:start]
+    ring = ordered[:1] + sorted(ordered[1:], key=cmp_to_key(compare))
+    return [(Fraction(x, scale), Fraction(y, scale)) for y, x in ring]
 
 
 def contains(outer: LinearSystem, inner: LinearSystem) -> bool:
-    """Exact region containment: inner a subset of outer."""
+    """Exact region containment: inner a subset of outer; one LP per
+    outer direction, over the tightest inner row of each direction."""
     if outer.variables != inner.variables or outer.nonneg != inner.nonneg:
         raise ParameterError("containment needs identical variable lists")
-    rows = list(inner.rows) + _orthant_rows(inner)
-    return all(_implies(rows, row) for row in canonicalize(outer).rows)
+    rows = _tightest_per_direction([*inner.rows, *_orthant_rows(inner)])
+    return all(
+        _implies(rows, row)
+        for row in _tightest_per_direction(canonicalize(outer).rows)
+    )
 
 
 def corner_points_symmetric(

@@ -143,7 +143,9 @@ class SubsetFamily:
                 f"family size must be in 1..{MAX_FAMILY}: {FAMILY_CAP_REASON}"
             )
         for s in self.sets:
-            if s.ground != self.ground:
+            # the identity test spares the field-by-field equality when the
+            # members share the family's ground object, as they mostly do
+            if s.ground is not self.ground and s.ground != self.ground:
                 raise GroundMismatchError("family member over a different ground")
         object.__setattr__(self, "masks", tuple(s.mask for s in self.sets))
         object.__setattr__(self, "_levels", {})

@@ -73,7 +73,7 @@ class SetFunction:
             raise ParameterError(
                 f"expected {ground.size} weights, got {len(ws)}"
             )
-        if any(w < 0 for w in ws):
+        if any(w.numerator < 0 for w in ws):
             raise ParameterError("modular weights must be nonnegative")
         scale = math.lcm(*(w.denominator for w in ws))
         units = tuple(w.numerator * (scale // w.denominator) for w in ws)
@@ -114,6 +114,8 @@ class SetFunction:
 
 
 def _exact_weight(weight) -> Fraction:
+    if type(weight) is Fraction:
+        return weight
     try:
         return Fraction(weight)
     except (ValueError, OverflowError):

@@ -271,6 +271,16 @@ class TestSubsetFamily:
         assert hash(fam) == hash((g, fam.sets))
         assert fam == twin and hash(fam) == hash(twin)
 
+    def test_members_over_an_equal_ground_object_are_accepted(self):
+        g = GroundSet(3, labels=("a", "b", "c"))
+        twin = GroundSet(3, labels=("a", "b", "c"))
+        assert twin is not g
+        fam = SubsetFamily(g, (g.subset([0]), twin.subset([1, 2])))
+        assert fam.masks == (0b001, 0b110)
+        for other in (GroundSet(3), GroundSet(4), GroundSet(3, labels=("a", "b", "d"))):
+            with pytest.raises(GroundMismatchError, match="family member over a different ground"):
+                SubsetFamily(g, (g.subset([0]), ElementSet(other, 1)))
+
     def test_level_labels_match_intersect_level(self):
         g = GroundSet(5, labels=("e", "a", "d", "b", "c"))
         fam = family_of(g, [0, 1, 2], [1, 3], [2, 3, 4])

@@ -22,6 +22,7 @@ from cutbounds.setfn import (
     MAX_VARIABLES,
     JointDistribution,
     SetFunction,
+    _exact_weight,
     cross_level_gap,
     entropy_function,
     is_modular,
@@ -95,6 +96,15 @@ class TestSetFunction:
     def test_table_rejects_nan_and_inf(self, value):
         with pytest.raises(ParameterError, match="set function values must be finite"):
             SetFunction.from_table(GroundSet(1), (0, value))
+
+    def test_modular_takes_fraction_weights_as_they_are(self):
+        weights = (Fraction(1, 2), Fraction(0), Fraction(5, 3))
+        assert all(_exact_weight(w) is w for w in weights)
+        assert _exact_weight(2) == Fraction(2) and _exact_weight("1/3") == Fraction(1, 3)
+        f = SetFunction.modular(G3, weights)
+        assert f(G3.full()) == Fraction(13, 6) and type(f(G3.full())) is Fraction
+        with pytest.raises(ParameterError, match="modular weights must be nonnegative"):
+            SetFunction.modular(G3, (Fraction(1, 2), Fraction(-1, 3), 0))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_modular_rejects_nan_and_inf(self, value):
