@@ -429,7 +429,12 @@ def instantiate(
             rate[label] = rate.get(label, 0) + weight
         for label in cut_labels(level, indices):
             cap[label] = cap.get(label, 0) + weight
-    rhs = None if capacities is None else _right_side(cap, *_capacity_units(cap, capacities))
+    units, denominator = _capacity_units(cap, capacities)
+    if units is not None and _MISSING in units:
+        label = next(label for label, unit in zip(cap, units) if unit is _MISSING)
+        raise ParameterError(f"no capacity given for arc {label!r}")
+    void = units is None or None in units
+    rhs = None if void else Fraction(sum(map(operator.mul, cap.values(), units)), denominator)
     return InstantiatedInequality(rate, cap, rhs, bound.provenance)
 
 
@@ -437,13 +442,16 @@ def instantiate(
 _MISSING = object()
 
 
-def _capacity_units(labels, capacities: Mapping) -> tuple:
-    """Per label, its capacity times the common denominator of the bounded
-    ones (None when unbounded, _MISSING when not given); and that
-    denominator.  A given capacity must be an int, a Fraction or None."""
-    values, bounded = {}, []
+def _capacity_units(labels: Iterable[str], capacities: Optional[Mapping]) -> tuple:
+    """Per label, in the order given, its capacity times the common
+    denominator of the bounded ones (None when unbounded, _MISSING when not
+    given), and that denominator; (None, 1) without capacities.  A given
+    capacity must be an int, a Fraction or None."""
+    if capacities is None:
+        return None, 1
+    values, bounded = [], []
     for label in labels:
-        values[label] = v = capacities.get(label, _MISSING)
+        values.append(v := capacities.get(label, _MISSING))
         if isinstance(v, (int, Fraction)):
             bounded.append(v)
         elif v is not None and v is not _MISSING:
@@ -451,24 +459,11 @@ def _capacity_units(labels, capacities: Mapping) -> tuple:
                 f"the capacity of arc {label!r} must be an int, a Fraction or None"
             )
     denominator = math.lcm(*[v.denominator for v in bounded])
-    units = {
-        label: v if v is None or v is _MISSING else v.numerator * (denominator // v.denominator)
-        for label, v in values.items()
-    }
+    units = [
+        v if v is None or v is _MISSING else v.numerator * (denominator // v.denominator)
+        for v in values
+    ]
     return units, denominator
-
-
-def _right_side(cap: dict, units: dict, denominator: int) -> Optional[Fraction]:
-    """The right side of label-keyed capacity coefficients, one Fraction
-    over the units' common denominator; None when an arc is unbounded.  The
-    first arc of `cap` whose capacity is not given is an error."""
-    values = [units[label] for label in cap]
-    if _MISSING in values:
-        label = next(label for label in cap if units[label] is _MISSING)
-        raise ParameterError(f"no capacity given for arc {label!r}")
-    if None in values:
-        return None
-    return Fraction(sum(map(operator.mul, cap.values(), values)), denominator)
 
 
 def _element_cells(family: SubsetFamily) -> list:
@@ -587,13 +582,15 @@ class _CellKernel:
     same coefficient (`_cell_vectors`).  Divided by its gcd the vector is
     the dedupe key: two rows share it exactly when they share a signature,
     for each occupied cell holds a label.  `add` keeps the first row of
-    each key and gives it its right side as an int over `denominator`, the
-    common denominator of the capacities, from the capacities summed per
-    cut cell once per call: every cut arc's capacity must be an int, a
-    Fraction or None, and a missing one is an error only for a kept row on
-    it.  The error names the arc `instantiate` would: the lowest-position
-    arc with no capacity in the cut level of the row's first term, in
-    canonical order, that holds one.
+    each key and gives it its right side as an int over `denominator`, from
+    `arc_units` summed per cut cell once per call.  `arc_units` gives each
+    cut-ground position, in ground order, an int over `denominator`, None
+    when unbounded or _MISSING when not given: the CLI passes the network's
+    own (`BroadcastNetwork._units`), the library entry points convert their
+    mapping through `_capacity_units`.  A missing capacity is an error only
+    for a kept row on it, naming the arc `instantiate` would: the
+    lowest-position arc with no capacity in the cut level of the row's
+    first term, in canonical order, that holds one.
 
     `rows` holds the kept entries (vector, right side, bound) in the order
     added, the order `thm2_search` lists.  `ordered()` gives them sorted as
@@ -602,7 +599,7 @@ class _CellKernel:
     order (`msg.ground_coeffs`, `cut.ground_coeffs`).
     """
 
-    def __init__(self, cut_family, msg_family, capacities=None):
+    def __init__(self, cut_family, msg_family, arc_units=None, denominator=1):
         if cut_family.size != msg_family.size:
             raise ParameterError("cut and message families must have the same sink count")
         msg_cells, cut_cells = _element_cells(msg_family), _element_cells(cut_family)
@@ -613,23 +610,21 @@ class _CellKernel:
         self.cut = _CellSide(cut_family, cut_cells, slot)
         self.rows: dict = {}
         self.units = None
-        if capacities is None:
+        self.denominator = denominator
+        if arc_units is None:
             return
-        labels = [cut_family.ground.label(p) for p in range(cut_family.ground.size)]
-        arc_units, self.denominator = _capacity_units(labels, capacities)
         self.units = [0] * len(self.cells)
         # (label, cell) of each arc with no capacity given, in ground order
         self.missing = []
         unbounded = set()
-        for label, cell in zip(labels, cut_cells):
+        for p, (unit, cell) in enumerate(zip(arc_units, cut_cells)):
             if cell:
-                s, unit = slot[cell], arc_units[label]
                 if unit is _MISSING:
-                    self.missing.append((label, cell))
+                    self.missing.append((cut_family.ground.label(p), cell))
                 elif unit is None:
-                    unbounded.add(s)
+                    unbounded.add(slot[cell])
                 else:
-                    self.units[s] += unit
+                    self.units[slot[cell]] += unit
         self.unbounded = sorted(unbounded)
 
     def add(self, vector: bytes, bound: BoundInequality) -> None:
@@ -848,7 +843,9 @@ def thm2_search(
     thm2 rows of `_row_kernel` as kept, for the table they come from
     (`_thm2_table`) is already deduplicated.  `capacities` give the right
     sides as in `instantiate`."""
-    kernel = _row_kernel(("thm2",), cut_family, msg_family, capacities)
+    ground = cut_family.ground
+    units = _capacity_units(map(ground.label, range(ground.size)), capacities)
+    kernel = _row_kernel(("thm2",), cut_family, msg_family, *units)
     return _inequalities(kernel, kernel.rows.values())
 
 
@@ -856,16 +853,18 @@ def _row_kernel(
     rules: Sequence[str],
     cut_family: SubsetFamily,
     msg_family: SubsetFamily,
-    capacities: Optional[Mapping] = None,
+    arc_units: Optional[Sequence] = None,
+    denominator: int = 1,
 ) -> _CellKernel:
     """The `_CellKernel` holding the rows of the named rules (any of
     BOUND_RULES), walked in the order given, so the first rule to produce a
     row names its provenance.  Each rule's bounds come from a per-process
     table, with their vectors over the occupied membership cells: a rule
     table's are evaluated on every call (`_cell_vectors`), the thm2 table's
-    are cached with it by the families' cell pattern (`_thm2_table`)."""
+    are cached with it by the families' cell pattern (`_thm2_table`).
+    `arc_units` over `denominator` give the right sides (`_CellKernel`)."""
     K = cut_family.size
-    kernel = _CellKernel(cut_family, msg_family, capacities)
+    kernel = _CellKernel(cut_family, msg_family, arc_units, denominator)
     for rule in check_rules(rules, BOUND_RULES):
         if rule == "thm2":
             table, vectors = _thm2_table(K, *kernel.pattern)
@@ -890,7 +889,9 @@ def bound_rows(
     names its provenance, and of the rows the first per signature is kept
     (`_row_kernel`).  `capacities` give the right sides as in `instantiate`.
     """
-    kernel = _row_kernel(rules, cut_family, msg_family, capacities)
+    ground = cut_family.ground
+    units = _capacity_units(map(ground.label, range(ground.size)), capacities)
+    kernel = _row_kernel(rules, cut_family, msg_family, *units)
     return _inequalities(kernel, kernel.ordered())
 
 

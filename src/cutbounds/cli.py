@@ -254,10 +254,9 @@ def _coeff_writer(labels, side):
 
 def _network_kernel(net: BroadcastNetwork, rules, families):
     """The row kernel of the named rules on the network's (cut, message)
-    `families` under its arc capacities."""
-    capacities = {arc.label: arc.capacity for arc in net.arcs}
+    `families` under the network's own scaled arc capacities."""
     # verified cuts hold no unbounded arc, so every right side is finite
-    return _row_kernel(rules, *families, capacities)
+    return _row_kernel(rules, *families, net._units, net._scale)
 
 
 def _report_text(net: BroadcastNetwork, kernel) -> str:

@@ -8,8 +8,11 @@ network).  Arc sets are :class:`ElementSet` bit masks over the arcs in
 declaration order.  A network scales its finite capacities once, to ints
 over their common denominator; cut capacities are summed in those units,
 and a minimum cut runs its flow on them, an unbounded arc one unit above
-the finite total.  Cut capacities are exact, and the internal
-max-flow == min-cut check is an equality, not a tolerance.
+the finite total.  The CLI's row kernel reads the same units
+(`_units` over `_scale`), so no capacity is scaled twice on its path.
+Cut capacities are exact, and the internal max-flow == min-cut check is an
+equality, not a tolerance.  A capacity that is not a finite rational (NaN,
+an infinity, text) is refused with ParameterError.
 """
 
 from __future__ import annotations
@@ -33,14 +36,22 @@ from .setcalc import FAMILY_CAP_REASON, MAX_FAMILY, ElementSet, GroundSet, Subse
 Capacity = Optional[Fraction]
 
 
+def _exact_capacity(value) -> Fraction:
+    """A capacity as a Fraction, a Fraction kept as it is; ParameterError
+    for anything that is not a finite rational (NaN, infinities, text)."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ParameterError(f"invalid arc capacity {value!r}") from None
+
+
 def _coerce_capacity(value) -> Capacity:
     if value is None:
         return None
-    try:
-        cap = Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ParameterError(f"invalid arc capacity {value!r}") from None
-    if cap <= 0:
+    cap = _exact_capacity(value)
+    if cap.numerator <= 0:
         raise ParameterError("arc capacity must be positive (or None for unbounded)")
     return cap
 
@@ -392,8 +403,8 @@ def combination_network(
             raise ParameterError(f"subset {members} outside 1..{K}")
         if members in by_subset:
             raise ParameterError(f"duplicate capacity entry for subset {members}")
-        cap = Fraction(value)
-        if cap < 0:
+        cap = _exact_capacity(value)
+        if cap.numerator < 0:
             raise ParameterError("subset capacities must be nonnegative")
         by_subset[members] = cap
 
@@ -462,7 +473,7 @@ def symmetric_combination_network(K: int, c: Sequence) -> BroadcastNetwork:
     if len(c) != K:
         raise ParameterError(f"capacity list must have length {K}")
     caps = {
-        members: Fraction(c[size - 1])
+        members: c[size - 1]
         for size in range(1, K + 1)
         for members in combinations(range(1, K + 1), size)
     }

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -474,3 +475,56 @@ class TestSymmetric:
             symmetric_combination_network(0, ())
         with pytest.raises(ParameterError):
             symmetric_combination_network(3, (0, 0, 0))
+
+
+_NOT_FINITE_RATIONALS = [
+    float("inf"),
+    float("nan"),
+    Decimal("Infinity"),
+    Decimal("NaN"),
+    "x",
+]
+
+_CAPACITY_TAKERS = {
+    "Arc": lambda value: Arc("e0", "s", "t", value),
+    "combination_network": lambda value: combination_network(
+        2, {(1,): value, (1, 2): 1}, {1: ["M"], 2: ["M"]}
+    ),
+    "symmetric_combination_network": lambda value: symmetric_combination_network(
+        2, (value, 1)
+    ),
+}
+
+
+class TestCapacityConversion:
+    @pytest.mark.parametrize("taker", sorted(_CAPACITY_TAKERS))
+    @pytest.mark.parametrize("value", _NOT_FINITE_RATIONALS, ids=repr)
+    def test_values_that_are_not_finite_rationals_are_refused(self, taker, value):
+        with pytest.raises(ParameterError, match="invalid arc capacity"):
+            _CAPACITY_TAKERS[taker](value)
+
+    def test_a_fraction_is_kept_as_it_is(self):
+        value = Fraction(3, 4)
+        assert Arc("e0", "s", "t", value).capacity is value
+
+    def test_other_rationals_become_fractions(self):
+        for value, expected in ((2, Fraction(2)), ("3/4", Fraction(3, 4)),
+                                (Decimal("0.5"), Fraction(1, 2))):
+            capacity = Arc("e0", "s", "t", value).capacity
+            assert type(capacity) is Fraction and capacity == expected
+
+    def test_negative_subset_capacity_refused(self):
+        # a subset capacity may be 0 (its mixer is omitted), not below
+        with pytest.raises(ParameterError, match="nonnegative"):
+            _CAPACITY_TAKERS["combination_network"](Fraction(-1, 2))
+
+
+class TestCompleteCombinationNetwork:
+    def test_one_sink_builds(self):
+        net = complete_combination_network(1)
+        assert net.K == 1 and net.messages == ("W1",)
+        assert min_cut(net, 1).capacity == 1
+
+    def test_zero_sinks_refused(self):
+        with pytest.raises(ParameterError, match="K must be a positive integer"):
+            complete_combination_network(0)

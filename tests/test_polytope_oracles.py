@@ -336,6 +336,12 @@ def test_single_row_domination_is_sound(case):
         assert found
 
 
+def test_single_row_with_positive_rhs_implies_a_row_at_small_positive_rhs():
+    # x + y <= 5 with x, y >= 0 implies -x <= 1: lam approaches 0 from
+    # above, so any positive right side is implied, not only those above 1
+    assert _single_row_implies(Row((1, 1), 5), Row((-1, 0), 1), (True, True))
+
+
 @PROFILE
 @given(tier_cases(2))
 def test_pair_domination_is_sound(case):

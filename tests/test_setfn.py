@@ -274,6 +274,19 @@ class TestSubmodularityChecks:
         f = SetFunction.from_table(G3, [0] * 8)
         assert is_modular(f, 0)
 
+    def test_table_backed_modular_function_is_submodular_at_tolerance_zero(self):
+        # every exchange is an equality, and an equality is no violation;
+        # the table backing keeps the exchange sweep from short-circuiting
+        f = SetFunction.from_table(G3, [bin(mask).count("1") for mask in range(8)])
+        assert not f.is_modular_backed
+        assert is_submodular(f, 0) and is_modular(f, 0)
+
+    def test_violation_over_a_nonempty_base(self):
+        # |S| with f({0,1,2}) raised from 3 to 4: each violated exchange has
+        # S a singleton, f(S) = 1, so the check must add f(S) to f(S+a+b)
+        f = SetFunction.from_table(G3, (0, 1, 1, 2, 1, 2, 2, 4))
+        assert not is_submodular(f, 0)
+
 
 def exact_weights(rng, n):
     """Nonnegative weights of mixed kinds: Fractions with denominators up to
