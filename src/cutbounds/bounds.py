@@ -9,11 +9,16 @@ has to re-establish.  It also means a term list gives one coefficient to
 all elements held by the same members, so every row the program builds
 comes from `_CellKernel`, which evaluates and deduplicates rows on these
 membership cells; `bound_rows` and `thm2_search` list labels only for the
-rows it keeps.  For the same reason the thm2 search, whose side conditions
-compare levels, depends only on which cells the two families occupy: it
-runs once per such pattern, on families of one element per cell
-(`_thm2_table`).  `instantiate` walks a term list label by label; the
-program does not call it, and tests use it as the independent reference.
+rows it keeps.  Which rows are kept, and how they sort, then depends on
+the rules, the sink count and each family's layout (the cell of each
+label, in label order) alone, not on capacities: the kept rows of a
+layout are built once and kept in `_row_tables`, bounded by the rows it
+holds, and each call computes only their right sides.  For the same
+reason the thm2 search, whose side conditions compare levels, depends
+only on which cells the two families occupy: it runs once per such
+pattern, on families of one element per cell (`_thm2_table`).
+`instantiate` walks a term list label by label; the program does not call
+it, and tests use it as the independent reference.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import functools
 import itertools
 import math
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, count
@@ -42,6 +49,15 @@ MAX_BETA_SET_SIZE = 6
 # where the complete network's all-rule report takes under a second, and
 # 250047 at K = 6
 MAX_SEARCH_SINKS = 5
+
+# a row table depends on the rules, K and the cell layouts alone, so a
+# process that meets one topology again (a capacity sweep, repeated
+# reports) reuses its rows; 8192 rows hold about 1.2 MB at the complete
+# K = 5 network's 31 cells (2771 rows for all rules) and 3.5 MB at the
+# complete K = 8 network's 255 (tracemalloc).  One pass of the `report`
+# benchmark holds 2248 rows; a larger table, such as a 14-sink cor3
+# report's 69576 rows, is used once and not kept
+MAX_CACHED_ROWS = 8192
 
 ENUMERATION_RULES = ("csb", "gcsb3", "cor3")
 BOUND_RULES = ENUMERATION_RULES + ("cor2", "thm2")
@@ -544,16 +560,19 @@ def _picker(indices: Sequence[int]):
 class _CellSide:
     """One family's labels in sorted order, the elements in no member left
     out, and a picker of their cells' slots in a kernel vector;
-    `ground_coeffs` reads every element's coefficient in ground order."""
+    `ground_coeffs` reads every element's coefficient in ground order.
+    `layout` is the cell of each label in that order: with the other
+    side's it fixes the occupied cells, their slots and the order `key`
+    gives, so everything a `_RowTable` holds."""
 
     def __init__(self, family: SubsetFamily, cells: list, slot: dict):
-        slots = [slot[c] if c else None for c in cells]
         label = family.ground.label
-        ranked = sorted((label(p), s) for p, s in enumerate(slots) if s is not None)
+        ranked = sorted((label(p), c) for p, c in enumerate(cells) if c)
         self.labels = tuple(name for name, _ in ranked)
-        self.pick = _picker([s for _, s in ranked])
+        self.layout = tuple(c for _, c in ranked)
+        self.pick = _picker([slot[c] for c in self.layout])
         # an element in no member reads the zero byte `ground_coeffs` appends
-        self._ground = _picker([len(slot) if s is None else s for s in slots])
+        self._ground = _picker([slot[c] if c else len(slot) for c in cells])
 
     def ground_coeffs(self, vector) -> tuple:
         """The coefficient of every ground element in a vector, in ground
@@ -573,24 +592,109 @@ class _CellSide:
         return tuple(chain.from_iterable(zip(compress(count(), values), compress(values, values))))
 
 
+class _RowTable:
+    """The rows some rules keep on one pair of cell layouts, without right
+    sides: `rows` maps each dedupe key to the first (vector, bound) added
+    with it, in the order added.
+
+    A row's dedupe key is its vector divided by its gcd: two rows share it
+    exactly when they share a signature, for each occupied cell holds a
+    label.  Nothing here depends on labels or capacities, so `_row_kernel`
+    shares one table between every call on the same layouts (`_row_tables`).
+    """
+
+    __slots__ = ("rows", "_order")
+
+    def __init__(self):
+        self.rows: dict = {}
+        self._order = None
+
+    def add(self, vectors: Iterable[bytes], bounds: Iterable[BoundInequality]) -> None:
+        """Keep each bound's row unless its key was met before."""
+        rows = self.rows
+        for vector, bound in zip(vectors, bounds):
+            g = math.gcd(*vector)
+            key = vector if g < 2 else bytes(w // g for w in vector)
+            if key not in rows:
+                rows[key] = vector, bound
+
+    def order(self, msg_key, cut_key) -> tuple:
+        """The positions of the rows, in the order added, sorted as their
+        signatures sort: by the sides' `key`s of their dedupe keys.  Sorted
+        on the first call, then kept, as the layouts fix the keys."""
+        if self._order is None:
+            keys = [(msg_key(key), cut_key(key)) for key in self.rows]
+            self._order = tuple(sorted(range(len(keys)), key=keys.__getitem__))
+        return self._order
+
+
+class _RowTableCache:
+    """The `_RowTable`s of the (rules, sink count, layouts) met last, the
+    least recently used dropped first, holding `budget` rows at most in
+    all: a table of more rows is built and used but not kept.  Nor is an
+    empty one, which costs nothing to build and would count for nothing
+    against the budget."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.rows = self.hits = 0
+        self._tables: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def get(self, key) -> Optional[_RowTable]:
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:
+                self.hits += 1
+                self._tables.move_to_end(key)
+            return table
+
+    def put(self, key, table: _RowTable) -> None:
+        size = len(table.rows)
+        with self._lock:
+            if not 0 < size <= self.budget or key in self._tables:
+                return
+            while self.rows + size > self.budget:
+                _, dropped = self._tables.popitem(last=False)
+                self.rows -= len(dropped.rows)
+            self._tables[key] = table
+            self.rows += size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self.rows = self.hits = 0
+
+
+# the row tables met last in this process; a row shares its bound with the
+# rule and thm2 tables, so it holds its vector, its dedupe key and its
+# slots, about 110 B plus 1.3 B per occupied cell (tracemalloc)
+_row_tables = _RowTableCache(MAX_CACHED_ROWS)
+
+
 class _CellKernel:
     """Rows on one pair of (cut, message) families under one set of
     capacities, deduplicated as `InstantiatedInequality.signature` would.
 
     A row is a bound's `bytes` vector over the nonzero membership cells the
     two families occupy (`cells`), since every element of a cell has the
-    same coefficient (`_cell_vectors`).  Divided by its gcd the vector is
-    the dedupe key: two rows share it exactly when they share a signature,
-    for each occupied cell holds a label.  `add` keeps the first row of
-    each key and gives it its right side as an int over `denominator`, from
-    `arc_units` summed per cut cell once per call.  `arc_units` gives each
-    cut-ground position, in ground order, an int over `denominator`, None
-    when unbounded or _MISSING when not given: the CLI passes the network's
-    own (`BroadcastNetwork._units`), the library entry points convert their
-    mapping through `_capacity_units`.  A missing capacity is an error only
-    for a kept row on it, naming the arc `instantiate` would: the
-    lowest-position arc with no capacity in the cut level of the row's
-    first term, in canonical order, that holds one.
+    same coefficient (`_cell_vectors`).  Which rows are kept, and how they
+    sort, depends on the families only through their cell layouts
+    (`_CellSide.layout`), so the kept rows come from a `_RowTable`
+    (`table`, set by `_row_kernel`) and only their right sides are
+    computed here.  `extend` gives each kept row its right side as an int
+    over `denominator`, from `arc_units` summed per cut cell once per
+    call.  `arc_units` gives each cut-ground position, in ground order, an
+    int over `denominator`, None when unbounded or _MISSING when not given:
+    the CLI passes the network's own (`BroadcastNetwork._units`), the
+    library entry points convert their mapping through `_capacity_units`.
+    A missing capacity is an error only for a kept row on it, naming the
+    arc `instantiate` would: the lowest-position arc with no capacity in
+    the cut level of the row's first term, in canonical order, that holds
+    one.
 
     `rows` holds the kept entries (vector, right side, bound) in the order
     added, the order `thm2_search` lists.  `ordered()` gives them sorted as
@@ -608,7 +712,8 @@ class _CellKernel:
         slot = {c: s for s, c in enumerate(self.cells)}
         self.msg = _CellSide(msg_family, msg_cells, slot)
         self.cut = _CellSide(cut_family, cut_cells, slot)
-        self.rows: dict = {}
+        self.table: Optional[_RowTable] = None
+        self.rows: list = []
         self.units = None
         self.denominator = denominator
         if arc_units is None:
@@ -627,14 +732,16 @@ class _CellKernel:
                     self.units[slot[cell]] += unit
         self.unbounded = sorted(unbounded)
 
-    def add(self, vector: bytes, bound: BoundInequality) -> None:
-        """Keep the row `vector` of `bound` unless its key was met before."""
-        g = math.gcd(*vector)
-        key = tuple(vector) if g < 2 else tuple(w // g for w in vector)
-        if key in self.rows:
-            return
-        rhs = None if self.units is None else self._right_side(vector, bound)
-        self.rows[key] = vector, rhs, bound
+    def extend(self, entries: Iterable[tuple]) -> None:
+        """Append kept (vector, bound) entries to `rows` with their right
+        sides, in the order given."""
+        if self.units is None:
+            self.rows.extend((vector, None, bound) for vector, bound in entries)
+        else:
+            right_side = self._right_side
+            self.rows.extend(
+                (vector, right_side(vector, bound), bound) for vector, bound in entries
+            )
 
     def _right_side(self, vector: bytes, bound: BoundInequality) -> Optional[int]:
         """The row's right side times `denominator`; None when it holds an
@@ -653,9 +760,8 @@ class _CellKernel:
     def ordered(self) -> list:
         """The kept (vector, right side, bound) entries, sorted as their
         rows' signatures sort."""
-        msg_key, cut_key = self.msg.key, self.cut.key
-        keys = sorted(self.rows, key=lambda key: (msg_key(key), cut_key(key)))
-        return [self.rows[key] for key in keys]
+        rows = self.rows
+        return [rows[i] for i in self.table.order(self.msg.key, self.cut.key)]
 
 
 def _ordered_subsets(K: int):
@@ -726,7 +832,8 @@ _RULE_BOUNDS = {
 
 
 # a rule's bounds depend on the sink count alone, so each (K, rule) table
-# is built once per process; eight sink counts of all four rules fit
+# is built once per process; eight sink counts of all four rules fit.  A
+# table is read only to build a row table (`_row_kernel`)
 @functools.lru_cache(maxsize=32)
 def _rule_table(K: int, rule: str) -> tuple:
     """The bounds of one rule of _RULE_BOUNDS for K sinks, in builder order.
@@ -750,17 +857,19 @@ def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
 
 # a thm2 table depends on the sink count and the occupied cells alone, so
 # a process that meets one cell pattern again reuses its search; a process
-# that meets each pattern once gains nothing.  An entry holds 0.17 MB at
-# K = 4 and 0.95 MB at K = 5 for the complete network, and 5.7 MB for the
-# largest K = 5 table found (tracemalloc), so eight at most are kept: over
-# the `report` benchmark's seven patterns, eight or seven slots hit on 98%
-# of the calls, six on 72% and four on 39%
+# that meets each pattern once gains nothing.  It is asked only when a row
+# table is built (`_row_kernel`), so a layout met again never reaches it:
+# a `report` benchmark run asks seven times, once per pattern, and hits
+# never; families of one pattern under other layouts hit.  An entry holds
+# 0.17 MB at K = 4 and 0.95 MB at K = 5 for the complete network, and
+# 5.7 MB for the largest K = 5 table found (tracemalloc), so eight at most
+# are kept
 @functools.lru_cache(maxsize=8)
 def _thm2_table(K: int, cut_cells: tuple, msg_cells: tuple) -> tuple:
     """The thm2 bounds of families whose distinct nonzero membership cells
     are `cut_cells` and `msg_cells` (sorted), with their `_cell_vectors`
     over the sorted union of both: (bounds, vectors), deduplicated by
-    `_CellKernel`, in search order.
+    `_RowTable`, in search order.
 
     The side conditions compare levels, and a level is a union of cells,
     so the search runs on families with one element per occupied cell
@@ -821,16 +930,15 @@ def _thm2_table(K: int, cut_cells: tuple, msg_cells: tuple) -> tuple:
                         found.append(BoundInequality(
                             terms, _general_provenance(ids_g, ids_u, ids_t, qs, splits)
                         ))
-    kernel = _CellKernel(cut_family, msg_family)
-    for bound, vector in zip(found, _cell_vectors(found, kernel.cells, K)):
-        kernel.add(vector, bound)
+    table = _RowTable()
+    table.add(_cell_vectors(found, sorted(set(cut_cells).union(msg_cells)), K), found)
     # few term values repeat across a table, so the kept rows share them
     shared: dict = {}
     kept = [
         BoundInequality(tuple(shared.setdefault(t, t) for t in bound.terms), bound.provenance)
-        for _, _, bound in kernel.rows.values()
+        for _, bound in table.rows.values()
     ]
-    return tuple(kept), tuple(vector for vector, _, _ in kernel.rows.values())
+    return tuple(kept), tuple(vector for vector, _ in table.rows.values())
 
 
 def thm2_search(
@@ -846,7 +954,7 @@ def thm2_search(
     ground = cut_family.ground
     units = _capacity_units(map(ground.label, range(ground.size)), capacities)
     kernel = _row_kernel(("thm2",), cut_family, msg_family, *units)
-    return _inequalities(kernel, kernel.rows.values())
+    return _inequalities(kernel, kernel.rows)
 
 
 def _row_kernel(
@@ -858,21 +966,35 @@ def _row_kernel(
 ) -> _CellKernel:
     """The `_CellKernel` holding the rows of the named rules (any of
     BOUND_RULES), walked in the order given, so the first rule to produce a
-    row names its provenance.  Each rule's bounds come from a per-process
-    table, with their vectors over the occupied membership cells: a rule
-    table's are evaluated on every call (`_cell_vectors`), the thm2 table's
-    are cached with it by the families' cell pattern (`_thm2_table`).
-    `arc_units` over `denominator` give the right sides (`_CellKernel`)."""
+    row names its provenance.  The kept rows come from the `_RowTable` of
+    the rules, the sink count and the families' cell layouts, found in
+    `_row_tables` or built and stored there: each rule's bounds come from a
+    per-process table, a rule table's vectors are evaluated on the
+    occupied cells (`_cell_vectors`), the thm2 table's are cached with it
+    by the families' cell pattern (`_thm2_table`).  `arc_units` over
+    `denominator` give the right sides (`_CellKernel`), computed on every
+    call."""
     K = cut_family.size
     kernel = _CellKernel(cut_family, msg_family, arc_units, denominator)
-    for rule in check_rules(rules, BOUND_RULES):
+    rules = check_rules(rules, BOUND_RULES)
+    key = rules, K, kernel.cut.layout, kernel.msg.layout
+    table = kernel.table = _row_tables.get(key)
+    if table is not None:
+        kernel.extend(table.rows.values())
+        return kernel
+    table = kernel.table = _RowTable()
+    for rule in rules:
         if rule == "thm2":
-            table, vectors = _thm2_table(K, *kernel.pattern)
+            bounds, vectors = _thm2_table(K, *kernel.pattern)
         else:
-            table = _rule_table(K, rule)
-            vectors = _cell_vectors(table, kernel.cells, K)
-        for bound, vector in zip(table, vectors):
-            kernel.add(vector, bound)
+            bounds = _rule_table(K, rule)
+            vectors = _cell_vectors(bounds, kernel.cells, K)
+        kept = len(table.rows)
+        table.add(vectors, bounds)
+        # right sides rule by rule, so a missing capacity on a kept row is
+        # named before a later rule can fail (the thm2 sink cap)
+        kernel.extend(itertools.islice(table.rows.values(), kept, None))
+    _row_tables.put(key, table)
     return kernel
 
 

@@ -537,7 +537,7 @@ def _file_region_system(net: BroadcastNetwork, which: str, families, axes) -> Li
     scale = kernel.denominator
     rows = [
         Row(tuple(scale * c for c in pick(read(vector))), rhs)
-        for vector, rhs, _ in kernel.rows.values()
+        for vector, rhs, _ in kernel.rows
     ]
     return LinearSystem(axes, rows, (True,) * len(axes))
 

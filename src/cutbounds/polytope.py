@@ -76,6 +76,17 @@ def format_rational(value: Union[Fraction, int]) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _row_entry(value) -> Fraction:
+    """A row coefficient or right side other than an int or a Fraction, as
+    a Fraction; ParameterError on a NaN, an infinity or a non-number."""
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ArithmeticError):
+        # NaN and text that is not a rational raise ValueError, an infinity
+        # OverflowError, "1/0" ZeroDivisionError, a non-number TypeError
+        raise ParameterError(f"a row entry must be a finite rational, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Row:
     """One inequality coeffs . x <= rhs, stored canonically.
@@ -91,7 +102,7 @@ class Row:
     def __post_init__(self):
         values = (*self.coeffs, self.rhs)
         if not all(type(v) is int for v in values):
-            values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+            values = [v if isinstance(v, (int, Fraction)) else _row_entry(v) for v in values]
             denom = lcm(*(v.denominator for v in values))
             values = [v.numerator * (denom // v.denominator) for v in values]
         g = gcd(*values)

@@ -90,13 +90,19 @@ class SetFunction:
             raise ParameterError(
                 f"table must have {1 << ground.size} entries, got {len(table)}"
             )
+        # a float NaN compares false both ways, so `v < inf` refuses it; a
+        # Decimal NaN signals on an ordering comparison instead, so this
+        # check comes first
+        try:
+            finite = all(v < math.inf for v in table)
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise ParameterError("set function values must be finite")
         if table[0] != 0:
             raise ParameterError("the empty set must map to 0")
         if any(v < 0 for v in table):
             raise ParameterError("set function values must be nonnegative")
-        # nan compares false both ways, so it passes the two checks above
-        if not all(v < math.inf for v in table):
-            raise ParameterError("set function values must be finite")
         return cls(ground, table)
 
     @property

@@ -8,7 +8,11 @@ identities tying the general builder back to the named special cases.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import itertools
+import json
 import math
 import operator
 from decimal import Decimal
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutbounds import bounds
+from cutbounds import bounds, cli
 from cutbounds.bounds import (
     BOUND_RULES,
     MAX_BETA_SET_SIZE,
@@ -996,6 +1000,8 @@ class TestThm2Table:
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
     def test_families_sharing_a_pattern(self, order):
+        # the row tables are emptied too, or they answer before the search
+        bounds._row_tables.clear()
         _thm2_table.cache_clear()
         for cut, msg, caps in pattern_sharing_cases()[::order]:
             assert_same_outcome(
@@ -1040,6 +1046,173 @@ class TestThm2Table:
         table, _ = _thm2_table(4, full, full)
         terms = [t for bound in table for t in bound.terms]
         assert len({id(t) for t in terms}) == len(set(terms)) < len(terms)
+
+
+def relabelled(family, order):
+    """The family with its ground labels moved by `order`, position p now
+    labelled as position order[p] was: the same cells, another layout."""
+    labels = family.ground.labels
+    ground = GroundSet(len(labels), labels=tuple(labels[i] for i in order))
+    return SubsetFamily(ground, tuple(ElementSet(ground, m) for m in family.masks))
+
+
+def moved_capacities(caps, family, order):
+    """`caps` of `family` keyed by the labels of `relabelled(family, order)`."""
+    labels = family.ground.labels
+    return {labels[order[p]]: caps[label] for p, label in enumerate(labels)}
+
+
+def outcome(call, record):
+    """The records of the rows `call()` gives, or the text of the
+    ParameterError it raises."""
+    try:
+        return [record(row) for row in call()]
+    except ParameterError as exc:
+        return "error: " + str(exc)
+
+
+def cli_outcome(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def assert_cache_is_transparent(calls):
+    """Each of `calls`, a (function, shares an earlier call's row table)
+    pair, gives what it gives with the row tables emptied first, once in
+    order from empty tables, hitting exactly where it shares, and once more
+    with every table warm."""
+    cold = []
+    for call, _ in calls:
+        bounds._row_tables.clear()
+        cold.append(call())
+    bounds._row_tables.clear()
+    for (call, shares), expected in zip(calls, cold):
+        hits = bounds._row_tables.hits
+        assert call() == expected
+        assert bounds._row_tables.hits - hits == shares
+    assert [call() for call, _ in calls] == cold
+    return cold
+
+
+def cache_document(capacities, arc_order=range(10), messages=("W1", "W2", "W3", "W12", "W123")):
+    """Three sinks below three two-sink mixers, t1 also fed directly; the
+    source arcs get `capacities`, the mixer arcs are unbounded, and the arcs
+    are listed in `arc_order`, so their automatic labels move with it.  The
+    messages play the roles W1, W2, W3, W12, W123 in the order given.  Also
+    a `--cuts` document of cuts that are not minimal: each sink's source
+    arcs plus the source arc of a mixer that does not feed it."""
+    arcs = [
+        ("s", "v0", capacities[0]), ("v0", "t1", "inf"), ("v0", "t2", "inf"),
+        ("s", "v1", capacities[1]), ("v1", "t2", "inf"), ("v1", "t3", "inf"),
+        ("s", "v2", capacities[2]), ("v2", "t1", "inf"), ("v2", "t3", "inf"),
+        ("s", "t1", capacities[3]),
+    ]
+    label = {old: f"a{new}" for new, old in enumerate(arc_order)}
+    w1, w2, w3, w12, w123 = messages
+    doc = {
+        "nodes": ["s", "v0", "v1", "v2", "t1", "t2", "t3"],
+        "arcs": [{"from": a, "to": b, "capacity": c} for a, b, c in (arcs[i] for i in arc_order)],
+        "source": "s",
+        "sinks": ["t1", "t2", "t3"],
+        "messages": list(messages),
+        "demands": {"t1": [w1, w12, w123], "t2": [w2, w12, w123], "t3": [w3, w123]},
+    }
+    cuts = {
+        "t1": [label[0], label[6], label[9], label[3]],
+        "t2": [label[0], label[3], label[6]],
+        "t3": [label[3], label[6], label[0]],
+    }
+    return doc, cuts
+
+
+def listed_in_reverse(case):
+    """A `cache_document` with its message list reversed: the same labels
+    in the same roles, so the same layout, in another document order."""
+    doc, cuts = case
+    return {**doc, "messages": doc["messages"][::-1]}, cuts
+
+
+class TestRowTableCache:
+    """Rows found in the per-process row tables are the rows built afresh:
+    on families that share a cell pattern but not a layout, on capacity
+    variants of one layout, on non-minimal cuts and on a missing capacity,
+    whose error a hit must name as a build does."""
+
+    def test_library_rows(self):
+        (first, first_msg, rational), (second, second_msg, unbounded), (_, _, missing), _ = (
+            pattern_sharing_cases()
+        )
+        cut_order, msg_order = [2, 0, 5, 1, 4, 3], [4, 3, 2, 1, 0]
+        # (families, capacities, shares an earlier case's layouts)
+        cases = [
+            (first, first_msg, rational, 0),
+            (first, first_msg, {label: 2 * v + 1 for label, v in rational.items()}, 1),
+            (first, first_msg, None, 1),
+            (
+                relabelled(first, cut_order),
+                relabelled(first_msg, msg_order),
+                moved_capacities(rational, first, cut_order),
+                0,
+            ),
+            (second, second_msg, unbounded, 0),
+            (second, second_msg, missing, 1),
+        ]
+        calls = []
+        for cut, msg, caps, shares in cases:
+            builds = [functools.partial(thm2_search, cut, msg, caps)]
+            # cor2 and csb name the one-sink rows differently, so the rule
+            # order is part of a table
+            builds += [
+                functools.partial(bound_rows, rules, cut, msg, caps)
+                for rules in (BOUND_RULES, ("cor2", "csb"), ("csb", "cor2"))
+            ]
+            calls += [(functools.partial(outcome, build, row_record), shares) for build in builds]
+        cold = assert_cache_is_transparent(calls)
+        assert cold[-4:] == ["error: no capacity given for arc 'z2'"] * 4
+        # the capacity variants share a table but not their right sides
+        assert cold[0] != cold[4] != cold[8] != cold[0]
+        assert cold[2] != cold[3]
+
+    def test_cli_reports(self, tmp_path):
+        variants = {
+            "unit": cache_document(("1", "1", "1", "1")),
+            "rational": cache_document(("2/3", "5", "7/2", "3")),
+            "messages listed in another order": listed_in_reverse(
+                cache_document(("1", "2", "1", "2"))
+            ),
+            "arcs in another order": cache_document(
+                ("1", "1", "1", "1"), arc_order=[9, 4, 0, 7, 3, 8, 1, 6, 2, 5]
+            ),
+            "messages renamed": cache_document(
+                ("1", "1", "1", "1"), messages=("W3", "W12", "W1", "W123", "W2")
+            ),
+        }
+        # (variant, --cuts file or not, shares an earlier call's layouts)
+        runs = [
+            ("unit", False, 0),
+            ("rational", False, 1),
+            ("messages listed in another order", False, 1),
+            ("arcs in another order", False, 0),
+            ("messages renamed", False, 0),
+            ("unit", True, 0),
+            ("rational", True, 1),
+        ]
+        calls = []
+        for name, with_cuts, shares in runs:
+            doc, cuts = variants[name]
+            path = tmp_path / f"{len(calls)}.json"
+            path.write_text(json.dumps(doc))
+            argv = ["bounds", str(path), "--rules", "csb,gcsb3,cor3,cor2,thm2"]
+            if with_cuts:
+                cuts_path = tmp_path / f"{len(calls)}-cuts.json"
+                cuts_path.write_text(json.dumps(cuts))
+                argv += ["--cuts", str(cuts_path)]
+            calls.append((functools.partial(cli_outcome, argv), shares))
+        cold = assert_cache_is_transparent(calls)
+        assert all(code == 0 and err == "" for code, _, err in cold)
+        assert len({out for _, out, _ in cold}) == len(cold)
 
 
 class TestSymmetryInvariant:

@@ -5,9 +5,12 @@ import random
 
 import pytest
 
-from cutbounds import cli
+from cutbounds import bounds, cli
 from cutbounds.bounds import (
+    BOUND_RULES,
+    ENUMERATION_RULES,
     MAX_BETA_SET_SIZE,
+    MAX_CACHED_ROWS,
     MAX_SEARCH_SINKS,
     beta_bound,
     bound_rows,
@@ -64,6 +67,38 @@ def test_search_sinks():
         thm2_search(*families)
     with pytest.raises(ParameterError, match="^the search is limited to 5 sinks$"):
         bound_rows(("csb", "thm2"), *families)
+
+
+def test_row_table_budget(monkeypatch):
+    """The row tables hold MAX_CACHED_ROWS rows in all at most: about
+    1.2 MB at the complete K=5 network's 31 occupied cells and 3.5 MB at
+    K=8's 255, where one pass of the `report` benchmark holds 2248.  The
+    least recently used tables go first; a table of more rows than the
+    budget is used but not kept and drops nothing, so a one-shot large
+    report leaves the tables as they were; so does an empty table, which
+    would count for nothing.  Shown at a budget of 80 rows."""
+    assert MAX_CACHED_ROWS == 8192 and bounds._row_tables.budget == MAX_CACHED_ROWS
+    net = complete_combination_network(4)
+    families = cut_and_message_families(net, [min_cut(net, k) for k in range(1, net.K + 1)])
+    cache = bounds._row_tables
+    monkeypatch.setattr(cache, "budget", 80)
+    cache.clear()
+    held = []
+    for rules in ("csb", "gcsb3", "cor3", "cor2", "csb,gcsb3,cor3"):
+        bound_rows(rules.split(","), *families)
+        held.append((len(cache), cache.rows))
+    # 15, 32, 32, 40 and 60 rows
+    assert held == [(1, 15), (2, 47), (3, 79), (2, 72), (1, 60)]
+    assert len(bound_rows(BOUND_RULES, *families)) == 324
+    assert (len(cache), cache.rows) == (1, 60)
+    two = complete_combination_network(2)
+    two_families = cut_and_message_families(two, [min_cut(two, k) for k in (1, 2)])
+    assert bound_rows(("gcsb3",), *two_families) == []
+    assert (len(cache), cache.rows) == (1, 60)
+    hits = cache.hits
+    bound_rows(BOUND_RULES, *families)
+    bound_rows(ENUMERATION_RULES, *families)
+    assert cache.hits == hits + 1
 
 
 def test_beta_set_size():

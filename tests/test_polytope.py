@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -118,6 +119,17 @@ class TestCanonicalize:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ParameterError):
             sys_of(("x",), [({"y": 1}, 0)])
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), Decimal("NaN"), Decimal("-Infinity"), "x", "1/0", None]
+    )
+    def test_row_refuses_an_entry_that_is_not_a_finite_rational(self, value):
+        for coeffs, rhs in (((1, value), 2), ((1, 1), value)):
+            with pytest.raises(ParameterError, match="^a row entry must be a finite rational"):
+                Row(coeffs, rhs)
+
+    def test_row_takes_floats_and_rational_text_exactly(self):
+        assert Row((0.5, "1/3"), Decimal("1.5")) == Row((3, 2), 9)
 
 
 class TestFeasible:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -92,7 +93,10 @@ class TestSetFunction:
         with pytest.raises(ParameterError):
             SetFunction.from_table(GroundSet(21), [0] * (1 << 21))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    # a Decimal NaN signals on `<` rather than comparing false
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity")]
+    )
     def test_table_rejects_nan_and_inf(self, value):
         with pytest.raises(ParameterError, match="set function values must be finite"):
             SetFunction.from_table(GroundSet(1), (0, value))
