@@ -856,15 +856,15 @@ def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
 
 
 # a thm2 table depends on the sink count and the occupied cells alone, so
-# a process that meets one cell pattern again reuses its search; a process
-# that meets each pattern once gains nothing.  It is asked only when a row
-# table is built (`_row_kernel`), so a layout met again never reaches it:
-# a `report` benchmark run asks seven times, once per pattern, and hits
-# never; families of one pattern under other layouts hit.  An entry holds
-# 0.17 MB at K = 4 and 0.95 MB at K = 5 for the complete network, and
-# 5.7 MB for the largest K = 5 table found (tracemalloc), so eight at most
-# are kept
-@functools.lru_cache(maxsize=8)
+# a process that meets one cell pattern again reuses its search.  It is
+# asked only when a row table is built (`_row_kernel`), so a layout met
+# again never reaches it, and it hits only when the pattern it holds comes
+# back under another rule list or layout: a report of the same network with
+# other rules, right after.  Three cold `report` benchmark passes ask seven
+# times, once per pattern, and hit never.  An entry holds 0.17 MB at K = 4
+# and 0.95 MB at K = 5 for the complete network, and 5.7 MB for the largest
+# K = 5 table found (tracemalloc), so only the last pattern is kept
+@functools.lru_cache(maxsize=1)
 def _thm2_table(K: int, cut_cells: tuple, msg_cells: tuple) -> tuple:
     """The thm2 bounds of families whose distinct nonzero membership cells
     are `cut_cells` and `msg_cells` (sorted), with their `_cell_vectors`

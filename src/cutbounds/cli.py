@@ -86,8 +86,9 @@ from .setfn import (
     random_joint_distribution,
 )
 
-_DOC_KEYS = ("nodes", "arcs", "source", "sinks", "messages", "demands")
+_DOC_KEYS = frozenset(("nodes", "arcs", "source", "sinks", "messages", "demands"))
 _ARC_KEYS = frozenset(("from", "to", "capacity"))
+_STR = frozenset((str,))
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +112,14 @@ def _load_json(path: str, what: str):
         raise SchemaError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _string_list(value, what: str) -> list:
-    _require(
-        isinstance(value, list) and all(isinstance(x, str) for x in value),
-        f"{what} must be a list of strings",
-    )
+def _string_list(value, what: str, owner=None) -> list:
+    """`value` if it is a list of strings, else SchemaError naming `what`,
+    followed by the repr of `owner` when one is given."""
+    # a decoded JSON string is a str, never a subclass of it
+    if not (isinstance(value, list) and set(map(type, value)) <= _STR):
+        if owner is not None:
+            what = f"{what} {owner!r}"
+        raise SchemaError(f"{what} must be a list of strings")
     return value
 
 
@@ -132,30 +136,32 @@ def load_network_document(path: str) -> BroadcastNetwork:
     """
     doc = _load_json(path, "network document")
     _require(isinstance(doc, dict), "network document must be a JSON object")
-    unknown = set(doc) - set(_DOC_KEYS)
-    _require(not unknown, f"unknown document keys: {sorted(unknown)}")
-    missing = set(_DOC_KEYS) - set(doc)
-    _require(not missing, f"missing document keys: {sorted(missing)}")
+    if doc.keys() != _DOC_KEYS:
+        unknown = doc.keys() - _DOC_KEYS
+        _require(not unknown, f"unknown document keys: {sorted(unknown)}")
+        missing = _DOC_KEYS - doc.keys()
+        raise SchemaError(f"missing document keys: {sorted(missing)}")
 
     nodes = _string_list(doc["nodes"], "nodes")
     _require(isinstance(doc["arcs"], list), "arcs must be a list")
     arcs = []
+    # an arc's messages name its position, so each is formatted only once
+    # its check has failed
     for position, entry in enumerate(doc["arcs"]):
-        _require(isinstance(entry, dict), f"arc {position} must be an object")
+        if not isinstance(entry, dict):
+            raise SchemaError(f"arc {position} must be an object")
         if entry.keys() != _ARC_KEYS:
-            unknown = set(entry) - _ARC_KEYS
+            unknown = entry.keys() - _ARC_KEYS
             _require(not unknown, f"arc {position} has unknown keys: {sorted(unknown)}")
-            missing = _ARC_KEYS - set(entry)
-            _require(not missing, f"arc {position} is missing keys: {sorted(missing)}")
-        _require(
-            isinstance(entry["from"], str) and isinstance(entry["to"], str),
-            f"arc {position} endpoints must be strings",
-        )
-        raw = entry["capacity"]
-        _require(
-            isinstance(raw, str),
-            f"arc {position} capacity must be a string like \"3/4\" or \"inf\"",
-        )
+            missing = _ARC_KEYS - entry.keys()
+            raise SchemaError(f"arc {position} is missing keys: {sorted(missing)}")
+        tail, head, raw = entry["from"], entry["to"], entry["capacity"]
+        if not (isinstance(tail, str) and isinstance(head, str)):
+            raise SchemaError(f"arc {position} endpoints must be strings")
+        if not isinstance(raw, str):
+            raise SchemaError(
+                f"arc {position} capacity must be a string like \"3/4\" or \"inf\""
+            )
         if raw == "inf":
             capacity = None
         else:
@@ -166,7 +172,7 @@ def load_network_document(path: str) -> BroadcastNetwork:
                     f"arc {position} capacity {raw!r} is not a rational"
                 ) from None
         try:
-            arcs.append(Arc(f"a{position}", entry["from"], entry["to"], capacity))
+            arcs.append(Arc(f"a{position}", tail, head, capacity))
         except ParameterError as exc:
             raise SchemaError(f"arc {position}: {exc}") from None
 
@@ -184,7 +190,7 @@ def load_network_document(path: str) -> BroadcastNetwork:
     )
     demands = {}
     for index, sink in enumerate(sinks, start=1):
-        demands[index] = _string_list(demands_doc[sink], f"demands for {sink!r}")
+        demands[index] = _string_list(demands_doc[sink], "demands for", sink)
 
     try:
         return BroadcastNetwork(nodes, arcs, doc["source"], sinks, messages, demands)
@@ -202,7 +208,7 @@ def _load_cuts(net: BroadcastNetwork, path):
     _require(set(doc) == set(net.sinks), "cut file must name every sink exactly once")
     cuts = []
     for index, sink in enumerate(net.sinks, start=1):
-        labels = _string_list(doc[sink], f"cut for {sink!r}")
+        labels = _string_list(doc[sink], "cut for", sink)
         cuts.append(make_cut(net, labels, index))
     return cuts
 

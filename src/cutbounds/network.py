@@ -18,7 +18,6 @@ an infinity, text) is refused with ParameterError.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -66,11 +65,14 @@ class Arc:
     capacity: Capacity
 
     def __post_init__(self):
-        for field in (self.label, self.tail, self.head):
-            if not isinstance(field, str) or not field:
-                raise ParameterError("arc label and endpoints must be nonempty strings")
-        if self.tail == self.head:
-            raise ParameterError(f"arc {self.label!r} is a self-loop")
+        label, tail, head = self.label, self.tail, self.head
+        if not (
+            isinstance(label, str) and isinstance(tail, str) and isinstance(head, str)
+            and label and tail and head
+        ):
+            raise ParameterError("arc label and endpoints must be nonempty strings")
+        if tail == head:
+            raise ParameterError(f"arc {label!r} is a self-loop")
         object.__setattr__(self, "capacity", _coerce_capacity(self.capacity))
 
 
@@ -100,23 +102,32 @@ class BroadcastNetwork:
         demands: Mapping[int, Iterable[str]],
     ):
         self.nodes = tuple(nodes)
-        if not self.nodes or len(set(self.nodes)) != len(self.nodes):
+        # each node's position: the flow and reachability walks run on these
+        index = {n: i for i, n in enumerate(self.nodes)}
+        if not self.nodes or len(index) != len(self.nodes):
             raise ParameterError("nodes must be nonempty and distinct")
-        node_set = set(self.nodes)
+        self._index = index
 
         self.arcs = tuple(arcs)
         if not self.arcs:
             raise ParameterError("a network needs at least one arc")
         if not all(isinstance(a, Arc) for a in self.arcs):
             raise ParameterError("arcs must be Arc instances")
-        labels = [a.label for a in self.arcs]
-        if len(set(labels)) != len(labels):
+        self._by_label = {a.label: a for a in self.arcs}
+        if len(self._by_label) != len(self.arcs):
             raise ParameterError("arc labels must be distinct")
-        for a in self.arcs:
-            if a.tail not in node_set or a.head not in node_set:
+        # each arc's (tail, head) and each node's outgoing arcs as (bit of
+        # the arc's position, head), nodes by position
+        self._ends = []
+        self._out = [[] for _ in self.nodes]
+        for i, a in enumerate(self.arcs):
+            tail, head = index.get(a.tail), index.get(a.head)
+            if tail is None or head is None:
                 raise ParameterError(f"arc {a.label!r} references an unknown node")
+            self._ends.append((tail, head))
+            self._out[tail].append((1 << i, head))
 
-        if source not in node_set:
+        if source not in index:
             raise ParameterError(f"source {source!r} is not a node")
         self.source = source
 
@@ -128,7 +139,7 @@ class BroadcastNetwork:
         if len(set(self.sinks)) != len(self.sinks):
             raise ParameterError("sinks must be distinct")
         for t in self.sinks:
-            if t not in node_set:
+            if t not in index:
                 raise ParameterError(f"sink {t!r} is not a node")
             if t == source:
                 raise ParameterError("the source cannot be a sink")
@@ -142,40 +153,34 @@ class BroadcastNetwork:
         wanted = set(range(1, len(self.sinks) + 1))
         if set(demands) != wanted:
             raise ParameterError("demands must be keyed by sink indices 1..K exactly")
-        msg_set = set(self.messages)
+        self._message_position = {m: i for i, m in enumerate(self.messages)}
         cleaned = {}
         for k in sorted(demands):
             dem = frozenset(demands[k])
             if not dem:
                 raise ParameterError(f"sink {k} demands no messages")
-            unknown = dem - msg_set
+            unknown = dem.difference(self._message_position)
             if unknown:
                 raise ParameterError(f"sink {k} demands unknown messages {sorted(unknown)}")
             cleaned[k] = dem
         self.demands = cleaned
 
-        # each node's outgoing arcs as (bit of the arc's position, head)
-        self._out = {n: [] for n in self.nodes}
-        for i, a in enumerate(self.arcs):
-            self._out[a.tail].append((1 << i, a.head))
         self._check_acyclic()
 
         reachable = self._reachable(0)
         for k, t in enumerate(self.sinks, start=1):
-            if t not in reachable:
+            if not reachable[index[t]]:
                 raise ParameterError(f"sink t_{k} ({t!r}) not reachable from the source")
 
-        self.arc_ground = GroundSet(len(self.arcs), tuple(labels))
+        self.arc_ground = GroundSet(len(self.arcs), tuple(self._by_label))
         self.message_ground = GroundSet(len(self.messages), self.messages)
-        self._by_label = {a.label: a for a in self.arcs}
 
         # the one scaling of the capacities: each finite capacity as an int
         # over their common denominator, None for an unbounded arc
         caps = [a.capacity for a in self.arcs]
-        self._scale = lcm(*(c.denominator for c in caps if c is not None))
+        scale = self._scale = lcm(*{c.denominator for c in caps if c is not None})
         self._units = tuple(
-            None if c is None else c.numerator * (self._scale // c.denominator)
-            for c in caps
+            None if c is None else c.numerator * (scale // c.denominator) for c in caps
         )
 
     @property
@@ -189,7 +194,8 @@ class BroadcastNetwork:
         return self.message_ground.subset_of_labels(labels)
 
     def demand_set(self, k: int) -> ElementSet:
-        return self.message_subset(sorted(self.demands[k], key=self.messages.index))
+        position = self._message_position
+        return ElementSet(self.message_ground, sum(1 << position[m] for m in self.demands[k]))
 
     def arc(self, label: str) -> Arc:
         try:
@@ -199,49 +205,58 @@ class BroadcastNetwork:
 
     @functools.cached_property
     def _flow_graph(self) -> tuple:
-        """(residual, neighbours, unbounded) for min_cut, built on its first
-        call: the residual capacity of every arc and reverse arc in scaled
-        units, each node's residual neighbours, and the unit count of an
-        unbounded arc, one above the finite total.  min_cut works on a copy
-        of `residual`; the neighbour lists are only read."""
+        """(capacity, heads, edges, unbounded) for min_cut, built on its
+        first call.  Nodes are their positions.  Edge 2j runs along the
+        j-th distinct (tail, head) pair of arcs, its capacity the scaled
+        units of all arcs on that pair, and edge 2j + 1 = 2j ^ 1 is its
+        reverse, of capacity 0; `heads` gives each edge's head and `edges`
+        each node's outgoing edges.  An unbounded arc counts `unbounded`
+        units, one above the finite total.  min_cut works on a copy of
+        `capacity`; the rest is only read."""
         unbounded = sum(u for u in self._units if u is not None) + 1
-        residual: dict = {}
-        neighbours = {n: [] for n in self.nodes}
-        for a, u in zip(self.arcs, self._units):
-            for tail, head in ((a.tail, a.head), (a.head, a.tail)):
-                if (tail, head) not in residual:
-                    residual[tail, head] = 0
-                    neighbours[tail].append(head)
-            residual[a.tail, a.head] += unbounded if u is None else u
-        return residual, neighbours, unbounded
+        pairs: dict = {}
+        capacity: list = []
+        heads: list = []
+        edges: list = [[] for _ in self.nodes]
+        for ends, u in zip(self._ends, self._units):
+            e = pairs.get(ends)
+            if e is None:
+                # the graph is acyclic, so no arc runs along a reverse edge
+                tail, head = ends
+                e = pairs[ends] = len(heads)
+                capacity += (0, 0)
+                heads += (head, tail)
+                edges[tail].append(e)
+                edges[head].append(e + 1)
+            capacity[e] += unbounded if u is None else u
+        return capacity, heads, edges, unbounded
 
     def _check_acyclic(self) -> None:
-        indeg = {n: 0 for n in self.nodes}
-        for a in self.arcs:
-            indeg[a.head] += 1
-        queue = deque(n for n in self.nodes if indeg[n] == 0)
-        seen = 0
-        while queue:
-            n = queue.popleft()
-            seen += 1
+        indeg = [0] * len(self.nodes)
+        for _, head in self._ends:
+            indeg[head] += 1
+        queue = [n for n, d in enumerate(indeg) if d == 0]
+        for n in queue:
             for _, head in self._out[n]:
                 indeg[head] -= 1
                 if indeg[head] == 0:
                     queue.append(head)
-        if seen != len(self.nodes):
+        if len(queue) != len(self.nodes):
             raise ParameterError("network graph contains a directed cycle")
 
-    def _reachable(self, removed: int) -> set:
-        """Nodes reachable from the source when the arcs in mask `removed` are gone."""
-        seen = {self.source}
-        queue = deque([self.source])
-        while queue:
-            n = queue.popleft()
-            for bit, head in self._out[n]:
-                if bit & removed or head in seen:
-                    continue
-                seen.add(head)
-                queue.append(head)
+    def _reachable(self, removed: int) -> bytearray:
+        """A flag per node position, set for the nodes reachable from the
+        source when the arcs in mask `removed` are gone."""
+        out = self._out
+        source = self._index[self.source]
+        seen = bytearray(len(out))
+        seen[source] = 1
+        stack = [source]
+        while stack:
+            for bit, head in out[stack.pop()]:
+                if not (seen[head] or bit & removed):
+                    seen[head] = 1
+                    stack.append(head)
         return seen
 
 
@@ -254,9 +269,11 @@ def _check_sink_index(net: BroadcastNetwork, k: int) -> str:
 def is_cut(net: BroadcastNetwork, arcs: ElementSet, k: int) -> bool:
     """True iff no directed source-to-sink-k path survives removing `arcs`."""
     target = _check_sink_index(net, k)
-    if not isinstance(arcs, ElementSet) or arcs.ground != net.arc_ground:
+    if not isinstance(arcs, ElementSet) or (
+        arcs.ground is not net.arc_ground and arcs.ground != net.arc_ground
+    ):
         raise GroundMismatchError("arc set does not live over this network's arcs")
-    return target not in net._reachable(arcs.mask)
+    return not net._reachable(arcs.mask)[net._index[target]]
 
 
 def make_cut(net: BroadcastNetwork, arcs, k: int) -> Cut:
@@ -275,58 +292,102 @@ def make_cut(net: BroadcastNetwork, arcs, k: int) -> Cut:
     return Cut(arcs=arcs, sink=k, capacity=Fraction(sum(units), net._scale))
 
 
-def min_cut(net: BroadcastNetwork, k: int) -> Cut:
-    """Minimum-capacity cut for sink k via shortest augmenting paths.
+def _blocking_flow(capacity: list, heads: list, admissible: list, source: int, sink: int) -> int:
+    """Push a blocking flow from `source` to `sink` and return its value.
 
-    The flow is integral: it runs on a copy of the network's flow graph,
-    whose finite capacities are scaled once by their common denominator and
-    whose unbounded arcs carry one unit more than the finite total.  Unless a path of unbounded arcs alone reaches the sink, the
-    finite arcs form a cut, so the flow stays below that total and no
-    unbounded arc saturates; such a path exists exactly when the flow
-    reaches it.  Ties break to the source side: the cut consists of the
-    arcs leaving the set of nodes reachable in the final residual graph.
+    `admissible` holds each node's edges that go up one level in the
+    residual `capacity`, and serves as the node's cursor: the walk follows
+    the last edge of each list, and an edge is dropped from it once
+    saturated or once its head is a dead end, a node whose list is empty.
+    After each push the walk backs up to the tail of the first edge the
+    push saturated."""
+    path: list = []
+    node = source
+    pushed = 0
+    while True:
+        if node == sink:
+            push = min(map(capacity.__getitem__, path))
+            saturated = None
+            for i, e in enumerate(path):
+                capacity[e] -= push
+                capacity[e ^ 1] += push
+                if not capacity[e]:
+                    # the walk took the last edge of its tail's list
+                    admissible[heads[e ^ 1]].pop()
+                    if saturated is None:
+                        saturated = i
+            pushed += push
+            del path[saturated:]
+        elif admissible[node]:
+            path.append(admissible[node][-1])
+        elif node == source:
+            return pushed
+        else:
+            admissible[heads[path.pop() ^ 1]].pop()
+        node = heads[path[-1]] if path else source
+
+
+def min_cut(net: BroadcastNetwork, k: int) -> Cut:
+    """Minimum-capacity cut for sink k via blocking flows (Dinitz).
+
+    Each phase levels the residual graph breadth-first from the source and
+    pushes a blocking flow along edges that go up one level
+    (`_blocking_flow`); the phases end when the sink is out of reach.  The
+    flow is integral: it runs on a copy of the network's flow graph, whose
+    finite capacities are scaled once by their common denominator and
+    whose unbounded arcs carry one unit more than the finite total.  Unless
+    a path of unbounded arcs alone reaches the sink, the finite arcs form a
+    cut, so the flow stays below that total and no unbounded arc
+    saturates; such a path exists exactly when the flow reaches it.  Ties
+    break to the source side: the cut consists of the arcs leaving the set
+    of nodes reachable in the final residual graph, the least minimum
+    source side, the same for every maximum flow.
     """
     target = _check_sink_index(net, k)
-    shared, neighbours, unbounded = net._flow_graph
-    residual = dict(shared)
+    shared, heads, edges, unbounded = net._flow_graph
+    capacity = shared.copy()
+    source, sink = net._index[net.source], net._index[target]
 
     flow = 0
     while True:
-        # breadth-first over the residual graph; once the sink is out of
-        # reach, the nodes reached are the source side of a minimum cut
-        parent = {net.source: None}
-        queue = deque([net.source])
-        while queue and target not in parent:
-            n = queue.popleft()
-            for m in neighbours[n]:
-                if m not in parent and residual[n, m] > 0:
-                    parent[m] = n
-                    queue.append(m)
-        if target not in parent:
+        # breadth-first over the residual graph, keeping each node's edges
+        # that go up one level; once the sink is out of reach, the nodes
+        # reached are the source side of a minimum cut
+        level = [-1] * len(edges)
+        level[source] = 0
+        admissible: list = [()] * len(edges)
+        queue = [source]
+        for n in queue:
+            up = level[n] + 1
+            if up > level[sink] > 0:
+                break  # nodes at the sink's level lead no shortest path on
+            admissible[n] = ups = []
+            for e in edges[n]:
+                if capacity[e]:
+                    m = heads[e]
+                    if level[m] < 0:
+                        level[m] = up
+                        queue.append(m)
+                        ups.append(e)
+                    elif level[m] == up:
+                        ups.append(e)
+        if level[sink] < 0:
             break
-        path = []
-        n = target
-        while parent[n] is not None:
-            path.append((parent[n], n))
-            n = parent[n]
-        push = min(residual[e] for e in path)
-        for u, v in path:
-            residual[u, v] -= push
-            residual[v, u] += push
-        flow += push
+        flow += _blocking_flow(capacity, heads, admissible, source, sink)
 
     if flow >= unbounded:
         raise InfeasibleCutError(
             f"sink {k} is reachable through unbounded arcs alone; no finite cut exists"
         )
-    crossing = sum(
-        1 << i
-        for i, a in enumerate(net.arcs)
-        if a.tail in parent and a.head not in parent
-    )
+    crossing = 0
+    for n in queue:
+        for bit, head in net._out[n]:
+            if level[head] < 0:
+                crossing |= bit
     cut = make_cut(net, ElementSet(net.arc_ground, crossing), k)
-    # max-flow/min-cut equality is an internal consistency check, not user input
-    if Fraction(flow, net._scale) != cut.capacity:
+    # max-flow/min-cut equality is an internal consistency check, not user
+    # input; flow / scale == capacity, cross-multiplied
+    if flow * cut.capacity.denominator != cut.capacity.numerator * net._scale:
         raise AssertionError(
             f"max-flow {Fraction(flow, net._scale)} differs from cut capacity {cut.capacity}"
         )

@@ -54,16 +54,22 @@ Rational = Union[Fraction, int, str]
 # exponent, plus sign, blank, underscore or non-ASCII digit, so one grammar
 # holds on every Python version and a short string cannot ask for a huge
 # integer
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_TEXT.fullmatch(text):
-        raise ParameterError(f"not a rational number: {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"not a rational number: {text!r}") from None
+    match = _RATIONAL_TEXT.fullmatch(text) if isinstance(text, str) else None
+    if match is not None:
+        numerator, denominator = match.groups()
+        # the grammar admits only ASCII digits, which int() reads as they
+        # are; int() still refuses digits past the interpreter's limit
+        try:
+            if denominator is None:
+                return Fraction(int(numerator))
+            return Fraction(int(numerator), int(denominator))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParameterError(f"not a rational number: {text!r}")
 
 
 def format_rational(value: Union[Fraction, int]) -> str:

@@ -116,7 +116,13 @@ class ElementSet:
         return self.mask == 0
 
     def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.ground.size) if self.mask >> i & 1)
+        members = []
+        mask = self.mask
+        while mask:
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(members)
 
     def member_labels(self) -> tuple[str, ...]:
         return tuple(self.ground.label(i) for i in self.members())

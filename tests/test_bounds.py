@@ -1038,9 +1038,6 @@ class TestThm2Table:
             with pytest.raises(ParameterError, match="^no capacity given for arc 'z2'$"):
                 bound_rows(rules, *missing)
 
-    def test_cache_size(self):
-        assert _thm2_table.cache_info().maxsize == 8
-
     def test_a_table_holds_one_object_per_term_value(self):
         full = tuple(range(1, 16))
         table, _ = _thm2_table(4, full, full)

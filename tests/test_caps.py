@@ -101,6 +101,30 @@ def test_row_table_budget(monkeypatch):
     assert cache.hits == hits + 1
 
 
+def test_thm2_table_keeps_the_last_pattern():
+    """`_thm2_table` is asked only when a row table is built, so it hits
+    only when the cell pattern it holds comes back under another rule list
+    or layout, as in a report of the same network with other rules right
+    after; three cold `report` benchmark passes ask it seven times and hit
+    never.  An entry holds up to 5.7 MB at K=5 (tracemalloc), so it keeps
+    the last pattern alone."""
+    assert bounds._thm2_table.cache_info().maxsize == 1
+    three, four = (complete_combination_network(K) for K in (3, 4))
+    families = [
+        cut_and_message_families(net, [min_cut(net, k) for k in range(1, net.K + 1)])
+        for net in (three, four)
+    ]
+    bounds._row_tables.clear()
+    bounds._thm2_table.cache_clear()
+    calls = ((("csb", "thm2"), 0), (("thm2",), 0), (("thm2",), 1), (("thm2", "csb"), 0))
+    for rules, which in calls:
+        bound_rows(rules, *families[which])
+    info = bounds._thm2_table.cache_info()
+    # the second report hits; the K=4 pattern then takes the one entry, so
+    # the K=3 pattern misses when it comes back under a third rule list
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+
+
 def test_beta_set_size():
     beta_bound(range(1, MAX_BETA_SET_SIZE + 1), ())
     with pytest.raises(ParameterError, match="beta weights grow factorially"):

@@ -263,6 +263,100 @@ class TestNetworkDocument:
             cli.load_network_document(str(path))
 
 
+def _edit_arc(position, **fields):
+    def edit(doc):
+        doc["arcs"][position].update(fields)
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _set_demand(sink, value):
+    def edit(doc):
+        if value is None:
+            del doc["demands"][sink]
+        else:
+            doc["demands"][sink] = value
+    return edit
+
+
+def _add_arc(tail, head, capacity="inf"):
+    def edit(doc):
+        doc["arcs"].append({"from": tail, "to": head, "capacity": capacity})
+    return edit
+
+
+def _swap_sink(old, new):
+    def edit(doc):
+        doc["sinks"] = [new if s == old else s for s in doc["sinks"]]
+        doc["demands"][new] = doc["demands"].pop(old)
+    return edit
+
+
+# each refusal of a network document after it has parsed as JSON, as an
+# edit of `two_sink_doc()` and the `error:` line it must print (exit 2)
+DOCUMENT_REFUSALS = {
+    "arc-not-an-object": (_set("arcs", [{"from": "s", "to": "u", "capacity": "1"}, 5]),
+                          "arc 1 must be an object"),
+    "endpoint-not-a-string": (_edit_arc(1, to=3), "arc 1 endpoints must be strings"),
+    "capacity-not-a-string": (_edit_arc(1, capacity=2),
+                              'arc 1 capacity must be a string like "3/4" or "inf"'),
+    "capacity-over-zero": (_edit_arc(1, capacity="3/0"), "arc 1 capacity '3/0' is not a rational"),
+    "capacity-zero": (_edit_arc(1, capacity="0/4"),
+                      "arc 1: arc capacity must be positive (or None for unbounded)"),
+    "capacity-negative": (_edit_arc(1, capacity="-2"),
+                          "arc 1: arc capacity must be positive (or None for unbounded)"),
+    "empty-endpoint": (_edit_arc(1, to=""),
+                       "arc 1: arc label and endpoints must be nonempty strings"),
+    "self-loop": (_edit_arc(1, to="s"), "arc 1: arc 'a1' is a self-loop"),
+    "unknown-node": (_edit_arc(1, to="x"), "arc 'a1' references an unknown node"),
+    "directed-cycle": (_add_arc("t1", "u"), "network graph contains a directed cycle"),
+    "sink-not-reachable": (_edit_arc(1, **{"from": "v", "to": "u"}),
+                           "sink t_2 ('t2') not reachable from the source"),
+    "demands-miss-a-sink": (_set_demand("t2", None),
+                            "demands must name every sink exactly once"),
+    "demands-name-a-non-sink": (_set_demand("u", ["WA"]),
+                                "demands must name every sink exactly once"),
+    "unknown-messages": (_set_demand("t1", ["WZ", "WA", "WY"]),
+                         "sink 1 demands unknown messages ['WY', 'WZ']"),
+    "no-messages-demanded": (_set_demand("t2", []), "sink 2 demands no messages"),
+    "demands-not-strings": (_set_demand("t2", ["WB", 3]),
+                            "demands for 't2' must be a list of strings"),
+    "nodes-empty": (_set("nodes", []), "nodes must be nonempty and distinct"),
+    "nodes-repeated": (_set("nodes", ["s", "u", "v", "t1", "t2", "u"]),
+                       "nodes must be nonempty and distinct"),
+    "nodes-not-strings": (_set("nodes", ["s", 1]), "nodes must be a list of strings"),
+    "no-arcs": (_set("arcs", []), "a network needs at least one arc"),
+    "arcs-not-a-list": (_set("arcs", {}), "arcs must be a list"),
+    "no-messages": (_set("messages", []), "a network needs at least one message"),
+    "messages-repeated": (_set("messages", ["WA", "WB", "WA"]),
+                          "message labels must be distinct"),
+    "source-is-a-sink": (_set("source", "t1"), "the source cannot be a sink"),
+    "source-not-a-node": (_set("source", "x"), "source 'x' is not a node"),
+    "source-not-a-string": (_set("source", 0), "source must be a node id"),
+    "sink-not-a-node": (_swap_sink("t2", "x"), "sink 'x' is not a node"),
+    "no-sinks": (lambda doc: doc.update(sinks=[], demands={}),
+                 "networks carry 1..16 sinks: the bound rules walk up to 2^K - 1 sink subsets"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENT_REFUSALS))
+def test_document_refusal_texts(name, tmp_path, capsys):
+    edit, message = DOCUMENT_REFUSALS[name]
+    doc = two_sink_doc()
+    edit(doc)
+    path = write_doc(tmp_path, doc)
+    for argv in (["bounds", path], ["region", path, "--axes", "WA,WB"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # bounds
 

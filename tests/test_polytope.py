@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
@@ -485,3 +486,31 @@ class TestCsv:
         assert parse_rational("5/2") == F(5, 2)
         with pytest.raises(ParameterError):
             parse_rational("five")
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0", F(0)), ("-0", F(0)), ("007", F(7)), ("4/6", F(2, 3)), ("-3/6", F(-1, 2)),
+         ("0/5", F(0)), ("12/1", F(12)), ("-12/8", F(-3, 2))],
+    )
+    def test_parse_in_lowest_terms(self, text, value):
+        parsed = parse_rational(text)
+        assert type(parsed) is Fraction and parsed == value
+        assert (parsed.numerator, parsed.denominator) == (value.numerator, value.denominator)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1/0", "-3/00", "1/-2", "/2", "1/", "", "+1", "1_0", "1.5", " 1", "\u0663", 1, None],
+    )
+    def test_parse_refusals(self, text):
+        with pytest.raises(ParameterError, match="^not a rational number: "):
+            parse_rational(text)
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no int digit limit"
+    )
+    @pytest.mark.parametrize("form", ["{}", "1/{}", "-{}/3"])
+    def test_parse_refuses_digits_past_the_int_limit(self, form):
+        text = form.format("7" * (sys.get_int_max_str_digits() + 1))
+        with pytest.raises(ParameterError) as raised:
+            parse_rational(text)
+        assert str(raised.value) == f"not a rational number: {text!r}"
