@@ -13,10 +13,10 @@ rows it keeps.  Which rows are kept, and how they sort, then depends on
 the rules, the sink count and each family's layout (the cell of each
 label, in label order) alone, not on capacities: the kept rows of a
 layout are built once and kept in `_row_tables`, bounded by the rows it
-holds, and each call computes only their right sides.  For the same
-reason the thm2 search, whose side conditions compare levels, depends
-only on which cells the two families occupy: it runs once per such
-pattern, on families of one element per cell (`_thm2_table`).
+holds, and each call computes only their right sides.  The thm2 search,
+whose side conditions compare levels, depends only on which cells the two
+families occupy: on a row-table miss it runs on the levels of those cells
+(`_thm2_bounds`), and its bounds enter the table as a rule's do.
 `instantiate` walks a term list label by label; the program does not call
 it, and tests use it as the independent reference.
 """
@@ -42,21 +42,22 @@ from .setcalc import (
     GroundSet,
     SubsetFamily,
     _check_indices,
+    level_masks,
 )
 
 MAX_BETA_SET_SIZE = 6
-# _thm2_table walks (2^K - 1)^3 sink-set triples (G, U, T): 29791 at K = 5,
-# where the complete network's all-rule report takes under a second, and
-# 250047 at K = 6
+# the thm2 search (`_thm2_bounds`) walks (2^K - 1)^3 sink-set triples
+# (G, U, T): 29791 at K = 5, where the complete network's all-rule report
+# takes under a second, and 250047 at K = 6
 MAX_SEARCH_SINKS = 5
 
 # a row table depends on the rules, K and the cell layouts alone, so a
 # process that meets one topology again (a capacity sweep, repeated
-# reports) reuses its rows; 8192 rows hold about 1.2 MB at the complete
-# K = 5 network's 31 cells (2771 rows for all rules) and 3.5 MB at the
-# complete K = 8 network's 255 (tracemalloc).  One pass of the `report`
-# benchmark holds 2248 rows; a larger table, such as a 14-sink cor3
-# report's 69576 rows, is used once and not kept
+# reports) reuses its rows; 8192 rows hold about 3.4 MB at the complete
+# K = 5 network's 31 cells (2771 rows for all rules, almost all thm2's)
+# and 3.5 MB at the complete K = 8 network's 255 (tracemalloc).  One pass
+# of the `report` benchmark holds 2248 rows; a larger table, such as a
+# 14-sink cor3 report's 69576 rows, is used once and not kept
 MAX_CACHED_ROWS = 8192
 
 ENUMERATION_RULES = ("csb", "gcsb3", "cor3")
@@ -264,7 +265,7 @@ def union_tail_bound(U, m: int) -> BoundInequality:
 
 
 def _bits(positions: Iterable[int]) -> int:
-    """The bit mask of 0-based positions, the key of `SubsetFamily.levels`."""
+    """The bit mask of 0-based positions."""
     return sum(1 << p for p in positions)
 
 
@@ -311,30 +312,26 @@ def gcsbK(
                 f"split position for {q} must be between 1 and {len(ids_t)}, got {r_q}"
             )
 
-    bits_g, bits_u, bits_t = _bits(pos_g), _bits(pos_u), _bits(pos_t)
-    cover_g = cut_family.levels(bits_g)[1]
-    cover_u = cut_family.levels(bits_u)[1]
-    if cover_u & ~cover_g:
+    families = cut_family, msg_family
+    levels_u = [level_masks(family.masks, pos_u) for family in families]
+    levels_t = [level_masks(family.masks, pos_t) for family in families]
+    missing = levels_u[0][1] & ~level_masks(cut_family.masks, pos_g)[1]
+    if missing:
         raise PreconditionError(
             "the basic-cut union over G does not cover the one over U "
-            f"(missing: {_labelled_extra(cut_family, cover_u & ~cover_g)})"
+            f"(missing: {_labelled_extra(cut_family, missing)})"
         )
     for q, r_q in splits.items():
-        for family, side in ((cut_family, "cut"), (msg_family, "message")):
-            left = family.levels(bits_u)[q]
-            right = family.levels(bits_t)[r_q]
-            if left & ~right:
+        for family, side, u, t in zip(families, ("cut", "message"), levels_u, levels_t):
+            extra = u[q] & ~t[r_q]
+            if extra:
                 hint = ""
                 # a level above |U| is empty, and this side's level q is not
-                if r_q <= len(ids_u) and all(
-                    not fam.levels(bits_u)[q] & ~fam.levels(bits_u)[r_q]
-                    for fam in (cut_family, msg_family)
-                ):
+                if r_q <= len(ids_u) and all(not v[q] & ~v[r_q] for v in levels_u):
                     hint = "; the containment does hold with T = U"
                 raise PreconditionError(
                     f"{side}-side level {q} of U is not contained in "
-                    f"level {r_q} of T (extra: "
-                    f"{_labelled_extra(family, left & ~right)}){hint}"
+                    f"level {r_q} of T (extra: {_labelled_extra(family, extra)}){hint}"
                 )
 
     terms = _general_terms(
@@ -500,18 +497,17 @@ def _occupied(cells: Iterable[int]) -> tuple:
     return tuple(sorted(set(cells).difference((0,))))
 
 
-def _cell_family(K: int, cells: Sequence[int]) -> SubsetFamily:
-    """A family of K members over one element per cell of `cells`, in that
+def _cell_masks(K: int, cells: Sequence[int]) -> list:
+    """The masks of K members over one element per cell of `cells`, in that
     order, member k holding the elements whose cell has bit k - 1 set: the
     inverse of `_element_cells` on distinct nonzero cells."""
+    return [_bits(p for p, c in enumerate(cells) if c >> k & 1) for k in range(K)]
+
+
+def _cell_family(K: int, cells: Sequence[int]) -> SubsetFamily:
+    """The family of `_cell_masks`."""
     ground = GroundSet(max(1, len(cells)))
-    return SubsetFamily(
-        ground,
-        tuple(
-            ElementSet(ground, _bits(p for p, c in enumerate(cells) if c >> k & 1))
-            for k in range(K)
-        ),
-    )
+    return SubsetFamily(ground, tuple(ElementSet(ground, m) for m in _cell_masks(K, cells)))
 
 
 def _cell_vectors(bounds: Iterable[BoundInequality], cells: Sequence[int], K: int) -> list:
@@ -670,8 +666,9 @@ class _RowTableCache:
 
 
 # the row tables met last in this process; a row shares its bound with the
-# rule and thm2 tables, so it holds its vector, its dedupe key and its
-# slots, about 110 B plus 1.3 B per occupied cell (tracemalloc)
+# rule tables, so it holds its vector, its dedupe key and its slots, about
+# 110 B plus 1.3 B per occupied cell (tracemalloc); a thm2 row holds its
+# bound too, about 280 B more
 _row_tables = _RowTableCache(MAX_CACHED_ROWS)
 
 
@@ -833,7 +830,11 @@ _RULE_BOUNDS = {
 
 # a rule's bounds depend on the sink count alone, so each (K, rule) table
 # is built once per process; eight sink counts of all four rules fit.  A
-# table is read only to build a row table (`_row_kernel`)
+# table is read only to build a row table (`_row_kernel`), and it is kept
+# because rebuilding its bounds would cost more than the rest of the build:
+# a complete-network report of all four rules on a row-table miss takes
+# 11.9 ms at K = 5 and 46 ms at K = 6 with the tables kept, 19.5 and 68 ms
+# with them rebuilt (best of ten, in-process)
 @functools.lru_cache(maxsize=32)
 def _rule_table(K: int, rule: str) -> tuple:
     """The bounds of one rule of _RULE_BOUNDS for K sinks, in builder order.
@@ -855,41 +856,31 @@ def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
     return list(_first_per_terms(b for rule in rules for b in _rule_table(K, rule)))
 
 
-# a thm2 table depends on the sink count and the occupied cells alone, so
-# a process that meets one cell pattern again reuses its search.  It is
-# asked only when a row table is built (`_row_kernel`), so a layout met
-# again never reaches it, and it hits only when the pattern it holds comes
-# back under another rule list or layout: a report of the same network with
-# other rules, right after.  Three cold `report` benchmark passes ask seven
-# times, once per pattern, and hit never.  An entry holds 0.17 MB at K = 4
-# and 0.95 MB at K = 5 for the complete network, and 5.7 MB for the largest
-# K = 5 table found (tracemalloc), so only the last pattern is kept
-@functools.lru_cache(maxsize=1)
-def _thm2_table(K: int, cut_cells: tuple, msg_cells: tuple) -> tuple:
+def _thm2_bounds(K: int, cut_cells: Sequence[int], msg_cells: Sequence[int]) -> list:
     """The thm2 bounds of families whose distinct nonzero membership cells
-    are `cut_cells` and `msg_cells` (sorted), with their `_cell_vectors`
-    over the sorted union of both: (bounds, vectors), deduplicated by
-    `_RowTable`, in search order.
+    are `cut_cells` and `msg_cells`, one per canonical term list, in search
+    order; equal terms are one object.
 
     The side conditions compare levels, and a level is a union of cells,
-    so the search runs on families with one element per occupied cell
-    (`_cell_family`) and its rows hold on every family of that pattern.
+    so the search reads the levels of one element per occupied cell
+    (`_cell_masks`), and its bounds hold on every family of that pattern.
     Candidates run in the order (G, U, T, |Q|, Q), sink sets by size then
     lexicographically, each with the default split positions; the first
-    candidate to produce a row names it.  This gives the rows `gcsbK`
-    would give candidate by candidate, without its per-call validation:
-    the side conditions are read from the families' cached levels, and a
-    term list is built from the integer chain weights of its Q.  A
-    parameterization whose canonical term list was already seen is not
-    named again.  The search space grows as roughly 8^K subset triples, so
-    the sink count is capped."""
+    candidate to produce a term list names it.  This gives the bounds
+    `gcsbK` would give candidate by candidate, without its per-call
+    validation: the levels of every sink set are computed once, and a term
+    list is built from the integer chain weights of its Q.  The search
+    space grows as roughly 8^K subset triples, so the sink count is
+    capped."""
     if K > MAX_SEARCH_SINKS:
         raise ParameterError(f"the search is limited to {MAX_SEARCH_SINKS} sinks")
-    cut_family, msg_family = _cell_family(K, cut_cells), _cell_family(K, msg_cells)
-    cut_levels, msg_levels = cut_family.levels, msg_family.levels
-    subsets = [
-        (ids, frozenset(ids), _bits(i - 1 for i in ids)) for ids in _ordered_subsets(K)
-    ]
+    cut_masks, msg_masks = _cell_masks(K, cut_cells), _cell_masks(K, msg_cells)
+    # per sink set: its ids, as a frozenset, and its cut and message levels
+    subsets = []
+    for ids in _ordered_subsets(K):
+        positions = [i - 1 for i in ids]
+        cut, msg = level_masks(cut_masks, positions), level_masks(msg_masks, positions)
+        subsets.append((ids, frozenset(ids), cut, msg))
     split_sets = {
         size: [
             (qs, *_chain_weights(qs, {q: q - 1 for q in qs}))
@@ -898,47 +889,41 @@ def _thm2_table(K: int, cut_cells: tuple, msg_cells: tuple) -> tuple:
         ]
         for size in range(1, K + 1)
     }
-    # per (U, T): the split sets whose levels q of U lie in levels q - 1 of T
-    # on both sides; a split point beyond |T| + 1 has no chain to lie in
-    fitting = {}
-    for _, _, bits_u in subsets:
-        size_u = bits_u.bit_count()
-        cut_u, msg_u = cut_levels(bits_u), msg_levels(bits_u)
-        for _, _, bits_t in subsets:
-            cut_t, msg_t = cut_levels(bits_t), msg_levels(bits_t)
+    # per U, per T: the split sets whose levels q of U lie in levels q - 1 of
+    # T on both sides; a split point beyond |T| + 1 has no chain to lie in
+    fitting = []
+    for ids_u, _, cut_u, msg_u in subsets:
+        per_t = []
+        for ids_t, _, cut_t, msg_t in subsets:
             fits = {
                 q
-                for q in range(2, min(size_u, bits_t.bit_count() + 1) + 1)
+                for q in range(2, min(len(ids_u), len(ids_t) + 1) + 1)
                 if not (cut_u[q] & ~cut_t[q - 1] or msg_u[q] & ~msg_t[q - 1])
             }
-            fitting[bits_u, bits_t] = [s for s in split_sets[size_u] if fits.issuperset(s[0])]
+            per_t.append([s for s in split_sets[len(ids_u)] if fits.issuperset(s[0])])
+        fitting.append(per_t)
 
     seen = set()
+    # few term values repeat across the search, so its bounds share them
+    shared: dict = {}
     found = []
-    for ids_g, set_g, bits_g in subsets:
-        cover_g = cut_levels(bits_g)[1]
-        for ids_u, set_u, bits_u in subsets:
-            if cut_levels(bits_u)[1] & ~cover_g:
+    for ids_g, set_g, cut_g, _ in subsets:
+        cover_g = cut_g[1]
+        for (ids_u, set_u, cut_u, _), per_t in zip(subsets, fitting):
+            if cut_u[1] & ~cover_g:
                 continue
-            for ids_t, set_t, bits_t in subsets:
-                for qs, unit, chain in fitting[bits_u, bits_t]:
+            for (ids_t, set_t, _, _), fits in zip(subsets, per_t):
+                for qs, unit, chain in fits:
                     terms = _general_terms(set_g, set_u, set_t, qs, unit, chain)
                     # most term lists repeat; name only the new ones
                     if terms not in seen:
                         seen.add(terms)
                         splits = {q: q - 1 for q in qs}
                         found.append(BoundInequality(
-                            terms, _general_provenance(ids_g, ids_u, ids_t, qs, splits)
+                            tuple(shared.setdefault(t, t) for t in terms),
+                            _general_provenance(ids_g, ids_u, ids_t, qs, splits),
                         ))
-    table = _RowTable()
-    table.add(_cell_vectors(found, sorted(set(cut_cells).union(msg_cells)), K), found)
-    # few term values repeat across a table, so the kept rows share them
-    shared: dict = {}
-    kept = [
-        BoundInequality(tuple(shared.setdefault(t, t) for t in bound.terms), bound.provenance)
-        for _, bound in table.rows.values()
-    ]
-    return tuple(kept), tuple(vector for vector, _ in table.rows.values())
+    return found
 
 
 def thm2_search(
@@ -948,9 +933,8 @@ def thm2_search(
 ) -> list:
     """Every valid parameterization of the general bound instantiated on
     the given families, deduplicated by signature, in search order: the
-    thm2 rows of `_row_kernel` as kept, for the table they come from
-    (`_thm2_table`) is already deduplicated.  `capacities` give the right
-    sides as in `instantiate`."""
+    thm2 rows of `_row_kernel` as kept.  `capacities` give the right sides
+    as in `instantiate`."""
     ground = cut_family.ground
     units = _capacity_units(map(ground.label, range(ground.size)), capacities)
     kernel = _row_kernel(("thm2",), cut_family, msg_family, *units)
@@ -969,9 +953,9 @@ def _row_kernel(
     row names its provenance.  The kept rows come from the `_RowTable` of
     the rules, the sink count and the families' cell layouts, found in
     `_row_tables` or built and stored there: each rule's bounds come from a
-    per-process table, a rule table's vectors are evaluated on the
-    occupied cells (`_cell_vectors`), the thm2 table's are cached with it
-    by the families' cell pattern (`_thm2_table`).  `arc_units` over
+    per-process table (`_rule_table`), thm2's from a search on the
+    families' cell pattern (`_thm2_bounds`), and their vectors are evaluated
+    on the occupied cells (`_cell_vectors`).  `arc_units` over
     `denominator` give the right sides (`_CellKernel`), computed on every
     call."""
     K = cut_family.size
@@ -984,13 +968,9 @@ def _row_kernel(
         return kernel
     table = kernel.table = _RowTable()
     for rule in rules:
-        if rule == "thm2":
-            bounds, vectors = _thm2_table(K, *kernel.pattern)
-        else:
-            bounds = _rule_table(K, rule)
-            vectors = _cell_vectors(bounds, kernel.cells, K)
+        bounds = _thm2_bounds(K, *kernel.pattern) if rule == "thm2" else _rule_table(K, rule)
         kept = len(table.rows)
-        table.add(vectors, bounds)
+        table.add(_cell_vectors(bounds, kernel.cells, K), bounds)
         # right sides rule by rule, so a missing capacity on a kept row is
         # named before a later rule can fail (the thm2 sink cap)
         kernel.extend(itertools.islice(table.rows.values(), kept, None))

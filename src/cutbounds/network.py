@@ -153,13 +153,12 @@ class BroadcastNetwork:
         wanted = set(range(1, len(self.sinks) + 1))
         if set(demands) != wanted:
             raise ParameterError("demands must be keyed by sink indices 1..K exactly")
-        self._message_position = {m: i for i, m in enumerate(self.messages)}
         cleaned = {}
         for k in sorted(demands):
             dem = frozenset(demands[k])
             if not dem:
                 raise ParameterError(f"sink {k} demands no messages")
-            unknown = dem.difference(self._message_position)
+            unknown = dem.difference(self.messages)
             if unknown:
                 raise ParameterError(f"sink {k} demands unknown messages {sorted(unknown)}")
             cleaned[k] = dem
@@ -194,8 +193,7 @@ class BroadcastNetwork:
         return self.message_ground.subset_of_labels(labels)
 
     def demand_set(self, k: int) -> ElementSet:
-        position = self._message_position
-        return ElementSet(self.message_ground, sum(1 << position[m] for m in self.demands[k]))
+        return self.message_subset(self.demands[k])
 
     def arc(self, label: str) -> Arc:
         try:

@@ -27,20 +27,28 @@ FAMILY_CAP_REASON = "the bound rules walk up to 2^K - 1 sink subsets"
 
 @dataclass(frozen=True)
 class GroundSet:
-    """A finite universe of `size` elements, optionally labeled."""
+    """A finite universe of `size` elements, optionally labeled.
+
+    `_position` maps each label to its position, None without labels; it
+    takes no part in equality, hashing or repr.
+    """
 
     size: int
     labels: tuple[str, ...] | None = None
+    _position: dict | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.size, int) or self.size < 1:
             raise ParameterError("ground size must be a positive integer")
+        position = None
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.size:
                 raise ParameterError("labels length must equal ground size")
-            if len(set(self.labels)) != self.size:
+            position = {label: p for p, label in enumerate(self.labels)}
+            if len(position) != self.size:
                 raise ParameterError("labels must be distinct")
+        object.__setattr__(self, "_position", position)
 
     @property
     def full_mask(self) -> int:
@@ -50,11 +58,11 @@ class GroundSet:
         return self.labels[i] if self.labels is not None else str(i)
 
     def index(self, label: str) -> int:
-        if self.labels is None:
+        if self._position is None:
             raise ParameterError("ground set has no labels")
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._position[label]
+        except (KeyError, TypeError):
             raise ParameterError(f"unknown label {label!r}") from None
 
     def subset(self, members: Iterable[int]) -> "ElementSet":
@@ -66,7 +74,11 @@ class GroundSet:
         return ElementSet(self, mask)
 
     def subset_of_labels(self, names: Iterable[str]) -> "ElementSet":
-        return self.subset(self.index(n) for n in names)
+        index = self.index
+        mask = 0
+        for name in names:
+            mask |= 1 << index(name)
+        return ElementSet(self, mask)
 
     def empty(self) -> "ElementSet":
         return ElementSet(self, 0)
@@ -132,15 +144,13 @@ class ElementSet:
 class SubsetFamily:
     """An ordered family (S_1, ..., S_K) of subsets of one ground set.
 
-    `masks` holds the members' bit masks, computed once on construction,
-    and `_levels` the levels of each index set asked for through `levels`;
-    neither takes part in equality, hashing or repr.
+    `masks` holds the members' bit masks, computed once on construction; it
+    takes no part in equality, hashing or repr.
     """
 
     ground: GroundSet
     sets: tuple[ElementSet, ...]
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _levels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
@@ -154,20 +164,10 @@ class SubsetFamily:
             if s.ground is not self.ground and s.ground != self.ground:
                 raise GroundMismatchError("family member over a different ground")
         object.__setattr__(self, "masks", tuple(s.mask for s in self.sets))
-        object.__setattr__(self, "_levels", {})
 
     @property
     def size(self) -> int:
         return len(self.sets)
-
-    def levels(self, bits: int) -> tuple[int, ...]:
-        """`level_masks` of the members at the 0-based positions set in the
-        bit mask `bits`, computed on first request; unvalidated."""
-        found = self._levels.get(bits)
-        if found is None:
-            positions = [p for p in range(bits.bit_length()) if bits >> p & 1]
-            found = self._levels[bits] = tuple(level_masks(self.masks, positions))
-        return found
 
     def level_labels(self, level: int, indices) -> tuple[str, ...]:
         """Labels of the elements lying in at least `level` of the members
@@ -177,7 +177,7 @@ class SubsetFamily:
             raise ParameterError(
                 f"level {level} is out of range for a set of {len(pos)} indices"
             )
-        mask = self.levels(sum(1 << p for p in pos))[level]
+        mask = level_masks(self.masks, pos)[level]
         label = self.ground.label
         return tuple(label(p) for p in range(mask.bit_length()) if mask >> p & 1)
 

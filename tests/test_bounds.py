@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import operator
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -43,8 +44,9 @@ from cutbounds.bounds import (
     thm2_search,
     union_tail_bound,
     _cell_vectors,
+    _row_kernel,
     _rule_table,
-    _thm2_table,
+    _thm2_bounds,
 )
 from cutbounds.errors import ParameterError, PreconditionError
 from cutbounds.network import (
@@ -389,6 +391,71 @@ class TestGcsbKValidation:
         message = str(err.value)
         assert "not contained" in message
         assert "T = U" in message  # the containment does hold against U itself
+
+    @pytest.mark.parametrize(
+        "flat, params, text",
+        [
+            (
+                None,
+                dict(G=[1, 2], U=[1, 2, 3]),
+                "the basic-cut union over G does not cover the one over U (missing: a3)",
+            ),
+            (
+                "message",
+                dict(G=[1, 2], U=[1, 2, 3]),
+                "the basic-cut union over G does not cover the one over U (missing: a3)",
+            ),
+            (
+                None,
+                dict(G=[1], U=[1, 2, 3]),
+                "the basic-cut union over G does not cover the one over U "
+                "(missing: a2, a3, a23)",
+            ),
+            (
+                None,
+                dict(G=[1, 2, 3], U=[1, 2, 3], T=[3], Q={2}),
+                "cut-side level 2 of U is not contained in level 1 of T (extra: a12); "
+                "the containment does hold with T = U",
+            ),
+            (
+                None,
+                dict(G=[1, 2, 3], U=[1, 2, 3], T=[1, 2, 3], Q={2}, r_q_map={2: 3}),
+                "cut-side level 2 of U is not contained in level 3 of T "
+                "(extra: a12, a13, a23)",
+            ),
+            (
+                None,
+                dict(G=[1, 2, 3], U=[1, 2], T=[1, 2, 3], Q={2}, r_q_map={2: 3}),
+                "cut-side level 2 of U is not contained in level 3 of T (extra: a12)",
+            ),
+            (
+                "cut",
+                dict(G=[1, 2, 3], U=[1, 2, 3], T=[3], Q={2}),
+                "message-side level 2 of U is not contained in level 1 of T (extra: W12); "
+                "the containment does hold with T = U",
+            ),
+            (
+                "cut",
+                dict(G=[1, 2, 3], U=[1, 2, 3], T=[1, 2, 3], Q={2}, r_q_map={2: 3}),
+                "message-side level 2 of U is not contained in level 3 of T "
+                "(extra: W12, W13, W23)",
+            ),
+        ],
+    )
+    def test_precondition_texts(self, flat, params, text):
+        """The full text of each failed side condition: the cover's missing
+        arcs, read on the cut side alone, a containment's extra arcs or
+        messages in position order, and the T = U hint only where U's own
+        levels hold on both sides (a split position past |U|, or above q,
+        rules it out).  A flat family, every member the one element, holds
+        every condition on its side, so the other side is the one to fail."""
+        families = {"cut": self.cut, "message": self.msg}
+        if flat:
+            ground = GroundSet(1, labels=("x0",))
+            families[flat] = SubsetFamily(ground, (ground.full(),) * 3)
+        with pytest.raises(PreconditionError) as err:
+            gcsbK(**params, cut_family=families["cut"], msg_family=families["message"])
+        assert str(err.value) == text
 
     def test_defaults_collapse_to_union_only(self):
         b = gcsbK(G=[1, 2], cut_family=self.cut, msg_family=self.msg)
@@ -786,6 +853,28 @@ class TestThm2Oracle:
     def test_four_sink_networks(self, net, cuts):
         assert assert_search_matches_reference(*network_families(net, cuts))
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_five_sink_families(self, seed):
+        """Seeded five-sink family pairs over 5-6 elements, with rational
+        capacities: cell patterns the complete K=5 network does not have."""
+        rows = assert_search_matches_reference(*five_sink_families(seed))
+        assert len(rows) > 1000
+
+
+def five_sink_families(seed):
+    """A cut and a demand family of five nonempty members over 5-6
+    labelled elements each, drawn from `seed`, and rational capacities."""
+    rng = random.Random(seed)
+    families = []
+    for prefix in ("a", "W"):
+        n = rng.randint(5, 6)
+        ground = GroundSet(n, labels=tuple(f"{prefix}{i}" for i in range(n)))
+        masks = [rng.randrange(1, 1 << n) for _ in range(5)]
+        families.append(SubsetFamily(ground, tuple(ElementSet(ground, m) for m in masks)))
+    cut, msg = families
+    caps = {label: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for label in cut.ground.labels}
+    return cut, msg, caps
+
 
 class TestBoundRows:
     def test_matches_instantiating_every_bound(self):
@@ -927,7 +1016,7 @@ class TestCellKernelOracle:
     @pytest.mark.parametrize("K", range(1, 8))
     def test_cell_vectors_match_the_cell_formula(self, K):
         """Each rule's vectors over all 2^K cells, and for K <= 5 the thm2
-        table's cached vectors over the 2^K - 1 nonzero cells, every one
+        search's vectors over the 2^K - 1 nonzero cells, every one
         occupied on both sides as on the complete network, cell by cell,
         against the sum of the weights of the terms whose level the cell
         reaches: a coefficient that overflowed its byte would show here."""
@@ -937,8 +1026,9 @@ class TestCellKernelOracle:
             for table in (_rule_table(K, rule) for rule in ("csb", "gcsb3", "cor3", "cor2"))
         ]
         if K <= MAX_SEARCH_SINKS:
-            nonzero = tuple(range(1, 1 << K))
-            tables.append((nonzero, *_thm2_table(K, nonzero, nonzero)))
+            nonzero = range(1, 1 << K)
+            table = _thm2_bounds(K, nonzero, nonzero)
+            tables.append((nonzero, table, _cell_vectors(table, nonzero, K)))
         for cells, table, vectors in tables:
             expected = [
                 tuple(
@@ -994,15 +1084,14 @@ def pattern_sharing_cases():
 
 
 class TestThm2Table:
-    """thm2 rows come from one search per pattern of occupied membership
+    """thm2 rows come from a search on the pattern of occupied membership
     cells: every family pair of one pattern gets the rows of the
-    per-candidate search, whether its table is built or found."""
+    per-candidate search, whether its row table is built or found."""
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
     def test_families_sharing_a_pattern(self, order):
-        # the row tables are emptied too, or they answer before the search
+        # the row tables are emptied, or they answer before the search
         bounds._row_tables.clear()
-        _thm2_table.cache_clear()
         for cut, msg, caps in pattern_sharing_cases()[::order]:
             assert_same_outcome(
                 lambda: thm2_search(cut, msg, caps),
@@ -1011,8 +1100,6 @@ class TestThm2Table:
             )
             for rules in (("thm2",), BOUND_RULES):
                 assert_rows_match_reference(rules, cut, msg, caps)
-        info = _thm2_table.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
 
     def test_rows_come_from_the_kernel_alone(self, monkeypatch):
         """With the label walk replaced by a function that raises, the rows
@@ -1039,9 +1126,10 @@ class TestThm2Table:
                 bound_rows(rules, *missing)
 
     def test_a_table_holds_one_object_per_term_value(self):
-        full = tuple(range(1, 16))
-        table, _ = _thm2_table(4, full, full)
-        terms = [t for bound in table for t in bound.terms]
+        net = complete_combination_network(4)
+        families = cut_and_message_families(net, [min_cut(net, k) for k in range(1, 5)])
+        table = _row_kernel(("thm2",), *families).table
+        terms = [t for _, bound in table.rows.values() for t in bound.terms]
         assert len({id(t) for t in terms}) == len(set(terms)) < len(terms)
 
 

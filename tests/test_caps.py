@@ -71,7 +71,7 @@ def test_search_sinks():
 
 def test_row_table_budget(monkeypatch):
     """The row tables hold MAX_CACHED_ROWS rows in all at most: about
-    1.2 MB at the complete K=5 network's 31 occupied cells and 3.5 MB at
+    3.4 MB at the complete K=5 network's 31 occupied cells and 3.5 MB at
     K=8's 255, where one pass of the `report` benchmark holds 2248.  The
     least recently used tables go first; a table of more rows than the
     budget is used but not kept and drops nothing, so a one-shot large
@@ -99,30 +99,6 @@ def test_row_table_budget(monkeypatch):
     bound_rows(BOUND_RULES, *families)
     bound_rows(ENUMERATION_RULES, *families)
     assert cache.hits == hits + 1
-
-
-def test_thm2_table_keeps_the_last_pattern():
-    """`_thm2_table` is asked only when a row table is built, so it hits
-    only when the cell pattern it holds comes back under another rule list
-    or layout, as in a report of the same network with other rules right
-    after; three cold `report` benchmark passes ask it seven times and hit
-    never.  An entry holds up to 5.7 MB at K=5 (tracemalloc), so it keeps
-    the last pattern alone."""
-    assert bounds._thm2_table.cache_info().maxsize == 1
-    three, four = (complete_combination_network(K) for K in (3, 4))
-    families = [
-        cut_and_message_families(net, [min_cut(net, k) for k in range(1, net.K + 1)])
-        for net in (three, four)
-    ]
-    bounds._row_tables.clear()
-    bounds._thm2_table.cache_clear()
-    calls = ((("csb", "thm2"), 0), (("thm2",), 0), (("thm2",), 1), (("thm2", "csb"), 0))
-    for rules, which in calls:
-        bound_rows(rules, *families[which])
-    info = bounds._thm2_table.cache_info()
-    # the second report hits; the K=4 pattern then takes the one entry, so
-    # the K=3 pattern misses when it comes back under a third rule list
-    assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
 
 
 def test_beta_set_size():

@@ -963,10 +963,8 @@ class TestCompleteK5:
         # every rule, thm2 included, pinned by row count and stdout digest;
         # the digest was recorded from the signature-keyed dedupe that the
         # row kernel replaced, run with the thm2 sink cap raised to 5.  The
-        # row tables and the thm2 table cache are emptied first, so the K=5
-        # search runs here
+        # row tables are emptied first, so the K=5 search runs here
         bounds._row_tables.clear()
-        bounds._thm2_table.cache_clear()
         path = write_doc(tmp_path, complete_doc(5))
         assert cli.main(["bounds", path, "--rules", "csb,gcsb3,cor3,cor2,thm2"]) == 0
         out = capsys.readouterr().out

@@ -520,6 +520,22 @@ class TestCapacityConversion:
 
 
 class TestCompleteCombinationNetwork:
+    def test_cuts_from_label_lists_match_cuts_from_masks(self):
+        # the eight minimum cuts of the largest network in the docs, given
+        # as 128-label lists as in a `--cuts` file, in shuffled order
+        net = complete_combination_network(8)
+        rng = random.Random(8)
+        for k in range(1, 9):
+            arcs = min_cut(net, k).arcs
+            labels = list(arcs.member_labels())
+            rng.shuffle(labels)
+            assert len(labels) == 128
+            assert make_cut(net, labels, k) == make_cut(net, arcs, k)
+            assert net.arc_subset(labels) == arcs
+        with pytest.raises(ParameterError, match=r"^unknown label 'nope'$"):
+            make_cut(net, ["nope"], 1)
+        assert net.message_subset(["W12", "W1"]).member_labels() == ("W1", "W12")
+
     def test_one_sink_builds(self):
         net = complete_combination_network(1)
         assert net.K == 1 and net.messages == ("W1",)

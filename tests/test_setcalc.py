@@ -71,6 +71,23 @@ class TestGroundSet:
         with pytest.raises(ParameterError):
             GroundSet(2, ("a", "a"))
 
+    def test_label_lookup_refusals(self):
+        g = GroundSet(3, ("a", "b", "c"))
+        assert [g.index(x) for x in ("c", "a", "b")] == [2, 0, 1]
+        assert g.subset_of_labels(["c", "a", "c"]).mask == 0b101
+        with pytest.raises(ParameterError, match=r"^unknown label 'd'$"):
+            g.subset_of_labels(["a", "d"])
+        with pytest.raises(ParameterError, match=r"^unknown label 0$"):
+            g.index(0)
+        with pytest.raises(ParameterError, match=r"^ground set has no labels$"):
+            GroundSet(3).index("0")
+        with pytest.raises(ParameterError, match=r"^unknown label \['a'\]$"):
+            g.index(["a"])
+        # an empty list names no label, so an unlabelled ground gives it too
+        assert GroundSet(3).subset_of_labels([]).mask == 0
+        assert g == GroundSet(3, ["a", "b", "c"]) and hash(g) == hash(GroundSet(3, "abc"))
+        assert repr(g) == "GroundSet(size=3, labels=('a', 'b', 'c'))"
+
     def test_subset_helpers(self):
         g = GroundSet(4)
         s = g.subset([0, 2])
@@ -185,14 +202,14 @@ class TestIntersectLevel:
                 assert inner & ~outer == 0
 
     def test_level_table_matches_direct_enumeration(self):
-        # the family's cached levels of every index set, against the definition
+        # the levels of every index set, against the definition
         rng = random.Random(102)
         for k in range(1, 7):
             for _ in range(20):
                 fam = random_family(rng, 7, k)
                 for bits in range(1, 1 << k):
                     positions = [p for p in range(k) if bits >> p & 1]
-                    levels = fam.levels(bits)
+                    levels = level_masks(fam.masks, positions)
                     assert len(levels) == len(positions) + 1 and levels[0] == -1
                     for r in range(1, len(positions) + 1):
                         assert levels[r] == direct_level(fam.masks, positions, r)
@@ -227,9 +244,6 @@ class TestLevelKernel:
         want = [-1] + [direct_level(masks, positions, r) for r in range(1, len(positions) + 1)]
         assert level_masks(masks, positions) == want
         assert level_masks(masks, reversed(positions)) == want
-        bits = sum(1 << p for p in positions)
-        assert fam.levels(bits) == tuple(want)
-        assert fam.levels(bits) is fam.levels(bits)
         twin = SubsetFamily(fam.ground, fam.sets)
         assert fam == twin and hash(fam) == hash(twin) and repr(fam) == repr(twin)
         # prefix levels, and the prefix-extended family built from them
