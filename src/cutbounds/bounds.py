@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import chain, compress, count
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, exact_rational
 from .setcalc import (
     FAMILY_CAP_REASON,
     MAX_FAMILY,
@@ -48,7 +48,9 @@ from .setcalc import (
 MAX_BETA_SET_SIZE = 6
 # the thm2 search (`_thm2_bounds`) walks (2^K - 1)^3 sink-set triples
 # (G, U, T): 29791 at K = 5, where the complete network's all-rule report
-# takes under a second, and 250047 at K = 6
+# takes under a second, and 250047 at K = 6.  `_row_kernel` checks the cap
+# with the rule names, so a request over it is refused before any row is
+# built, whatever the rule order
 MAX_SEARCH_SINKS = 5
 
 # a row table depends on the rules, K and the cell layouts alone, so a
@@ -174,7 +176,9 @@ class BoundInequality:
                 raise ParameterError(
                     f"level {t.level} is out of range for a set of {len(indices)} indices"
                 )
-            weight = t.weight if type(t.weight) is int else Fraction(t.weight)
+            weight = t.weight
+            if type(weight) is not int:
+                weight = exact_rational(weight, "a term weight")
             if weight < 0:
                 raise ParameterError("term weights must be nonnegative")
             key = (t.level, indices)
@@ -412,7 +416,7 @@ class InstantiatedInequality:
         for label, coeff in self.rate_coeffs.items():
             if label not in rates:
                 raise ParameterError(f"no rate given for message {label!r}")
-            total += coeff * Fraction(rates[label])
+            total += coeff * exact_rational(rates[label], "a rate")
         return total
 
 
@@ -704,8 +708,7 @@ class _CellKernel:
         if cut_family.size != msg_family.size:
             raise ParameterError("cut and message families must have the same sink count")
         msg_cells, cut_cells = _element_cells(msg_family), _element_cells(cut_family)
-        self.pattern = _occupied(cut_cells), _occupied(msg_cells)
-        self.cells = sorted(set().union(*self.pattern))
+        self.cells = _occupied(cut_cells + msg_cells)
         slot = {c: s for s, c in enumerate(self.cells)}
         self.msg = _CellSide(msg_family, msg_cells, slot)
         self.cut = _CellSide(cut_family, cut_cells, slot)
@@ -870,10 +873,8 @@ def _thm2_bounds(K: int, cut_cells: Sequence[int], msg_cells: Sequence[int]) -> 
     `gcsbK` would give candidate by candidate, without its per-call
     validation: the levels of every sink set are computed once, and a term
     list is built from the integer chain weights of its Q.  The search
-    space grows as roughly 8^K subset triples, so the sink count is
-    capped."""
-    if K > MAX_SEARCH_SINKS:
-        raise ParameterError(f"the search is limited to {MAX_SEARCH_SINKS} sinks")
+    space grows as roughly 8^K subset triples, so its one caller,
+    `_row_kernel`, refuses more than MAX_SEARCH_SINKS sinks first."""
     cut_masks, msg_masks = _cell_masks(K, cut_cells), _cell_masks(K, msg_cells)
     # per sink set: its ids, as a frozenset, and its cut and message levels
     subsets = []
@@ -950,31 +951,35 @@ def _row_kernel(
 ) -> _CellKernel:
     """The `_CellKernel` holding the rows of the named rules (any of
     BOUND_RULES), walked in the order given, so the first rule to produce a
-    row names its provenance.  The kept rows come from the `_RowTable` of
-    the rules, the sink count and the families' cell layouts, found in
-    `_row_tables` or built and stored there: each rule's bounds come from a
-    per-process table (`_rule_table`), thm2's from a search on the
-    families' cell pattern (`_thm2_bounds`), and their vectors are evaluated
-    on the occupied cells (`_cell_vectors`).  `arc_units` over
-    `denominator` give the right sides (`_CellKernel`), computed on every
-    call."""
+    row names its provenance.  The rule names and the thm2 sink cap
+    (MAX_SEARCH_SINKS) are checked first, so a refused request builds
+    nothing.  The kept rows come from the `_RowTable` of the rules, the
+    sink count and the families' cell layouts, found in `_row_tables` or
+    built and stored there: each rule's bounds come from a per-process
+    table (`_rule_table`), thm2's from a search on the cells the layouts
+    occupy (`_thm2_bounds`), and their vectors are evaluated on the
+    occupied cells (`_cell_vectors`).  `arc_units` over `denominator` then
+    give every kept row its right side (`_CellKernel.extend`), in the
+    order added, on every call."""
     K = cut_family.size
     kernel = _CellKernel(cut_family, msg_family, arc_units, denominator)
     rules = check_rules(rules, BOUND_RULES)
+    if "thm2" in rules and K > MAX_SEARCH_SINKS:
+        raise ParameterError(f"the search is limited to {MAX_SEARCH_SINKS} sinks")
     key = rules, K, kernel.cut.layout, kernel.msg.layout
     table = kernel.table = _row_tables.get(key)
-    if table is not None:
-        kernel.extend(table.rows.values())
-        return kernel
-    table = kernel.table = _RowTable()
-    for rule in rules:
-        bounds = _thm2_bounds(K, *kernel.pattern) if rule == "thm2" else _rule_table(K, rule)
-        kept = len(table.rows)
-        table.add(_cell_vectors(bounds, kernel.cells, K), bounds)
-        # right sides rule by rule, so a missing capacity on a kept row is
-        # named before a later rule can fail (the thm2 sink cap)
-        kernel.extend(itertools.islice(table.rows.values(), kept, None))
-    _row_tables.put(key, table)
+    if table is None:
+        table = kernel.table = _RowTable()
+        for rule in rules:
+            if rule == "thm2":
+                bounds = _thm2_bounds(
+                    K, _occupied(kernel.cut.layout), _occupied(kernel.msg.layout)
+                )
+            else:
+                bounds = _rule_table(K, rule)
+            table.add(_cell_vectors(bounds, kernel.cells, K), bounds)
+        _row_tables.put(key, table)
+    kernel.extend(table.rows.values())
     return kernel
 
 

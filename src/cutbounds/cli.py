@@ -12,8 +12,9 @@ Four subcommands share one exit-code contract:
        finite cut at all
     4  the requested region slice is unbounded along some ray
 
-Output files are written atomically (temp file plus rename), so a failing
-run never leaves a partial report behind, not even its temp file.
+Output files are written atomically (a temp file created under a name no
+file has, then a rename), so a failing run never leaves a partial report
+behind, not even its temp file, and no file but the output is written over.
 """
 
 from __future__ import annotations
@@ -217,18 +218,34 @@ def _load_cuts(net: BroadcastNetwork, path):
 # bounds reports
 
 
+def _create_staging(destination) -> tuple:
+    """A new file beside `destination`, as (name, descriptor), created
+    exclusively under the first name `<destination>.<n>.partial` that no
+    file has, so neither a user's file nor another run's staging file is
+    overwritten.  Mode 0o666, as `open(name, "w")` gives, so the umask
+    alone trims it."""
+    for n in itertools.count():
+        name = f"{destination}.{n}.partial"
+        try:
+            return name, os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+
+
 def _write_text(text: str, destination) -> None:
     if destination is None:
         sys.stdout.write(text)
         return
-    staging = f"{destination}.partial"
+    staging = None
     try:
-        with open(staging, "w", encoding="utf-8") as handle:
+        staging, fd = _create_staging(destination)
+        with open(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(staging, destination)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(staging)
+        if staging is not None:
+            with contextlib.suppress(OSError):
+                os.remove(staging)
         raise ParameterError(
             f"cannot write {destination}: {exc.strerror or exc}"
         ) from None

@@ -29,27 +29,17 @@ from .errors import (
     GroundMismatchError,
     InfeasibleCutError,
     ParameterError,
+    exact_rational,
 )
 from .setcalc import FAMILY_CAP_REASON, MAX_FAMILY, ElementSet, GroundSet, SubsetFamily
 
 Capacity = Optional[Fraction]
 
 
-def _exact_capacity(value) -> Fraction:
-    """A capacity as a Fraction, a Fraction kept as it is; ParameterError
-    for anything that is not a finite rational (NaN, infinities, text)."""
-    if type(value) is Fraction:
-        return value
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ParameterError(f"invalid arc capacity {value!r}") from None
-
-
 def _coerce_capacity(value) -> Capacity:
     if value is None:
         return None
-    cap = _exact_capacity(value)
+    cap = exact_rational(value, "an arc capacity")
     if cap.numerator <= 0:
         raise ParameterError("arc capacity must be positive (or None for unbounded)")
     return cap
@@ -462,7 +452,7 @@ def combination_network(
             raise ParameterError(f"subset {members} outside 1..{K}")
         if members in by_subset:
             raise ParameterError(f"duplicate capacity entry for subset {members}")
-        cap = _exact_capacity(value)
+        cap = exact_rational(value, "an arc capacity")
         if cap.numerator < 0:
             raise ParameterError("subset capacities must be nonnegative")
         by_subset[members] = cap

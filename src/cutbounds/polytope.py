@@ -46,7 +46,7 @@ from functools import cmp_to_key
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ParameterError, UnboundedRegionError
+from .errors import ParameterError, UnboundedRegionError, exact_rational
 
 Rational = Union[Fraction, int, str]
 
@@ -76,21 +76,10 @@ def format_rational(value: Union[Fraction, int]) -> str:
     if type(value) is int:
         return str(value)
     if not isinstance(value, Fraction):
-        value = Fraction(value)
+        value = exact_rational(value, "a value")
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def _row_entry(value) -> Fraction:
-    """A row coefficient or right side other than an int or a Fraction, as
-    a Fraction; ParameterError on a NaN, an infinity or a non-number."""
-    try:
-        return Fraction(value)
-    except (ValueError, TypeError, ArithmeticError):
-        # NaN and text that is not a rational raise ValueError, an infinity
-        # OverflowError, "1/0" ZeroDivisionError, a non-number TypeError
-        raise ParameterError(f"a row entry must be a finite rational, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -108,7 +97,8 @@ class Row:
     def __post_init__(self):
         values = (*self.coeffs, self.rhs)
         if not all(type(v) is int for v in values):
-            values = [v if isinstance(v, (int, Fraction)) else _row_entry(v) for v in values]
+            values = [v if isinstance(v, (int, Fraction)) else exact_rational(v, "a row entry")
+                      for v in values]
             denom = lcm(*(v.denominator for v in values))
             values = [v.numerator * (denom // v.denominator) for v in values]
         g = gcd(*values)
@@ -181,7 +171,7 @@ def satisfies(sys: LinearSystem, point: Mapping[str, Rational]) -> bool:
     for v, flag in zip(sys.variables, sys.nonneg):
         if v not in point:
             raise ParameterError(f"point is missing variable {v!r}")
-        x = Fraction(point[v])
+        x = exact_rational(point[v], "a point coordinate")
         if flag and x < 0:
             return False
         values.append(x)
@@ -524,10 +514,10 @@ def substitute(
         raise ParameterError(f"unknown variable {var!r}")
     expr = {}
     for name, value in coeffs.items():
-        value = Fraction(value)
+        value = exact_rational(value, "a substitution coefficient")
         if value != 0:
             expr[name] = value
-    const = Fraction(const)
+    const = exact_rational(const, "a substitution constant")
 
     keep_var = var in expr
     out_vars = [v for v in sys.variables if keep_var or v != var]
@@ -706,7 +696,7 @@ def corner_points_symmetric(
     """
     if not isinstance(K, int) or K < 1:
         raise ParameterError("K must be a positive integer")
-    caps = [Fraction(v) for v in c]
+    caps = [exact_rational(v, "a capacity") for v in c]
     if len(caps) != K:
         raise ParameterError(f"capacity list must have length {K}")
     if any(v < 0 for v in caps):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import GroundMismatchError, ParameterError, PreconditionError
+from .errors import GroundMismatchError, ParameterError, PreconditionError, exact_rational
 from .setcalc import (
     ElementSet,
     GroundSet,
@@ -68,7 +68,7 @@ class SetFunction:
 
     @classmethod
     def modular(cls, ground: GroundSet, weights: Sequence[Number]) -> "SetFunction":
-        ws = tuple(map(_exact_weight, weights))
+        ws = tuple(exact_rational(w, "a modular weight") for w in weights)
         if len(ws) != ground.size:
             raise ParameterError(
                 f"expected {ground.size} weights, got {len(ws)}"
@@ -117,16 +117,6 @@ class SetFunction:
         if subset.ground != self.ground:
             raise GroundMismatchError("subset is over a different ground set")
         return self._exact(self._table[subset.mask])
-
-
-def _exact_weight(weight) -> Fraction:
-    if type(weight) is Fraction:
-        return weight
-    try:
-        return Fraction(weight)
-    except (ValueError, OverflowError):
-        # Fraction raises ValueError on nan and OverflowError on inf
-        raise ParameterError(f"modular weights must be finite, got {weight!r}") from None
 
 
 class _ModularTable(dict):

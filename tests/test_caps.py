@@ -69,6 +69,20 @@ def test_search_sinks():
         bound_rows(("csb", "thm2"), *families)
 
 
+@pytest.mark.parametrize("rules", [("csb", "thm2"), ("thm2", "csb")])
+def test_search_sinks_come_before_any_row(rules):
+    """The cap is checked with the rule names, before a row is built or
+    priced: a capacity missing from an earlier rule's rows does not name
+    itself first, and nothing is stored."""
+    net = complete_combination_network(MAX_SEARCH_SINKS + 1)
+    families = cut_and_message_families(net, [min_cut(net, k) for k in range(1, net.K + 1)])
+    capacities = {arc.label: arc.capacity for arc in net.arcs if arc.label != "a1"}
+    bounds._row_tables.clear()
+    with pytest.raises(ParameterError, match="^the search is limited to 5 sinks$"):
+        bound_rows(rules, *families, capacities)
+    assert len(bounds._row_tables) == 0
+
+
 def test_row_table_budget(monkeypatch):
     """The row tables hold MAX_CACHED_ROWS rows in all at most: about
     3.4 MB at the complete K=5 network's 31 occupied cells and 3.5 MB at

@@ -505,6 +505,28 @@ class TestCmdBounds:
         assert cli.main(["bounds", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_out_never_overwrites_another_file(self, tmp_path, capsys):
+        """The report is staged under a name no file has, so a user's
+        `out.json.partial`, or a file at the first staging name tried,
+        stays as it was; the report gets the mode `open(out, "w")` would
+        give it, 0o666 less the umask."""
+        path = write_doc(tmp_path, complete3_doc())
+        assert cli.main(["bounds", path]) == 0
+        expected = capsys.readouterr().out
+        kept = {"out.json.partial": b"a user's file\n", "out.json.0.partial": b"another\n"}
+        for name, data in kept.items():
+            (tmp_path / name).write_bytes(data)
+        umask = os.umask(0o027)
+        try:
+            assert cli.main(["bounds", path, "--out", str(tmp_path / "out.json")]) == 0
+        finally:
+            os.umask(umask)
+        assert {name: (tmp_path / name).read_bytes() for name in kept} == kept
+        out = tmp_path / "out.json"
+        assert out.read_text(encoding="utf-8") == expected
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "out.json", *sorted(kept)]
+
     @pytest.mark.parametrize("where", ["missing-dir/r.json", "r.json"])
     def test_unwritable_out_exit2(self, tmp_path, capsys, where):
         path = write_doc(tmp_path, k1_doc())
@@ -893,6 +915,17 @@ class TestCmdRegion:
             "gcsb contains cutset: no",
             "cutset contains gcsb: yes",
         ]
+
+    def test_emit_never_overwrites_another_file(self, tmp_path, capsys):
+        argv = ["region", "--symmetric", "2", "1", "1"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        partial = tmp_path / "out.csv.partial"
+        partial.write_bytes(b"a user's file\n")
+        assert cli.main([*argv, "--emit", str(tmp_path / "out.csv")]) == 0
+        assert partial.read_bytes() == b"a user's file\n"
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.partial"]
 
     @pytest.mark.parametrize("where", ["missing-dir/v.csv", "v.csv"])
     def test_unwritable_emit_exit2(self, tmp_path, capsys, where):

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from cutbounds.bounds import BoundInequality, BoundTerm, InstantiatedInequality
 from cutbounds.errors import (
     CutVerificationError,
     GroundMismatchError,
     InfeasibleCutError,
     ParameterError,
+    exact_rational,
 )
 from cutbounds.network import (
     Arc,
@@ -34,6 +37,16 @@ from cutbounds.network import (
     min_cut,
     symmetric_combination_network,
 )
+from cutbounds.polytope import (
+    LinearSystem,
+    Row,
+    corner_points_symmetric,
+    format_rational,
+    satisfies,
+    substitute,
+)
+from cutbounds.setcalc import GroundSet
+from cutbounds.setfn import SetFunction
 
 
 def tiny_net(*arcs, sinks=("t",), messages=("M",), demands=None):
@@ -479,29 +492,91 @@ class TestSymmetric:
 
 _NOT_FINITE_RATIONALS = [
     float("inf"),
+    float("-inf"),
     float("nan"),
     Decimal("Infinity"),
     Decimal("NaN"),
     "x",
+    "1/0",
+    None,
 ]
 
-_CAPACITY_TAKERS = {
-    "Arc": lambda value: Arc("e0", "s", "t", value),
-    "combination_network": lambda value: combination_network(
-        2, {(1,): value, (1, 2): 1}, {1: ["M"], 2: ["M"]}
+_UNIT_SYSTEM = LinearSystem.from_rows(("x",), [({"x": 1}, 1)])
+
+# every library entry point that turns a caller's value into a Fraction:
+# (the name its refusal gives the value, a call passing the value there)
+_RATIONAL_TAKERS = {
+    "Arc": ("an arc capacity", lambda value: Arc("e0", "s", "t", value)),
+    "combination_network": (
+        "an arc capacity",
+        lambda value: combination_network(2, {(1,): value, (1, 2): 1}, {1: ["M"], 2: ["M"]}),
     ),
-    "symmetric_combination_network": lambda value: symmetric_combination_network(
-        2, (value, 1)
+    "complete_combination_network": (
+        "an arc capacity",
+        lambda value: complete_combination_network(1, {(1,): value}),
+    ),
+    "symmetric_combination_network": (
+        "an arc capacity",
+        lambda value: symmetric_combination_network(2, (value, 1)),
+    ),
+    "SetFunction.modular": (
+        "a modular weight",
+        lambda value: SetFunction.modular(GroundSet(2), (1, value)),
+    ),
+    "Row coefficient": ("a row entry", lambda value: Row((1, value), 2)),
+    "Row right side": ("a row entry", lambda value: Row((1, 1), value)),
+    "format_rational": ("a value", format_rational),
+    "satisfies": ("a point coordinate", lambda value: satisfies(_UNIT_SYSTEM, {"x": value})),
+    "substitute coefficient": (
+        "a substitution coefficient",
+        lambda value: substitute(_UNIT_SYSTEM, "x", {"y": value}),
+    ),
+    "substitute constant": (
+        "a substitution constant",
+        lambda value: substitute(_UNIT_SYSTEM, "x", {"y": 1}, value),
+    ),
+    "corner_points_symmetric": (
+        "a capacity",
+        lambda value: corner_points_symmetric(2, (value, 1)),
+    ),
+    "BoundInequality.build": (
+        "a term weight",
+        lambda value: BoundInequality.build([BoundTerm(1, frozenset({1}), value)]),
+    ),
+    "InstantiatedInequality.lhs_value": (
+        "a rate",
+        lambda value: InstantiatedInequality({"W": Fraction(1)}, {}, None, "").lhs_value(
+            {"W": value}
+        ),
     ),
 }
 
 
 class TestCapacityConversion:
-    @pytest.mark.parametrize("taker", sorted(_CAPACITY_TAKERS))
+    """Capacities, and every other value a caller hands the library as a
+    rational, go through `errors.exact_rational`: one kind of refusal, one
+    text, wherever the value arrives."""
+
+    @pytest.mark.parametrize("taker", sorted(_RATIONAL_TAKERS))
     @pytest.mark.parametrize("value", _NOT_FINITE_RATIONALS, ids=repr)
     def test_values_that_are_not_finite_rationals_are_refused(self, taker, value):
-        with pytest.raises(ParameterError, match="invalid arc capacity"):
-            _CAPACITY_TAKERS[taker](value)
+        what, call = _RATIONAL_TAKERS[taker]
+        if taker == "Arc" and value is None:
+            # None marks an unbounded arc, not a value to convert
+            assert call(value).capacity is None
+            return
+        text = f"^{re.escape(what)} must be a finite rational, got {re.escape(repr(value))}$"
+        with pytest.raises(ParameterError, match=text):
+            call(value)
+
+    def test_exact_rational_keeps_valid_values_exact(self):
+        value = Fraction(3, 4)
+        assert exact_rational(value, "a value") is value
+        for given, expected in ((2, Fraction(2)), (True, Fraction(1)), ("-3/4", Fraction(-3, 4)),
+                                (" 0.5 ", Fraction(1, 2)), (0.1, Fraction(3602879701896397, 2**55)),
+                                (Decimal("0.1"), Fraction(1, 10))):
+            converted = exact_rational(given, "a value")
+            assert type(converted) is Fraction and converted == expected
 
     def test_a_fraction_is_kept_as_it_is(self):
         value = Fraction(3, 4)
@@ -516,7 +591,7 @@ class TestCapacityConversion:
     def test_negative_subset_capacity_refused(self):
         # a subset capacity may be 0 (its mixer is omitted), not below
         with pytest.raises(ParameterError, match="nonnegative"):
-            _CAPACITY_TAKERS["combination_network"](Fraction(-1, 2))
+            _RATIONAL_TAKERS["combination_network"][1](Fraction(-1, 2))
 
 
 class TestCompleteCombinationNetwork:

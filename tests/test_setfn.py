@@ -17,13 +17,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutbounds.errors import GroundMismatchError, ParameterError, PreconditionError
+from cutbounds.errors import (
+    GroundMismatchError,
+    ParameterError,
+    PreconditionError,
+    exact_rational,
+)
 from cutbounds.setcalc import ElementSet, GroundSet, SubsetFamily, intersect_level
 from cutbounds.setfn import (
     MAX_VARIABLES,
     JointDistribution,
     SetFunction,
-    _exact_weight,
     cross_level_gap,
     entropy_function,
     is_modular,
@@ -103,8 +107,8 @@ class TestSetFunction:
 
     def test_modular_takes_fraction_weights_as_they_are(self):
         weights = (Fraction(1, 2), Fraction(0), Fraction(5, 3))
-        assert all(_exact_weight(w) is w for w in weights)
-        assert _exact_weight(2) == Fraction(2) and _exact_weight("1/3") == Fraction(1, 3)
+        assert all(exact_rational(w, "a modular weight") is w for w in weights)
+        assert SetFunction.modular(G3, (2, "1/3", 0.5))(G3.full()) == Fraction(17, 6)
         f = SetFunction.modular(G3, weights)
         assert f(G3.full()) == Fraction(13, 6) and type(f(G3.full())) is Fraction
         with pytest.raises(ParameterError, match="modular weights must be nonnegative"):
@@ -112,7 +116,7 @@ class TestSetFunction:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_modular_rejects_nan_and_inf(self, value):
-        with pytest.raises(ParameterError, match="modular weights must be finite"):
+        with pytest.raises(ParameterError, match="^a modular weight must be a finite rational"):
             SetFunction.modular(G3, (1, value, 0))
 
     def test_ground_mismatch(self):
