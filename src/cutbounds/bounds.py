@@ -39,7 +39,6 @@ from .setcalc import (
     FAMILY_CAP_REASON,
     MAX_FAMILY,
     ElementSet,
-    GroundSet,
     SubsetFamily,
     _check_indices,
     level_masks,
@@ -506,12 +505,6 @@ def _cell_masks(K: int, cells: Sequence[int]) -> list:
     order, member k holding the elements whose cell has bit k - 1 set: the
     inverse of `_element_cells` on distinct nonzero cells."""
     return [_bits(p for p, c in enumerate(cells) if c >> k & 1) for k in range(K)]
-
-
-def _cell_family(K: int, cells: Sequence[int]) -> SubsetFamily:
-    """The family of `_cell_masks`."""
-    ground = GroundSet(max(1, len(cells)))
-    return SubsetFamily(ground, tuple(ElementSet(ground, m) for m in _cell_masks(K, cells)))
 
 
 def _cell_vectors(bounds: Iterable[BoundInequality], cells: Sequence[int], K: int) -> list:

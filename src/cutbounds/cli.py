@@ -36,7 +36,7 @@ from math import comb, gcd, isfinite
 from .bounds import (
     BOUND_RULES,
     ENUMERATION_RULES,
-    _cell_family,
+    _cell_masks,
     _picker,
     _row_kernel,
     alpha_beta_identity,
@@ -70,20 +70,14 @@ from .polytope import (
     substitute,
     vertices_2d,
 )
-from .setcalc import (
-    MAX_FAMILY,
-    ElementSet,
-    GroundSet,
-    SubsetFamily,
-    prefix_extension_identity,
-)
+from .setcalc import MAX_FAMILY, GroundSet, _check_cutoff, _prefix_identity_masks
 from .setfn import (
     MAX_VARIABLES,
     SetFunction,
-    cross_level_gap,
+    _cross_level_core,
+    _multiway_core,
+    _prefix_core,
     entropy_function,
-    multiway_gap,
-    prefix_multiway_gap,
     random_joint_distribution,
 )
 
@@ -316,43 +310,49 @@ def cmd_bounds(args) -> int:
 # verification campaigns
 
 
-def _random_indices(rng, K: int) -> list:
-    picked = [k for k in range(1, K + 1) if rng.random() < 0.5]
-    return picked or [rng.randint(1, K)]
+def _random_positions(rng, K: int) -> list:
+    """A nonempty set of 0-based member positions, ascending."""
+    picked = [k for k in range(K) if rng.random() < 0.5]
+    return picked or [rng.randint(1, K) - 1]
 
 
-def _trial_prefix(rng, f, family):
-    count = rng.randint(1, family.size)
+# A trial draws its gap's arguments in range and calls the gap's mask core
+# (`setfn._multiway_core` and the like), the code behind the validating
+# public function, on the function's table and the members' masks.
+
+
+def _trial_prefix(rng, f, masks):
+    count = rng.randint(1, len(masks))
     cutoff = rng.randint(0, count)
-    return prefix_multiway_gap(f, family, cutoff, count)
+    return f._exact(_prefix_core(f._table, masks, cutoff, count, 0))
 
 
-def _trial_prefix_anchored(rng, f, family):
-    count = rng.randint(1, family.size)
+def _trial_prefix_anchored(rng, f, masks):
+    count = rng.randint(1, len(masks))
     cutoff = rng.randint(0, count)
-    anchor = ElementSet(family.ground, rng.randrange(1 << family.ground.size))
-    return prefix_multiway_gap(f, family, cutoff, count, anchor=anchor)
+    anchor = rng.randrange(1 << f.ground.size)
+    return f._exact(_prefix_core(f._table, masks, cutoff, count, anchor))
 
 
-def _trial_multiway(rng, f, family):
-    return multiway_gap(f, family, _random_indices(rng, family.size))
+def _trial_multiway(rng, f, masks):
+    return f._exact(_multiway_core(f._table, masks, _random_positions(rng, len(masks))))
 
 
-def _trial_cross_level(rng, f, family):
+def _trial_cross_level(rng, f, masks):
     # rejection-sample until the containment precondition holds; U = T with
-    # the top levels is always valid, so the fallback cannot raise
-    K = family.size
+    # the top levels is always valid, so the fallback finds a gap
+    K = len(masks)
+    table = f._table
     for _ in range(32):
-        U = _random_indices(rng, K)
-        T = _random_indices(rng, K)
-        try:
-            return cross_level_gap(
-                f, family, U, T, rng.randint(1, len(U)), rng.randint(1, len(T))
-            )
-        except PreconditionError:
-            continue
-    everyone = list(range(1, K + 1))
-    return cross_level_gap(f, family, everyone, everyone, 1, 1)
+        U = _random_positions(rng, K)
+        T = _random_positions(rng, K)
+        gap = _cross_level_core(
+            table, masks, U, T, rng.randint(1, len(U)), rng.randint(1, len(T))
+        )
+        if gap is not None:
+            return f._exact(gap)
+    everyone = range(K)
+    return f._exact(_cross_level_core(table, masks, everyone, everyone, 1, 1))
 
 
 _GAP_TRIALS = {
@@ -375,19 +375,15 @@ def _run_gap_campaign(token: str, args):
         rng = random.Random(f"{args.seed}:{index}")
         m = rng.randint(2, args.ground)
         if args.modular:
-            ground = GroundSet(m)
             weights = [
                 Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(m)
             ]
-            f = SetFunction.modular(ground, weights)
+            f = SetFunction.modular(GroundSet(m), weights)
         else:
             f = entropy_function(random_joint_distribution(rng, m))
         K = rng.randint(1, 4)
-        members = tuple(
-            ElementSet(f.ground, rng.randrange(1 << m)) for _ in range(K)
-        )
-        family = SubsetFamily(f.ground, members)
-        gap = trial(rng, f, family)
+        masks = tuple([rng.randrange(1 << m) for _ in range(K)])
+        gap = trial(rng, f, masks)
         if min_gap is None or gap < min_gap:
             min_gap = gap
         if args.modular:
@@ -402,7 +398,8 @@ def _run_appendix_a(trials: int, ground_size: int, seed: int):
     occupancy patterns with up to three sets, plus random larger families.
 
     The identity depends only on which membership cells are occupied, so
-    sweeping the patterns covers every family shape of that size.
+    sweeping the patterns covers every family shape of that size.  Each
+    family is its members' masks, checked by the identity's mask core.
     """
     if not 2 <= ground_size <= 16:
         raise ParameterError("--ground must be between 2 and 16 for appendixA")
@@ -410,22 +407,22 @@ def _run_appendix_a(trials: int, ground_size: int, seed: int):
     failures = 0
     for K in (2, 3):
         for pattern in range(1 << ((1 << K) - 1)):
-            family = _cell_family(K, [c for c in range(1, 1 << K) if pattern >> (c - 1) & 1])
+            masks = _cell_masks(K, [c for c in range(1, 1 << K) if pattern >> (c - 1) & 1])
             for count in range(2, K + 1):
                 for cutoff in range(1, count):
+                    _check_cutoff(K, cutoff, count)
                     checked += 1
-                    failures += not prefix_extension_identity(family, cutoff, count)
+                    failures += not _prefix_identity_masks(masks, cutoff, count)
     rng = random.Random(f"{seed}:appendixA")
     for _ in range(trials):
         m = rng.randint(2, ground_size)
-        ground = GroundSet(m)
         K = rng.randint(2, 4)
-        members = tuple(ElementSet(ground, rng.randrange(1 << m)) for _ in range(K))
-        family = SubsetFamily(ground, members)
+        masks = [rng.randrange(1 << m) for _ in range(K)]
         count = rng.randint(2, K)
         cutoff = rng.randint(1, count - 1)
+        _check_cutoff(K, cutoff, count)
         checked += 1
-        failures += not prefix_extension_identity(family, cutoff, count)
+        failures += not _prefix_identity_masks(masks, cutoff, count)
     return checked, failures
 
 

@@ -173,6 +173,7 @@ class SubsetFamily:
         """Labels of the elements lying in at least `level` of the members
         named by the 1-based `indices`, in position order; validated."""
         pos = _check_indices(self, indices)
+        _check_int(level, "level")
         if not 1 <= level <= len(pos):
             raise ParameterError(
                 f"level {level} is out of range for a set of {len(pos)} indices"
@@ -182,9 +183,19 @@ class SubsetFamily:
         return tuple(label(p) for p in range(mask.bit_length()) if mask >> p & 1)
 
 
+def _check_int(value, name: str) -> None:
+    # a bool is an int, as in `BoundInequality.build`
+    if not isinstance(value, int):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_indices(family: SubsetFamily, indices: Iterable[int]) -> tuple[int, ...]:
     """Validate 1-based member indices and return them 0-based, sorted."""
-    idx = sorted(set(indices))
+    idx = set(indices)
+    for i in idx:
+        if not isinstance(i, int):
+            raise ParameterError(f"indices must be integers, got {i!r}")
+    idx = sorted(idx)
     if not idx:
         raise ParameterError("index set must be nonempty")
     if idx[0] < 1 or idx[-1] > family.size:
@@ -265,7 +276,7 @@ def prefix_extended_family(
     level-(cutoff+1) intersection of the first r members.  Requires
     0 < cutoff < count <= family size.
     """
-    _check_cutoff(family, cutoff, count)
+    _check_cutoff(family.size, cutoff, count)
     masks = family.masks
     ext = _prefix_extended_masks(
         masks, cutoff, prefix_levels(masks, range(count), cutoff + 1)
@@ -275,10 +286,11 @@ def prefix_extended_family(
     )
 
 
-def _check_cutoff(family: SubsetFamily, cutoff: int, count: int) -> None:
-    if not 0 < cutoff < count <= family.size:
+def _check_cutoff(size: int, cutoff: int, count: int) -> None:
+    """The precondition of the prefix extension of a family of `size` members."""
+    if not 0 < cutoff < count <= size:
         raise ParameterError(
-            f"need 0 < cutoff < count <= {family.size}, got cutoff={cutoff} count={count}"
+            f"need 0 < cutoff < count <= {size}, got cutoff={cutoff} count={count}"
         )
 
 
@@ -304,5 +316,5 @@ def prefix_extension_identity(
     Both sides are read off the `level_masks` counter, the prefixes' levels
     through `prefix_levels`; the tests check both against the definition.
     """
-    _check_cutoff(family, cutoff, count)
+    _check_cutoff(family.size, cutoff, count)
     return _prefix_identity_masks(family.masks, cutoff, count)

@@ -8,9 +8,10 @@ corresponding combination inequality, so a nonnegative result certifies
 one instance and an exactly zero result is expected whenever the function
 is modular; a modular gap is an integer sum turned into one Fraction.
 
-Float sums go through :func:`_left_sum`, never ``builtins.sum``: from
-Python 3.12 on the builtin compensates float sums, which would change the
-last bits of every sampled gap from one interpreter to the next.
+Float sums are explicit left folds from 0, :func:`_left_sum` or a plain
+loop, never ``builtins.sum``: from Python 3.12 on the builtin compensates
+float sums, which would change the last bits of every sampled gap from one
+interpreter to the next.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .setcalc import (
     GroundSet,
     SubsetFamily,
     _check_indices,
+    _check_int,
     level_masks,
     prefix_levels,
 )
@@ -91,12 +93,15 @@ class SetFunction:
                 f"table must have {1 << ground.size} entries, got {len(table)}"
             )
         # a float NaN compares false both ways, so `v < inf` refuses it; a
-        # Decimal NaN signals on an ordering comparison instead, so this
+        # Decimal NaN signals on an ordering comparison instead, and a value
+        # that is not a number cannot be ordered against inf at all, so this
         # check comes first
         try:
             finite = all(v < math.inf for v in table)
         except ArithmeticError:
             finite = False
+        except TypeError:
+            raise ParameterError("set function values must be real numbers") from None
         if not finite:
             raise ParameterError("set function values must be finite")
         if table[0] != 0:
@@ -148,12 +153,11 @@ class JointDistribution:
     pmf: tuple
 
     def __post_init__(self):
-        if not 1 <= self.variable_count <= MAX_VARIABLES:
-            raise ParameterError(
-                f"variable_count must be between 1 and {MAX_VARIABLES}: "
-                f"{VARIABLES_CAP_REASON}"
-            )
-        pmf = tuple(map(float, self.pmf))
+        _check_variable_count(self.variable_count)
+        try:
+            pmf = tuple(map(float, self.pmf))
+        except (TypeError, ValueError, OverflowError):
+            raise ParameterError("pmf entries must be real numbers") from None
         object.__setattr__(self, "pmf", pmf)
         if len(pmf) != 1 << self.variable_count:
             raise ParameterError(
@@ -173,12 +177,17 @@ class JointDistribution:
             raise ParameterError("pmf must sum to 1")
 
 
-def random_joint_distribution(rng, variable_count: int) -> JointDistribution:
-    """Draw a dense random pmf (normalized exponential weights)."""
+def _check_variable_count(variable_count) -> None:
+    _check_int(variable_count, "variable_count")
     if not 1 <= variable_count <= MAX_VARIABLES:
         raise ParameterError(
             f"variable_count must be between 1 and {MAX_VARIABLES}: {VARIABLES_CAP_REASON}"
         )
+
+
+def random_joint_distribution(rng, variable_count: int) -> JointDistribution:
+    """Draw a dense random pmf (normalized exponential weights)."""
+    _check_variable_count(variable_count)
     raw = [rng.expovariate(1.0) for _ in range(1 << variable_count)]
     total = _left_sum(raw)
     # normalize and discard sub-noise mass in one pass, so downstream logs
@@ -241,6 +250,18 @@ def _exchanges(f: SetFunction):
                 yield fa, table[base | 1 << b], table[base | 1 << a | 1 << b], f0
 
 
+def _check_tolerance(tolerance) -> None:
+    # the rule of `verify --tolerance`: a NaN compares false with every
+    # exchange, so it would pass any function, and a negative tolerance
+    # would fail exact equalities
+    try:
+        valid = math.isfinite(tolerance) and tolerance >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ParameterError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+
+
 def is_submodular(f: SetFunction, tolerance: float = 0.0) -> bool:
     """Check f(S+a) + f(S+b) >= f(S+a+b) + f(S) for all S and a, b not in S.
 
@@ -249,6 +270,7 @@ def is_submodular(f: SetFunction, tolerance: float = 0.0) -> bool:
     this local sweep is a complete check.  Cost is O(n^2 2^n) lookups;
     modular backings satisfy the inequality identically and short-circuit.
     """
+    _check_tolerance(tolerance)
     if f.is_modular_backed:
         return True
     return not any(fa + fb + tolerance < fab + f0 for fa, fb, fab, f0 in _exchanges(f))
@@ -256,6 +278,7 @@ def is_submodular(f: SetFunction, tolerance: float = 0.0) -> bool:
 
 def is_modular(f: SetFunction, tolerance: float = 0.0) -> bool:
     """Like :func:`is_submodular` but requires the exchange to be an equality."""
+    _check_tolerance(tolerance)
     if f.is_modular_backed:
         return True
     return not any(abs(fa + fb - fab - f0) > tolerance for fa, fb, fab, f0 in _exchanges(f))
@@ -266,16 +289,81 @@ def _check_function_family(f: SetFunction, family: SubsetFamily) -> None:
         raise GroundMismatchError("function and family use different ground sets")
 
 
+# The gap cores below take a function's `_table`, the members' masks and
+# 0-based positions that are already valid, and return lhs - rhs in the
+# table's units.  The public gap functions validate their arguments and call
+# them; the verify campaigns, which draw every argument in range, call them
+# directly.
+
+
+def _multiway_core(table, masks: Sequence[int], positions: Sequence[int]):
+    lhs = 0
+    for p in positions:
+        lhs += table[masks[p]]
+    rhs = 0
+    for level in level_masks(masks, positions)[1:]:
+        rhs += table[level]
+    return lhs - rhs
+
+
+def _prefix_core(table, masks: Sequence[int], cutoff: int, count: int, amask: int):
+    prefix = range(count)
+    pads = prefix_levels(masks, prefix, cutoff + 1)
+    levels = level_masks(masks, prefix)
+    # each side folds its late terms on their own and then adds them: that
+    # order is part of every sampled gap's value
+    lhs = 0
+    for r in range(1, cutoff + 1):
+        lhs += table[masks[r - 1] | amask]
+    late = 0
+    for r in range(cutoff + 1, count + 1):
+        late += table[masks[r - 1] | pads[r] | amask]
+    lhs += late
+    rhs = 0
+    for r in range(1, cutoff + 1):
+        rhs += table[levels[r] | amask]
+    late = 0
+    for r in range(cutoff + 1, count + 1):
+        late += table[pads[r] | amask]
+    rhs += late
+    return lhs - rhs
+
+
+def _cross_level_core(
+    table,
+    masks: Sequence[int],
+    pos_u: Sequence[int],
+    pos_t: Sequence[int],
+    u_level: int,
+    t_prefix: int,
+):
+    """None when level `u_level` of U is not contained in level `t_prefix`
+    of T, which is the gap's precondition."""
+    anchor = level_masks(masks, pos_u)[u_level]
+    t_levels = level_masks(masks, pos_t)
+    if anchor & ~t_levels[t_prefix]:
+        return None
+    pads = prefix_levels(masks, pos_t, t_prefix + 1)
+    lhs = 0
+    for p in pos_t:
+        lhs += table[masks[p]]
+    lhs += t_prefix * table[anchor]
+    rhs = 0
+    for r in range(1, t_prefix + 1):
+        rhs += table[t_levels[r]] + table[masks[pos_t[r - 1]] & anchor]
+    late = 0
+    for r in range(t_prefix + 1, len(pos_t) + 1):
+        late += table[masks[pos_t[r - 1]] & (anchor | pads[r])]
+    rhs += late
+    return lhs - rhs
+
+
 def multiway_gap(f: SetFunction, family: SubsetFamily, indices: Iterable[int]):
     """Gap of the multiway exchange: sum of f over the chosen sets minus the
     sum of f over their intersection levels 1..|indices|."""
     _check_function_family(f, family)
     positions = _check_indices(family, indices)
-    masks = family.masks
-    table = f._table
-    lhs = _left_sum(table[masks[p]] for p in positions)
-    rhs = _left_sum(table[level] for level in level_masks(masks, positions)[1:])
-    return f._exact(lhs - rhs)
+    return f._exact(_multiway_core(f._table, family.masks, positions))
 
 
 def prefix_multiway_gap(
@@ -294,10 +382,12 @@ def prefix_multiway_gap(
     An optional anchor set is unioned into every term.
     """
     _check_function_family(f, family)
+    _check_int(count, "count")
     if not 1 <= count <= family.size:
         raise ParameterError(
             f"count must be between 1 and {family.size}, got {count}"
         )
+    _check_int(cutoff, "cutoff")
     if not 0 <= cutoff <= count:
         raise ParameterError(
             f"cutoff must be between 0 and count={count}, got {cutoff}"
@@ -308,17 +398,7 @@ def prefix_multiway_gap(
         if anchor.ground != family.ground:
             raise GroundMismatchError("anchor is over a different ground set")
         amask = anchor.mask
-    masks = family.masks
-    table = f._table
-    prefix = range(count)
-    pads = prefix_levels(masks, prefix, cutoff + 1)
-    levels = level_masks(masks, prefix)
-    late = range(cutoff + 1, count + 1)
-    lhs = _left_sum(table[masks[r - 1] | amask] for r in range(1, cutoff + 1))
-    lhs += _left_sum(table[masks[r - 1] | pads[r] | amask] for r in late)
-    rhs = _left_sum(table[levels[r] | amask] for r in range(1, cutoff + 1))
-    rhs += _left_sum(table[pads[r] | amask] for r in late)
-    return f._exact(lhs - rhs)
+    return f._exact(_prefix_core(f._table, family.masks, cutoff, count, amask))
 
 
 def cross_level_gap(
@@ -339,35 +419,25 @@ def cross_level_gap(
     _check_function_family(f, family)
     pos_u = _check_indices(family, U)
     pos_t = _check_indices(family, T)
+    _check_int(u_level, "u_level")
     if not 1 <= u_level <= len(pos_u):
         raise ParameterError(
             f"u_level must be between 1 and {len(pos_u)}, got {u_level}"
         )
+    _check_int(t_prefix, "t_prefix")
     if not 1 <= t_prefix <= len(pos_t):
         raise ParameterError(
             f"t_prefix must be between 1 and {len(pos_t)}, got {t_prefix}"
         )
     masks = family.masks
-    anchor = level_masks(masks, pos_u)[u_level]
-    t_levels = level_masks(masks, pos_t)
-    target = t_levels[t_prefix]
-    if anchor & ~target:
+    gap = _cross_level_core(f._table, masks, pos_u, pos_t, u_level, t_prefix)
+    if gap is None:
         ground = family.ground
+        anchor = level_masks(masks, pos_u)[u_level]
+        target = level_masks(masks, pos_t)[t_prefix]
         raise PreconditionError(
             f"level {u_level} of U "
             f"({ElementSet(ground, anchor).member_labels()}) is not contained in "
             f"level {t_prefix} of T ({ElementSet(ground, target).member_labels()})"
         )
-    table = f._table
-    pads = prefix_levels(masks, pos_t, t_prefix + 1)
-    lhs = _left_sum(table[masks[p]] for p in pos_t)
-    lhs += t_prefix * table[anchor]
-    rhs = _left_sum(
-        table[t_levels[r]] + table[masks[pos_t[r - 1]] & anchor]
-        for r in range(1, t_prefix + 1)
-    )
-    rhs += _left_sum(
-        table[masks[pos_t[r - 1]] & (anchor | pads[r])]
-        for r in range(t_prefix + 1, len(pos_t) + 1)
-    )
-    return f._exact(lhs - rhs)
+    return f._exact(gap)

@@ -695,8 +695,8 @@ class TestCmdVerify:
         records = []
         trial = cli._GAP_TRIALS[token]
 
-        def recorded(rng, f, family):
-            gap = trial(rng, f, family)
+        def recorded(rng, f, masks):
+            gap = trial(rng, f, masks)
             records.append(repr(gap))
             return gap
 

@@ -7,7 +7,7 @@ each cell's elements into one element, and an empty cell into nothing,
 maps a polymatroid to a polymatroid on the occupied cells, so the complete
 pattern of three members, one element in each of the 7 nonempty cells
 (`bounds._cell_masks(3, range(1, 8))`), covers every family of at most
-three members over any ground set.
+three members over any ground set, and of two members and an anchor set.
 
 On that pattern a gap is a linear form `a` in the 127 values f(S), S
 nonempty, read off the unit tables. It is >= 0 on every polymatroid
@@ -106,6 +106,32 @@ def gap_forms() -> dict:
 def test_every_gap_form_holds_on_every_polymatroid():
     forms = gap_forms()
     assert len(forms) == 27 and sum(not any(form) for form in forms) == 1
+    rows = elemental_rows()
+    for form, origin in forms.items():
+        assert _dual_lp(rows, [-a for a in form]) == 0, origin
+
+
+def anchored_forms() -> dict:
+    """Every distinct linear form of the anchored (`cor1`) prefix gap at
+    K = 2: an anchor is one more set, so the complete 7-cell pattern covers
+    it with the first two masks of an order as the members and the third as
+    the anchor, over every order, count and cutoff."""
+    forms: dict = {}
+    for order in itertools.permutations(MASKS):
+        family = family_of(order[:2])
+        anchor = ElementSet(GROUND, order[2])
+        for count in (1, 2):
+            for cutoff in range(count + 1):
+                form = linear_form(
+                    lambda f: prefix_multiway_gap(f, family, cutoff, count, anchor=anchor)
+                )
+                forms.setdefault(form, f"anchored(cutoff={cutoff}, count={count}) on {order}")
+    return forms
+
+
+def test_every_anchored_gap_form_holds_on_every_polymatroid():
+    forms = anchored_forms()
+    assert len(forms) == 4 and sum(not any(form) for form in forms) == 1
     rows = elemental_rows()
     for form, origin in forms.items():
         assert _dual_lp(rows, [-a for a in form]) == 0, origin

@@ -315,6 +315,9 @@ class TestSubsetFamily:
             (1, frozenset(), "index set must be nonempty"),
             (1, frozenset({0, 1}), "indices must lie in 1..2"),
             (1, frozenset({3}), "indices must lie in 1..2"),
+            (1.0, frozenset({1, 2}), "level must be an integer, got 1.0"),
+            (1, frozenset({1.5}), "indices must be integers, got 1.5"),
+            (1, ("1",), "indices must be integers, got '1'"),
         ]:
             with pytest.raises(ParameterError, match=re.escape(message)):
                 fam.level_labels(level, indices)

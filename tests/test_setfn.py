@@ -105,6 +105,11 @@ class TestSetFunction:
         with pytest.raises(ParameterError, match="set function values must be finite"):
             SetFunction.from_table(GroundSet(1), (0, value))
 
+    @pytest.mark.parametrize("value", ["x", None, "1/2", 1j])
+    def test_table_rejects_non_numbers(self, value):
+        with pytest.raises(ParameterError, match="^set function values must be real numbers$"):
+            SetFunction.from_table(GroundSet(1), (0, value))
+
     def test_modular_takes_fraction_weights_as_they_are(self):
         weights = (Fraction(1, 2), Fraction(0), Fraction(5, 3))
         assert all(exact_rational(w, "a modular weight") is w for w in weights)
@@ -146,6 +151,18 @@ class TestJointDistribution:
             JointDistribution(1, (math.inf, 0.0))
         with pytest.raises(ParameterError, match="pmf entries must be nonnegative"):
             JointDistribution(2, (math.nan, -0.5, 1.0, 0.5))
+
+    def test_non_numbers_and_non_int_counts_rejected(self):
+        for pmf in (("a", 1.0), (None, 1.0), (1j, 0.0)):
+            with pytest.raises(ParameterError, match="^pmf entries must be real numbers$"):
+                JointDistribution(1, pmf)
+        with pytest.raises(ParameterError, match="^variable_count must be an integer, got 1.5$"):
+            JointDistribution(1.5, (0.5, 0.5))
+        with pytest.raises(ParameterError, match="^variable_count must be an integer, got 1.5$"):
+            random_joint_distribution(random.Random(0), 1.5)
+        # a bool is an int, as in `BoundInequality.build`
+        assert JointDistribution(True, (0.5, 0.5)).pmf == (0.5, 0.5)
+        assert len(random_joint_distribution(random.Random(0), True).pmf) == 2
 
     def test_random_distribution_is_valid(self):
         for seed in range(10):
@@ -289,6 +306,18 @@ class TestSubmodularityChecks:
         assert not f.is_modular_backed
         assert is_submodular(f, 0) and is_modular(f, 0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9, "0"])
+    @pytest.mark.parametrize("check", [is_submodular, is_modular])
+    def test_tolerance_must_be_finite_and_nonnegative(self, check, tolerance):
+        # a nan tolerance compares false with every exchange, so it used to
+        # pass this strictly supermodular function
+        f = SetFunction.from_table(GroundSet(2), (0, 1, 1, 3))
+        assert not check(f, 0)
+        with pytest.raises(ParameterError, match="^tolerance must be a finite number >= 0"):
+            check(f, tolerance)
+        with pytest.raises(ParameterError, match="^tolerance must be a finite number >= 0"):
+            check(SetFunction.modular(G3, (1, 1, 1)), tolerance)
+
     def test_violation_over_a_nonempty_base(self):
         # |S| with f({0,1,2}) raised from 3 to 4: each violated exchange has
         # S a singleton, f(S) = 1, so the check must add f(S) to f(S+a+b)
@@ -388,6 +417,14 @@ class TestMultiwayGap:
         with pytest.raises(ParameterError):
             multiway_gap(f, family, [])
 
+    @pytest.mark.parametrize("index", [1.5, "1", 1.0])
+    def test_non_int_index_rejected(self, index):
+        family = fam(G3, [0], [1], [2])
+        with pytest.raises(ParameterError, match="^indices must be integers, got "):
+            multiway_gap(xor_triple(), family, [index])
+        # a bool is an int
+        assert multiway_gap(xor_triple(), family, [True, 2]) == multiway_gap(xor_triple(), family, [1, 2])
+
 
 class TestPrefixMultiwayGap:
     def setup_method(self):
@@ -446,6 +483,12 @@ class TestPrefixMultiwayGap:
         for cutoff, count in [(-1, 2), (3, 2), (1, 4), (0, 0)]:
             with pytest.raises(ParameterError):
                 prefix_multiway_gap(self.f, self.family, cutoff, count)
+
+    def test_non_int_count_and_cutoff_rejected(self):
+        with pytest.raises(ParameterError, match="^count must be an integer, got 1.5$"):
+            prefix_multiway_gap(self.f, self.family, 1, 1.5)
+        with pytest.raises(ParameterError, match="^cutoff must be an integer, got 0.5$"):
+            prefix_multiway_gap(self.f, self.family, 0.5, 1)
 
     def test_anchor_empty_matches_plain(self):
         rng = random.Random(11)
@@ -538,6 +581,15 @@ class TestCrossLevelGap:
             cross_level_gap(f, self.family, [1, 2], [1, 2], 1, 0)
         with pytest.raises(ParameterError):
             cross_level_gap(f, self.family, [], [1], 1, 1)
+
+    def test_non_int_arguments_rejected(self):
+        f = xor_triple()
+        with pytest.raises(ParameterError, match="^u_level must be an integer, got 1.5$"):
+            cross_level_gap(f, self.family, [1, 2], [1, 2], 1.5, 1)
+        with pytest.raises(ParameterError, match="^t_prefix must be an integer, got 1.0$"):
+            cross_level_gap(f, self.family, [1, 2], [1, 2], 1, 1.0)
+        with pytest.raises(ParameterError, match="^indices must be integers, got '2'$"):
+            cross_level_gap(f, self.family, [1], ["2"], 1, 1)
 
 
 def _valid_cross_level_gaps(f, family):
