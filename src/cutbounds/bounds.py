@@ -31,8 +31,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, count
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from itertools import chain, compress, count, repeat
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ParameterError, PreconditionError, exact_rational
 from .setcalc import (
@@ -41,6 +41,7 @@ from .setcalc import (
     ElementSet,
     SubsetFamily,
     _check_indices,
+    _check_int,
     level_masks,
 )
 
@@ -258,6 +259,7 @@ def union_tail_bound(U, m: int) -> BoundInequality:
     indices = frozenset(U)
     if not indices:
         raise ParameterError("the sink set must be nonempty")
+    _check_int(m, "m")
     if not 1 <= m <= len(indices):
         raise ParameterError(f"m must be between 1 and {len(indices)}, got {m}")
     terms = [BoundTerm(1, indices, m)]
@@ -542,6 +544,9 @@ def _cell_vectors(bounds: Iterable[BoundInequality], cells: Sequence[int], K: in
     return vectors
 
 
+_first, _second = operator.itemgetter(0), operator.itemgetter(1)
+
+
 def _picker(indices: Sequence[int]):
     """A function giving the items of a sequence at `indices`, as a tuple."""
     if len(indices) == 1:
@@ -552,11 +557,13 @@ def _picker(indices: Sequence[int]):
 
 class _CellSide:
     """One family's labels in sorted order, the elements in no member left
-    out, and a picker of their cells' slots in a kernel vector;
-    `ground_coeffs` reads every element's coefficient in ground order.
-    `layout` is the cell of each label in that order: with the other
-    side's it fixes the occupied cells, their slots and the order `key`
-    gives, so everything a `_RowTable` holds."""
+    out, and a picker of their cells' slots in a kernel vector.
+    `positions` are the ground positions of the elements some member holds,
+    in ground order, and `slots` their cells' slots: a caller that writes
+    rows itself reads their coefficients there, never walking an element in
+    no member.  `layout` is the cell of each label in label order: with the
+    other side's it fixes the occupied cells, their slots and the order
+    `key` gives, so everything a `_RowTable` holds."""
 
     def __init__(self, family: SubsetFamily, cells: list, slot: dict):
         label = family.ground.label
@@ -564,13 +571,8 @@ class _CellSide:
         self.labels = tuple(name for name, _ in ranked)
         self.layout = tuple(c for _, c in ranked)
         self.pick = _picker([slot[c] for c in self.layout])
-        # an element in no member reads the zero byte `ground_coeffs` appends
-        self._ground = _picker([slot[c] if c else len(slot) for c in cells])
-
-    def ground_coeffs(self, vector) -> tuple:
-        """The coefficient of every ground element in a vector, in ground
-        order: 0 for an element in no member."""
-        return self._ground(vector + b"\0")
+        self.positions = tuple(p for p, c in enumerate(cells) if c)
+        self.slots = tuple(slot[cells[p]] for p in self.positions)
 
     def coeffs(self, vector) -> dict:
         """The label-keyed nonzero coefficients of a vector, in label order."""
@@ -694,7 +696,7 @@ class _CellKernel:
     added, the order `thm2_search` lists.  `ordered()` gives them sorted as
     their rows' signatures sort: `bound_rows` expands them to label dicts,
     and a caller that writes rows itself reads their coefficients in ground
-    order (`msg.ground_coeffs`, `cut.ground_coeffs`).
+    order at the slots of the occupied elements (`msg.slots`, `cut.slots`).
     """
 
     def __init__(self, cut_family, msg_family, arc_units=None, denominator=1):
@@ -715,40 +717,45 @@ class _CellKernel:
         # (label, cell) of each arc with no capacity given, in ground order
         self.missing = []
         unbounded = set()
-        for p, (unit, cell) in enumerate(zip(arc_units, cut_cells)):
-            if cell:
-                if unit is _MISSING:
-                    self.missing.append((cut_family.ground.label(p), cell))
-                elif unit is None:
-                    unbounded.add(slot[cell])
-                else:
-                    self.units[slot[cell]] += unit
+        for p, s in zip(self.cut.positions, self.cut.slots):
+            unit = arc_units[p]
+            if unit is _MISSING:
+                self.missing.append((cut_family.ground.label(p), cut_cells[p]))
+            elif unit is None:
+                unbounded.add(s)
+            else:
+                self.units[s] += unit
         self.unbounded = sorted(unbounded)
 
-    def extend(self, entries: Iterable[tuple]) -> None:
+    def extend(self, entries: Collection[tuple]) -> None:
         """Append kept (vector, bound) entries to `rows` with their right
-        sides, in the order given."""
+        sides, in the order given, all in one mapped pass: each vector's
+        products with `units`, summed.  A missing capacity is checked first,
+        on the entries in order, and a row on an unbounded arc gets None;
+        both only when the kernel has such arcs."""
+        vectors = list(map(_first, entries))
         if self.units is None:
-            self.rows.extend((vector, None, bound) for vector, bound in entries)
+            sides = repeat(None)
         else:
-            right_side = self._right_side
-            self.rows.extend(
-                (vector, right_side(vector, bound), bound) for vector, bound in entries
-            )
+            if self.missing:
+                for _, bound in entries:
+                    self._check_capacities(bound)
+            sides = map(sum, map(map, repeat(operator.mul), vectors, repeat(self.units)))
+            if self.unbounded:
+                unbounded = _picker(self.unbounded)
+                sides = [None if any(unbounded(v)) else r for v, r in zip(vectors, sides)]
+        self.rows.extend(zip(vectors, sides, map(_second, entries)))
 
-    def _right_side(self, vector: bytes, bound: BoundInequality) -> Optional[int]:
-        """The row's right side times `denominator`; None when it holds an
-        unbounded arc."""
+    def _check_capacities(self, bound: BoundInequality) -> None:
+        """ParameterError naming the first arc with no capacity given that
+        the bound's row holds."""
         # a term holds a cell's arcs when the cell meets its indices in
         # `level` members or more (`_cell_vectors`)
-        for t in bound.terms if self.missing else ():
+        for t in bound.terms:
             members = _bits(i - 1 for i in t.indices)
             for label, cell in self.missing:
                 if (cell & members).bit_count() >= t.level:
                     raise ParameterError(f"no capacity given for arc {label!r}")
-        if any(vector[s] for s in self.unbounded):
-            return None
-        return sum(map(operator.mul, vector, self.units))
 
     def ordered(self) -> list:
         """The kept (vector, right side, bound) entries, sorted as their
@@ -844,6 +851,7 @@ def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
     """All bounds produced by the named rules for K sinks, deduplicated by
     canonical term list with the first origin kept.  Deterministic order:
     rules as given, sink subsets by size then lexicographically."""
+    _check_int(K, "the sink count")
     if not 1 <= K <= MAX_FAMILY:
         raise ParameterError(
             f"the sink count must be between 1 and {MAX_FAMILY}: {FAMILY_CAP_REASON}"

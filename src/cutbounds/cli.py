@@ -246,27 +246,31 @@ def _write_text(text: str, destination) -> None:
 
 
 _quote = json.encoder.encode_basestring_ascii
-# each coefficient's text and the closing quote; every kernel coefficient
-# is below 256 (`bounds._cell_vectors`)
-_COEFF_TEXT = tuple(f'{c}"' for c in range(256))
+# the end of a nonempty coefficient object at the depth of a report row
+_CLOSE = "\n    }"
 
 
-def _coeff_writer(labels, side):
-    """A function writing the nonzero coefficients of a kernel vector on
-    `labels`, the ground of the kernel's `side` in order, as one JSON object
-    of strings at the depth of a report row."""
-    prefixes = [_quote(label) + ': "' for label in labels]
-    read = side.ground_coeffs
-    text = _COEFF_TEXT.__getitem__
-    join = ",\n      ".join
+class _CoeffPieces(dict):
+    """One element's coefficient texts in a report row, keyed by
+    coefficient and written on first lookup: the separator, the quoted
+    label and the coefficient as a string.  A zero writes nothing."""
 
-    def write(vector) -> str:
-        values = read(vector)
-        texts = map(text, itertools.compress(values, values))
-        pairs = join(map(operator.add, itertools.compress(prefixes, values), texts))
-        return "{\n      " + pairs + "\n    }" if pairs else "{}"
+    __slots__ = ("_prefix",)
 
-    return write
+    def __init__(self, label: str):
+        super().__init__({0: ""})
+        self._prefix = ',\n      ' + _quote(label) + ': "'
+
+    def __missing__(self, c: int) -> str:
+        text = self[c] = f'{self._prefix}{c}"'
+        return text
+
+
+def _piece_tables(labels, side) -> tuple:
+    """The `_CoeffPieces` of the elements some member of the kernel's
+    `side` holds, `labels` giving the ground's labels in order, and a picker
+    of their coefficients from a kernel vector, both in ground order."""
+    return [_CoeffPieces(labels[p]) for p in side.positions], _picker(side.slots)
 
 
 def _network_kernel(net: BroadcastNetwork, rules, families):
@@ -281,18 +285,24 @@ def _report_text(net: BroadcastNetwork, kernel) -> str:
     nonzero coefficients as strings in document order, and "rhs_value":
     byte-identical to `json.dumps(rows, indent=2) + "\n"`, written from the
     kernel's vectors without the pure-Python encoder that `json.dumps` runs
-    given an indent."""
-    rates = _coeff_writer(net.messages, kernel.msg)
-    caps = _coeff_writer([arc.label for arc in net.arcs], kernel.cut)
+    given an indent.  A side of a row is the join of its elements' pieces
+    (`_CoeffPieces`), each looked up by the element's coefficient; the
+    tables live for this call only."""
+    rate_pieces, rate_pick = _piece_tables(net.messages, kernel.msg)
+    cap_pieces, cap_pick = _piece_tables(net.arc_ground.labels, kernel.cut)
+    getitem, join = operator.getitem, "".join
     denominator = kernel.denominator
     blocks = []
     for vector, rhs, bound in kernel.ordered():
+        rates = join(map(getitem, rate_pieces, rate_pick(vector)))
+        caps = join(map(getitem, cap_pieces, cap_pick(vector)))
         g = gcd(rhs, denominator)
         value = str(rhs // g) if g == denominator else f"{rhs // g}/{denominator // g}"
+        # a side's text opens with the separator, which the brace replaces
         blocks.append(
             f'{{\n    "provenance": {_quote(bound.provenance)},'
-            f'\n    "rate_coeffs": {rates(vector)},'
-            f'\n    "capacity_coeffs": {caps(vector)},'
+            f'\n    "rate_coeffs": {"{" + rates[1:] + _CLOSE if rates else "{}"},'
+            f'\n    "capacity_coeffs": {"{" + caps[1:] + _CLOSE if caps else "{}"},'
             f'\n    "rhs_value": "{value}"\n  }}'
         )
     return "[\n  " + ",\n  ".join(blocks) + "\n]\n" if blocks else "[]\n"
@@ -551,12 +561,15 @@ def _file_region_system(net: BroadcastNetwork, which: str, families, axes) -> Li
     for v in axes:
         if v not in net.messages:
             raise ParameterError(f"unknown variable {v!r}")
-    pick = _picker([net.messages.index(v) for v in axes])
-    read = kernel.msg.ground_coeffs
+    # each axis's slot in a kernel vector; None for a message no sink
+    # demands, whose coefficient is 0 in every row
+    side = kernel.msg
+    slot = dict(zip(side.positions, side.slots))
+    slots = [slot.get(net.messages.index(v)) for v in axes]
     # a row's right side is over the denominator, so its left side is scaled up
     scale = kernel.denominator
     rows = [
-        Row(tuple(scale * c for c in pick(read(vector))), rhs)
+        Row(tuple(0 if s is None else scale * vector[s] for s in slots), rhs)
         for vector, rhs, _ in kernel.rows
     ]
     return LinearSystem(axes, rows, (True,) * len(axes))

@@ -31,7 +31,14 @@ from .errors import (
     ParameterError,
     exact_rational,
 )
-from .setcalc import FAMILY_CAP_REASON, MAX_FAMILY, ElementSet, GroundSet, SubsetFamily
+from .setcalc import (
+    FAMILY_CAP_REASON,
+    MAX_FAMILY,
+    ElementSet,
+    GroundSet,
+    SubsetFamily,
+    _check_int,
+)
 
 Capacity = Optional[Fraction]
 
@@ -415,7 +422,17 @@ def cut_and_message_families(
 
 
 def _subset_key(subset) -> tuple[int, ...]:
-    members = tuple(sorted(set(subset)))
+    """A capacity key's sink indices, sorted and distinct; every one must
+    be an int, or the key would match no subset and drop its capacity."""
+    try:
+        members = tuple(subset)
+    except TypeError:
+        raise ParameterError(
+            f"capacity subsets must be collections of sink indices, got {subset!r}"
+        ) from None
+    for i in members:
+        _check_int(i, "a sink index")
+    members = tuple(sorted(set(members)))
     if not members:
         raise ParameterError("capacity subsets must be nonempty")
     return members

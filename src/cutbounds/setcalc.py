@@ -68,6 +68,7 @@ class GroundSet:
     def subset(self, members: Iterable[int]) -> "ElementSet":
         mask = 0
         for m in members:
+            _check_int(m, "element")
             if not 0 <= m < self.size:
                 raise ParameterError(f"element {m} outside ground of size {self.size}")
             mask |= 1 << m
@@ -95,6 +96,9 @@ class ElementSet:
     mask: int
 
     def __post_init__(self):
+        # a bool is an int, as in `_check_int`
+        if not isinstance(self.mask, int):
+            raise ParameterError(f"mask must be an integer, got {self.mask!r}")
         if not 0 <= self.mask <= self.ground.full_mask:
             raise ParameterError("mask outside ground set range")
 
@@ -255,6 +259,7 @@ def intersect_level(family: SubsetFamily, indices: Iterable[int], r: int) -> Ele
     the tests check that kernel against this definition.
     """
     pos = _check_indices(family, indices)
+    _check_int(r, "level")
     if not 1 <= r <= len(pos):
         raise ParameterError(f"level must be in 1..{len(pos)}, got {r}")
     return ElementSet(family.ground, level_masks(family.masks, pos)[r])
@@ -288,6 +293,8 @@ def prefix_extended_family(
 
 def _check_cutoff(size: int, cutoff: int, count: int) -> None:
     """The precondition of the prefix extension of a family of `size` members."""
+    _check_int(cutoff, "cutoff")
+    _check_int(count, "count")
     if not 0 < cutoff < count <= size:
         raise ParameterError(
             f"need 0 < cutoff < count <= {size}, got cutoff={cutoff} count={count}"

@@ -252,6 +252,11 @@ class TestBoundConstruction:
             union_tail_bound([1, 2], 3)
         with pytest.raises(ParameterError):
             union_tail_bound([1, 2], 0)
+        for m in (1.5, "1"):
+            with pytest.raises(ParameterError, match=f"^m must be an integer, got {m!r}$"):
+                union_tail_bound(frozenset({1, 2}), m)
+        # a bool is an int
+        assert union_tail_bound([1, 2], True) == union_tail_bound([1, 2], 1)
 
 
 def reference_build(terms):
@@ -604,6 +609,13 @@ class TestEnumerate:
         assert len(enumerate_bounds(3, ("csb",))) == 7
         assert len(enumerate_bounds(3, ("csb", "gcsb3"))) == 15
         assert len(enumerate_bounds(3, ("csb", "gcsb3", "cor3"))) == 19
+
+    def test_sink_count_must_be_an_int(self):
+        for K in (2.0, "2"):
+            with pytest.raises(
+                ParameterError, match=f"^the sink count must be an integer, got {K!r}$"
+            ):
+                enumerate_bounds(K, ["csb"])
 
     def test_deterministic_order(self):
         first = [b.provenance for b in enumerate_bounds(3, ("csb", "gcsb3", "cor3"))]

@@ -1204,6 +1204,51 @@ class TestReportJson:
                 assert stdout.getvalue() == ""
                 assert Path(out).read_bytes() == expected.encode()
 
+    def test_a_shared_row_table_carries_no_text(self, tmp_path, capsys):
+        """Two documents on the same cell layouts share one row table, but
+        each report has its own labels and right sides: the second renames
+        every node, message and arc and changes every capacity, and each
+        report equals a fresh process's."""
+        first = complete_doc(3)
+        rename = {node: f"n{node}" for node in first["nodes"]}
+        rename.update({label: "X" + label[1:] for label in first["messages"]})
+        capacities = iter(["3/2", "5", "7/3", "1/6", "2", "9/4", "11"])
+        second = {
+            "nodes": [rename[n] for n in first["nodes"]] + ["ndead"],
+            # an arc in no cut comes first, so arc k is labelled a(k+1); the
+            # source arcs a1..a7 sort as a0..a6 did, so the layouts match
+            "arcs": [{"from": "ns", "to": "ndead", "capacity": "4"}] + [
+                {
+                    "from": rename[arc["from"]],
+                    "to": rename[arc["to"]],
+                    "capacity": next(capacities) if arc["capacity"] == "1" else "inf",
+                }
+                for arc in first["arcs"]
+            ],
+            "source": "ns",
+            "sinks": [rename[t] for t in first["sinks"]],
+            "messages": [rename[m] for m in first["messages"]],
+            "demands": {
+                rename[t]: [rename[m] for m in wanted] for t, wanted in first["demands"].items()
+            },
+        }
+        rules = "csb,gcsb3,cor3,cor2,thm2"
+        paths = [write_doc(tmp_path, doc, f"net{i}.json") for i, doc in enumerate((first, second))]
+        fresh = []
+        for path in paths:
+            done = run_module(["bounds", path, "--rules", rules])
+            assert done.returncode == 0, done.stderr
+            fresh.append(done.stdout)
+        assert '"X12": "1"' in fresh[1] and '"a7": "1"' in fresh[1] and "W1" not in fresh[1]
+        # csb({1}) holds the arcs into v1, v12, v13 and v123
+        assert '"rhs_value": "44/3"' in fresh[1]
+
+        bounds._row_tables.clear()
+        for path, expected, hits in zip(paths + paths[:1], fresh + fresh[:1], (0, 1, 2)):
+            assert cli.main(["bounds", path, "--rules", rules]) == 0
+            assert capsys.readouterr().out == expected
+            assert bounds._row_tables.hits == hits
+
 
 # ---------------------------------------------------------------------------
 # paper

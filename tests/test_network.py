@@ -150,6 +150,22 @@ class TestConstruction:
         assert "v12" not in net.nodes
         assert [a.label for a in net.arcs] == ["a1", "a2", "v1->t1", "v2->t2"]
 
+    def test_capacity_keys_must_be_sets_of_int_sink_indices(self):
+        # a float index matched no subset, so its mixer was dropped with its
+        # capacity; a string index or a bare int raised a raw TypeError
+        demands = {1: ["W"], 2: ["W"]}
+        for key, text in [
+            ((1.5,), "a sink index must be an integer, got 1.5"),
+            (("1",), "a sink index must be an integer, got '1'"),
+            ("12", "a sink index must be an integer, got '1'"),
+            (1, "capacity subsets must be collections of sink indices, got 1"),
+        ]:
+            with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                combination_network(2, {key: 7, (1,): 1, (2,): 1}, demands)
+        # a bool is an int: {True} is the subset {1}
+        net = combination_network(2, {(True,): 7, (2,): 1}, demands)
+        assert [a.capacity for a in net.arcs[:2]] == [7, 1]
+
     def test_unreachable_sink_rejected(self):
         with pytest.raises(ParameterError):
             BroadcastNetwork(

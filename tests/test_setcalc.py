@@ -88,6 +88,16 @@ class TestGroundSet:
         assert g == GroundSet(3, ["a", "b", "c"]) and hash(g) == hash(GroundSet(3, "abc"))
         assert repr(g) == "GroundSet(size=3, labels=('a', 'b', 'c'))"
 
+    def test_subset_refuses_elements_that_are_not_ints(self):
+        for ground, element, text in [
+            (GroundSet(3), 1.5, "element must be an integer, got 1.5"),
+            (GroundSet(2), "1", "element must be an integer, got '1'"),
+        ]:
+            with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                ground.subset([element])
+        # a bool is an int
+        assert GroundSet(3).subset([True]).mask == 0b10
+
     def test_subset_helpers(self):
         g = GroundSet(4)
         s = g.subset([0, 2])
@@ -104,6 +114,14 @@ class TestElementSet:
             ElementSet(g, 1 << 3)
         with pytest.raises(ParameterError):
             ElementSet(g, -1)
+
+    def test_mask_must_be_an_int(self):
+        g = GroundSet(3)
+        for mask in (1.5, 1.0, "1"):
+            with pytest.raises(ParameterError, match="^mask must be an integer, got "):
+                ElementSet(g, mask)
+        # a bool is an int
+        assert ElementSet(g, True).mask == 1
 
     def test_set_operations(self):
         g = GroundSet(4)
@@ -157,6 +175,9 @@ class TestIntersectLevel:
             intersect_level(self.fam, {1, 2}, 3)
         with pytest.raises(ParameterError):
             intersect_level(self.fam, {1, 4}, 1)
+        with pytest.raises(ParameterError, match=r"^level must be an integer, got 1\.5$"):
+            intersect_level(self.fam, [1, 2], 1.5)
+        assert intersect_level(self.fam, [1, 2], True).mask == self.g.full().mask
 
     def test_union_intersection_randomized(self):
         rng = random.Random(100)
@@ -354,6 +375,20 @@ class TestPrefixExtendedFamily:
         for cutoff, count in [(0, 2), (2, 2), (1, 4), (3, 3)]:
             with pytest.raises(ParameterError):
                 prefix_extended_family(fam, cutoff, count)
+
+    @pytest.mark.parametrize("build", [prefix_extended_family, prefix_extension_identity])
+    def test_cutoff_and_count_must_be_ints(self, build):
+        g = GroundSet(3)
+        fam = family_of(g, [0], [1], [2])
+        for cutoff, count, text in [
+            (1.5, 2, "cutoff must be an integer, got 1.5"),
+            (1, 2.0, "count must be an integer, got 2.0"),
+            ("1", 2, "cutoff must be an integer, got '1'"),
+        ]:
+            with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                build(fam, cutoff, count)
+        # a bool is an int
+        build(fam, True, 2)
 
 
 class TestPrefixExtensionIdentity:
