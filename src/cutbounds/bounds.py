@@ -12,8 +12,9 @@ membership cells; `bound_rows` and `thm2_search` list labels only for the
 rows it keeps.  Which rows are kept, and how they sort, then depends on
 the rules, the sink count and each family's layout (the cell of each
 label, in label order) alone, not on capacities: the kept rows of a
-layout are built once and kept in `_row_tables`, bounded by the rows it
-holds, and each call computes only their right sides.  The thm2 search,
+layout are built once and kept in `_row_tables`, with the rule tables they
+are built from, bounded by the rows it holds, and each call computes only
+their right sides.  The thm2 search,
 whose side conditions compare levels, depends only on which cells the two
 families occupy: on a row-table miss it runs on the levels of those cells
 (`_thm2_bounds`), and its bounds enter the table as a rule's do.
@@ -23,7 +24,6 @@ it, and tests use it as the independent reference.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -53,13 +53,16 @@ MAX_BETA_SET_SIZE = 6
 # built, whatever the rule order
 MAX_SEARCH_SINKS = 5
 
-# a row table depends on the rules, K and the cell layouts alone, so a
-# process that meets one topology again (a capacity sweep, repeated
-# reports) reuses its rows; 8192 rows hold about 3.4 MB at the complete
-# K = 5 network's 31 cells (2771 rows for all rules, almost all thm2's)
-# and 3.5 MB at the complete K = 8 network's 255 (tracemalloc).  One pass
-# of the `report` benchmark holds 2248 rows; a larger table, such as a
-# 14-sink cor3 report's 69576 rows, is used once and not kept
+# a row table depends on the rules, K and the cell layouts alone, and a rule
+# table on K alone, so a process that meets one topology again (a capacity
+# sweep, repeated reports) reuses its rows; `_row_tables` holds both, a rule
+# table's bounds counting as rows.  8192 rows hold about 3.4 MB at the
+# complete K = 5 network's 31 cells (2771 rows for all rules, almost all
+# thm2's, and 312 rule bounds) and 3.6 MB at the complete K = 8 network's
+# 255 (3040 rows and 4367 bounds of four rules; tracemalloc).  One pass of
+# the `report` benchmark holds 2248 rows and 1261 bounds; a larger table,
+# such as a 14-sink cor3 report's 69576 rows or its rule table's 114688
+# bounds, is used once and not kept
 MAX_CACHED_ROWS = 8192
 
 ENUMERATION_RULES = ("csb", "gcsb3", "cor3")
@@ -566,7 +569,7 @@ class _CellSide:
     `key` gives, so everything a `_RowTable` holds."""
 
     def __init__(self, family: SubsetFamily, cells: list, slot: dict):
-        label = family.ground.label
+        label = family.ground._label
         ranked = sorted((label(p), c) for p, c in enumerate(cells) if c)
         self.labels = tuple(name for name, _ in ranked)
         self.layout = tuple(c for _, c in ranked)
@@ -604,6 +607,9 @@ class _RowTable:
         self.rows: dict = {}
         self._order = None
 
+    def __len__(self) -> int:
+        return len(self.rows)
+
     def add(self, vectors: Iterable[bytes], bounds: Iterable[BoundInequality]) -> None:
         """Keep each bound's row unless its key was met before."""
         rows = self.rows
@@ -624,11 +630,13 @@ class _RowTable:
 
 
 class _RowTableCache:
-    """The `_RowTable`s of the (rules, sink count, layouts) met last, the
-    least recently used dropped first, holding `budget` rows at most in
-    all: a table of more rows is built and used but not kept.  Nor is an
-    empty one, which costs nothing to build and would count for nothing
-    against the budget."""
+    """The tables of the row path met last, the least recently used
+    dropped first, holding `budget` rows at most in all: the `_RowTable`s
+    of (rules, sink count, cut layout, message layout) and the rule tables
+    of (rule, sink count) (`_rule_bounds`), each sized by `len`, a rule
+    table's bounds counting as rows.  A table of more rows is built and used
+    but not kept.  Nor is an empty one, which costs nothing to build and
+    would count for nothing against the budget."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -639,7 +647,7 @@ class _RowTableCache:
     def __len__(self) -> int:
         return len(self._tables)
 
-    def get(self, key) -> Optional[_RowTable]:
+    def get(self, key):
         with self._lock:
             table = self._tables.get(key)
             if table is not None:
@@ -647,14 +655,14 @@ class _RowTableCache:
                 self._tables.move_to_end(key)
             return table
 
-    def put(self, key, table: _RowTable) -> None:
-        size = len(table.rows)
+    def put(self, key, table) -> None:
+        size = len(table)
         with self._lock:
             if not 0 < size <= self.budget or key in self._tables:
                 return
             while self.rows + size > self.budget:
                 _, dropped = self._tables.popitem(last=False)
-                self.rows -= len(dropped.rows)
+                self.rows -= len(dropped)
             self._tables[key] = table
             self.rows += size
 
@@ -664,10 +672,11 @@ class _RowTableCache:
             self.rows = self.hits = 0
 
 
-# the row tables met last in this process; a row shares its bound with the
-# rule tables, so it holds its vector, its dedupe key and its slots, about
-# 110 B plus 1.3 B per occupied cell (tracemalloc); a thm2 row holds its
-# bound too, about 280 B more
+# the row and rule tables met last in this process; a row shares its bound
+# with a rule table, held or not, so it holds its vector, its dedupe key and
+# its slots, about 110 B plus 1.3 B per occupied cell; a thm2 row holds its
+# bound too, about 280 B more; a rule table's bound takes 400 to 700 B
+# (tracemalloc)
 _row_tables = _RowTableCache(MAX_CACHED_ROWS)
 
 
@@ -720,7 +729,7 @@ class _CellKernel:
         for p, s in zip(self.cut.positions, self.cut.slots):
             unit = arc_units[p]
             if unit is _MISSING:
-                self.missing.append((cut_family.ground.label(p), cut_cells[p]))
+                self.missing.append((cut_family.ground._label(p), cut_cells[p]))
             elif unit is None:
                 unbounded.add(s)
             else:
@@ -831,20 +840,24 @@ _RULE_BOUNDS = {
 }
 
 
-# a rule's bounds depend on the sink count alone, so each (K, rule) table
-# is built once per process; eight sink counts of all four rules fit.  A
-# table is read only to build a row table (`_row_kernel`), and it is kept
-# because rebuilding its bounds would cost more than the rest of the build:
-# a complete-network report of all four rules on a row-table miss takes
-# 11.9 ms at K = 5 and 46 ms at K = 6 with the tables kept, 19.5 and 68 ms
-# with them rebuilt (best of ten, in-process)
-@functools.lru_cache(maxsize=32)
-def _rule_table(K: int, rule: str) -> tuple:
-    """The bounds of one rule of _RULE_BOUNDS for K sinks, in builder order.
-    No builder repeats a canonical term list, so a table needs no dedupe.
-    The bounds are frozen, so every caller shares them; the cor3 and cor2
+# a rule table is read only to build a row table (`_row_kernel`) and by
+# `enumerate_bounds`, and it is kept because rebuilding its bounds costs
+# more than the rest of the build: a complete-network report of all four
+# rules on a row-table miss takes 3.6 ms at K = 5 and 16.7 ms at K = 6 with
+# the rule tables found, 8.1 and 30 ms with them rebuilt (best of ten,
+# in-process)
+def _rule_bounds(K: int, rule: str) -> tuple:
+    """The bounds of one rule of _RULE_BOUNDS for K sinks, in builder order,
+    found in `_row_tables` under (rule, K) or built and stored there.  No
+    builder repeats a canonical term list, so a table needs no dedupe.  The
+    bounds are frozen, so every caller shares them; the cor3 and cor2
     builders hand all bounds of one sink set the same index frozenset."""
-    return tuple(_RULE_BOUNDS[rule](K))
+    key = rule, K
+    bounds = _row_tables.get(key)
+    if bounds is None:
+        bounds = tuple(_RULE_BOUNDS[rule](K))
+        _row_tables.put(key, bounds)
+    return bounds
 
 
 def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
@@ -857,7 +870,7 @@ def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
             f"the sink count must be between 1 and {MAX_FAMILY}: {FAMILY_CAP_REASON}"
         )
     rules = check_rules(rules, ENUMERATION_RULES)
-    return list(_first_per_terms(b for rule in rules for b in _rule_table(K, rule)))
+    return list(_first_per_terms(b for rule in rules for b in _rule_bounds(K, rule)))
 
 
 def _thm2_bounds(K: int, cut_cells: Sequence[int], msg_cells: Sequence[int]) -> list:
@@ -938,7 +951,7 @@ def thm2_search(
     thm2 rows of `_row_kernel` as kept.  `capacities` give the right sides
     as in `instantiate`."""
     ground = cut_family.ground
-    units = _capacity_units(map(ground.label, range(ground.size)), capacities)
+    units = _capacity_units(map(ground._label, range(ground.size)), capacities)
     kernel = _row_kernel(("thm2",), cut_family, msg_family, *units)
     return _inequalities(kernel, kernel.rows)
 
@@ -956,8 +969,8 @@ def _row_kernel(
     (MAX_SEARCH_SINKS) are checked first, so a refused request builds
     nothing.  The kept rows come from the `_RowTable` of the rules, the
     sink count and the families' cell layouts, found in `_row_tables` or
-    built and stored there: each rule's bounds come from a per-process
-    table (`_rule_table`), thm2's from a search on the cells the layouts
+    built and stored there: each rule's bounds come from its rule table
+    (`_rule_bounds`), thm2's from a search on the cells the layouts
     occupy (`_thm2_bounds`), and their vectors are evaluated on the
     occupied cells (`_cell_vectors`).  `arc_units` over `denominator` then
     give every kept row its right side (`_CellKernel.extend`), in the
@@ -977,7 +990,7 @@ def _row_kernel(
                     K, _occupied(kernel.cut.layout), _occupied(kernel.msg.layout)
                 )
             else:
-                bounds = _rule_table(K, rule)
+                bounds = _rule_bounds(K, rule)
             table.add(_cell_vectors(bounds, kernel.cells, K), bounds)
         _row_tables.put(key, table)
     kernel.extend(table.rows.values())
@@ -998,7 +1011,7 @@ def bound_rows(
     (`_row_kernel`).  `capacities` give the right sides as in `instantiate`.
     """
     ground = cut_family.ground
-    units = _capacity_units(map(ground.label, range(ground.size)), capacities)
+    units = _capacity_units(map(ground._label, range(ground.size)), capacities)
     kernel = _row_kernel(rules, cut_family, msg_family, *units)
     return _inequalities(kernel, kernel.ordered())
 

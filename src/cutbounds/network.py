@@ -190,6 +190,8 @@ class BroadcastNetwork:
         return self.message_ground.subset_of_labels(labels)
 
     def demand_set(self, k: int) -> ElementSet:
+        """The messages sink k demands; k is a 1-based sink index."""
+        _check_sink_index(self, k)
         return self.message_subset(self.demands[k])
 
     def arc(self, label: str) -> Arc:

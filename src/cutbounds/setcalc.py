@@ -55,6 +55,16 @@ class GroundSet:
         return (1 << self.size) - 1
 
     def label(self, i: int) -> str:
+        """The label of position i, its decimal digits on a ground without
+        labels; a non-int or out-of-range position is refused."""
+        _check_int(i, "position")
+        if not 0 <= i < self.size:
+            raise ParameterError(f"position {i} outside ground of size {self.size}")
+        # int(): a bool names its position, as `_check_int` lets it
+        return self._label(int(i))
+
+    def _label(self, i: int) -> str:
+        """`label` unvalidated, for callers walking positions of this ground."""
         return self.labels[i] if self.labels is not None else str(i)
 
     def index(self, label: str) -> int:
@@ -122,8 +132,14 @@ class ElementSet:
         self._same_ground(other)
         return self.mask & ~other.mask == 0
 
-    def __contains__(self, element: int) -> bool:
-        return 0 <= element < self.ground.size and self.mask >> element & 1 == 1
+    def __contains__(self, element) -> bool:
+        """Whether `element` is a position this set holds: False for
+        anything else, a non-int included."""
+        return (
+            isinstance(element, int)
+            and 0 <= element < self.ground.size
+            and self.mask >> element & 1 == 1
+        )
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -141,7 +157,7 @@ class ElementSet:
         return tuple(members)
 
     def member_labels(self) -> tuple[str, ...]:
-        return tuple(self.ground.label(i) for i in self.members())
+        return tuple(map(self.ground._label, self.members()))
 
 
 @dataclass(frozen=True)
@@ -183,7 +199,7 @@ class SubsetFamily:
                 f"level {level} is out of range for a set of {len(pos)} indices"
             )
         mask = level_masks(self.masks, pos)[level]
-        label = self.ground.label
+        label = self.ground._label
         return tuple(label(p) for p in range(mask.bit_length()) if mask >> p & 1)
 
 

@@ -45,7 +45,7 @@ from cutbounds.bounds import (
     union_tail_bound,
     _cell_vectors,
     _row_kernel,
-    _rule_table,
+    _rule_bounds,
     _thm2_bounds,
 )
 from cutbounds.errors import ParameterError, PreconditionError
@@ -693,9 +693,9 @@ class TestRuleTables:
     @pytest.mark.parametrize("rule", ["csb", "gcsb3", "cor3", "cor2"])
     @pytest.mark.parametrize("K", range(1, 7))
     def test_table_matches_a_fresh_build(self, K, rule):
-        table = _rule_table(K, rule)
+        table = _rule_bounds(K, rule)
         assert [(b.terms, b.provenance) for b in table] == fresh_rule_table(K, rule)
-        assert _rule_table(K, rule) is table
+        assert _rule_bounds(K, rule) is table
 
     @pytest.mark.parametrize("rule", ["csb", "gcsb3", "cor3", "cor2"])
     @pytest.mark.parametrize("K", range(2, 8))
@@ -1035,7 +1035,7 @@ class TestCellKernelOracle:
         cells = range(1 << K)
         tables = [
             (cells, table, _cell_vectors(table, cells, K))
-            for table in (_rule_table(K, rule) for rule in ("csb", "gcsb3", "cor3", "cor2"))
+            for table in (_rule_bounds(K, rule) for rule in ("csb", "gcsb3", "cor3", "cor2"))
         ]
         if K <= MAX_SEARCH_SINKS:
             nonzero = range(1, 1 << K)
@@ -1176,19 +1176,21 @@ def cli_outcome(argv):
 
 
 def assert_cache_is_transparent(calls):
-    """Each of `calls`, a (function, shares an earlier call's row table)
-    pair, gives what it gives with the row tables emptied first, once in
-    order from empty tables, hitting exactly where it shares, and once more
-    with every table warm."""
+    """Each of `calls`, a (function, hits) pair, gives what it gives with
+    the row tables emptied first, once in order from empty tables, finding
+    exactly `hits` tables that earlier calls stored, and once more with
+    every table warm.  A call finds one table when its row table was
+    stored; otherwise it builds its row table and finds each of its rules'
+    tables (`bounds._rule_bounds`, thm2 has none) that was stored."""
     cold = []
     for call, _ in calls:
         bounds._row_tables.clear()
         cold.append(call())
     bounds._row_tables.clear()
-    for (call, shares), expected in zip(calls, cold):
+    for (call, expected_hits), expected in zip(calls, cold):
         hits = bounds._row_tables.hits
         assert call() == expected
-        assert bounds._row_tables.hits - hits == shares
+        assert bounds._row_tables.hits - hits == expected_hits
     assert [call() for call, _ in calls] == cold
     return cold
 
@@ -1242,22 +1244,27 @@ class TestRowTableCache:
             pattern_sharing_cases()
         )
         cut_order, msg_order = [2, 0, 5, 1, 4, 3], [4, 3, 2, 1, 0]
-        # (families, capacities, shares an earlier case's layouts)
+        # (families, capacities, hits of the four builds below): a case that
+        # shares an earlier case's layouts finds each build's row table; one
+        # that does not builds them, and finds the rule tables stored before
+        # it, all four of its three sinks after the first case, whose
+        # all-rule build stores them and whose other builds find csb and cor2
+        fresh, shared, known = (0, 0, 2, 2), (1, 1, 1, 1), (0, 4, 2, 2)
         cases = [
-            (first, first_msg, rational, 0),
-            (first, first_msg, {label: 2 * v + 1 for label, v in rational.items()}, 1),
-            (first, first_msg, None, 1),
+            (first, first_msg, rational, fresh),
+            (first, first_msg, {label: 2 * v + 1 for label, v in rational.items()}, shared),
+            (first, first_msg, None, shared),
             (
                 relabelled(first, cut_order),
                 relabelled(first_msg, msg_order),
                 moved_capacities(rational, first, cut_order),
-                0,
+                known,
             ),
-            (second, second_msg, unbounded, 0),
-            (second, second_msg, missing, 1),
+            (second, second_msg, unbounded, known),
+            (second, second_msg, missing, shared),
         ]
         calls = []
-        for cut, msg, caps, shares in cases:
+        for cut, msg, caps, hits in cases:
             builds = [functools.partial(thm2_search, cut, msg, caps)]
             # cor2 and csb name the one-sink rows differently, so the rule
             # order is part of a table
@@ -1265,7 +1272,10 @@ class TestRowTableCache:
                 functools.partial(bound_rows, rules, cut, msg, caps)
                 for rules in (BOUND_RULES, ("cor2", "csb"), ("csb", "cor2"))
             ]
-            calls += [(functools.partial(outcome, build, row_record), shares) for build in builds]
+            calls += [
+                (functools.partial(outcome, build, row_record), found)
+                for build, found in zip(builds, hits)
+            ]
         cold = assert_cache_is_transparent(calls)
         assert cold[-4:] == ["error: no capacity given for arc 'z2'"] * 4
         # the capacity variants share a table but not their right sides
@@ -1286,18 +1296,20 @@ class TestRowTableCache:
                 ("1", "1", "1", "1"), messages=("W3", "W12", "W1", "W123", "W2")
             ),
         }
-        # (variant, --cuts file or not, shares an earlier call's layouts)
+        # (variant, --cuts file or not, hits): a run that shares an earlier
+        # run's layouts finds its row table; one that does not builds it, and
+        # after the first run finds the four rule tables of three sinks
         runs = [
             ("unit", False, 0),
             ("rational", False, 1),
             ("messages listed in another order", False, 1),
-            ("arcs in another order", False, 0),
-            ("messages renamed", False, 0),
-            ("unit", True, 0),
+            ("arcs in another order", False, 4),
+            ("messages renamed", False, 4),
+            ("unit", True, 4),
             ("rational", True, 1),
         ]
         calls = []
-        for name, with_cuts, shares in runs:
+        for name, with_cuts, hits in runs:
             doc, cuts = variants[name]
             path = tmp_path / f"{len(calls)}.json"
             path.write_text(json.dumps(doc))
@@ -1306,7 +1318,7 @@ class TestRowTableCache:
                 cuts_path = tmp_path / f"{len(calls)}-cuts.json"
                 cuts_path.write_text(json.dumps(cuts))
                 argv += ["--cuts", str(cuts_path)]
-            calls.append((functools.partial(cli_outcome, argv), shares))
+            calls.append((functools.partial(cli_outcome, argv), hits))
         cold = assert_cache_is_transparent(calls)
         assert all(code == 0 and err == "" for code, _, err in cold)
         assert len({out for _, out, _ in cold}) == len(cold)

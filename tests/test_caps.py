@@ -83,36 +83,94 @@ def test_search_sinks_come_before_any_row(rules):
     assert len(bounds._row_tables) == 0
 
 
+def complete_families(K):
+    """The complete K-sink network, its capacities and its minimum-cut
+    cut and message families."""
+    net = complete_combination_network(K)
+    families = cut_and_message_families(net, [min_cut(net, k) for k in range(1, K + 1)])
+    return {arc.label: arc.capacity for arc in net.arcs}, *families
+
+
 def test_row_table_budget(monkeypatch):
-    """The row tables hold MAX_CACHED_ROWS rows in all at most: about
-    3.4 MB at the complete K=5 network's 31 occupied cells and 3.5 MB at
-    K=8's 255, where one pass of the `report` benchmark holds 2248.  The
-    least recently used tables go first; a table of more rows than the
-    budget is used but not kept and drops nothing, so a one-shot large
-    report leaves the tables as they were; so does an empty table, which
-    would count for nothing.  Shown at a budget of 80 rows."""
+    """The row-path tables hold MAX_CACHED_ROWS rows in all at most, a
+    rule table's bounds counting as rows, so one budget bounds all state
+    the row path keeps: a full budget holds about 3.4 MB at the complete
+    K=5 network's 31 occupied cells and 3.6 MB at K=8's 255, where one
+    pass of the `report` benchmark holds 3509 (2248 rows, 1261 bounds).
+    The least recently used tables go first; a table of more rows than the
+    budget, row table or rule table, is used but not kept and drops
+    nothing, so a one-shot large report leaves the tables as they were; so
+    does an empty table, which would count for nothing.  Shown at a budget
+    of 80 rows."""
     assert MAX_CACHED_ROWS == 8192 and bounds._row_tables.budget == MAX_CACHED_ROWS
-    net = complete_combination_network(4)
-    families = cut_and_message_families(net, [min_cut(net, k) for k in range(1, net.K + 1)])
+    _, *families = complete_families(4)
     cache = bounds._row_tables
     monkeypatch.setattr(cache, "budget", 80)
     cache.clear()
+    # the csb rule table holds 15 bounds, and the csb row build finds it
+    assert len(enumerate_bounds(4, ["csb"])) == 15
+    assert (len(cache), cache.rows, cache.hits) == (1, 15, 0)
     held = []
     for rules in ("csb", "gcsb3", "cor3", "cor2", "csb,gcsb3,cor3"):
         bound_rows(rules.split(","), *families)
         held.append((len(cache), cache.rows))
-    # 15, 32, 32, 40 and 60 rows
-    assert held == [(1, 15), (2, 47), (3, 79), (2, 72), (1, 60)]
-    assert len(bound_rows(BOUND_RULES, *families)) == 324
+    assert cache.hits == 1
+    # each build stores its rules' tables, then its row table: csb's 15
+    # rows; gcsb3's 32 bounds drop nothing, its 32 rows the csb rule table;
+    # cor3's 32 bounds drop csb's rows and gcsb3's bounds, its 32 rows
+    # gcsb3's rows; cor2's 40 bounds drop cor3's, its 40 rows cor3's rows;
+    # the csb, gcsb3 and cor3 rule tables come back, and their 60 rows drop
+    # all else
+    assert held == [(2, 30), (3, 79), (2, 64), (2, 80), (1, 60)]
+    # 324 thm2 rows, and the 192 cor3 bounds of six sinks with their 192
+    # rows, are used but not kept, and drop nothing
+    assert len(bound_rows(("thm2",), *families)) == 324
+    assert len(enumerate_bounds(6, ["cor3"])) == 192
+    assert len(bound_rows(("cor3",), *complete_families(6)[1:])) == 192
     assert (len(cache), cache.rows) == (1, 60)
+    # gcsb3 has no bounds below three sinks
     two = complete_combination_network(2)
     two_families = cut_and_message_families(two, [min_cut(two, k) for k in (1, 2)])
     assert bound_rows(("gcsb3",), *two_families) == []
+    assert enumerate_bounds(2, ["gcsb3"]) == []
     assert (len(cache), cache.rows) == (1, 60)
+    # the row table of the last build is still there to find
     hits = cache.hits
-    bound_rows(BOUND_RULES, *families)
     bound_rows(ENUMERATION_RULES, *families)
-    assert cache.hits == hits + 1
+    assert cache.hits == hits + 1 and (len(cache), cache.rows) == (1, 60)
+
+
+def test_budgeted_tables_are_transparent(monkeypatch):
+    """At a budget of 80 rows, where the tables of one build drop those of
+    the last, each call gives what it gives from empty tables: rows, right
+    sides and provenances, and enumerated bounds with their provenances."""
+    caps, *families = complete_families(4)
+    builds = [
+        (bound_rows, rules, *families, caps)
+        for rules in (("csb",), ("cor3", "csb"), ("csb", "cor3"), ("cor2",), BOUND_RULES)
+    ] + [(enumerate_bounds, 4, rules) for rules in (("cor3",), ("csb", "cor3"), ("gcsb3", "csb"))]
+
+    def record(build):
+        function, *args = build
+        return [
+            (row.rate_coeffs, row.capacity_coeffs, row.rhs_value, row.provenance)
+            if function is bound_rows
+            else (row.terms, row.provenance)
+            for row in function(*args)
+        ]
+
+    cache = bounds._row_tables
+    monkeypatch.setattr(cache, "budget", 80)
+    cold = []
+    for build in builds:
+        cache.clear()
+        cold.append(record(build))
+    # each build twice in a row, so it finds its own tables, and the whole
+    # run twice, so it finds what the builds in between left
+    cache.clear()
+    twice = [i for i in range(len(builds)) for _ in (0, 1)] * 2
+    assert [record(builds[i]) for i in twice] == [cold[i] for i in twice]
+    assert cache.hits >= len(twice) // 2
 
 
 def test_beta_set_size():

@@ -141,6 +141,14 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             tiny_net(arc, demands={2: ["M"]})
 
+    def test_demand_set_refuses_a_bad_sink_index(self):
+        net = complete_combination_network(2)
+        assert net.demand_set(2).member_labels() == ("W2", "W12")
+        for k in (0, 3, -1, 1.5, "1"):
+            text = f"sink index {k!r} outside 1..2"
+            with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                net.demand_set(k)
+
     def test_zero_capacity_mixers_are_omitted(self):
         net = combination_network(
             2,

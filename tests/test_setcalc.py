@@ -98,6 +98,22 @@ class TestGroundSet:
         # a bool is an int
         assert GroundSet(3).subset([True]).mask == 0b10
 
+    def test_label_refuses_positions_outside_the_ground(self):
+        for ground in (GroundSet(3, ("a", "b", "c")), GroundSet(3)):
+            assert [ground.label(p) for p in range(3)] == list(ground.labels or "012")
+            # a bool is an int
+            assert ground.label(True) == ground.label(1)
+            for position in (-1, 3, 7):
+                with pytest.raises(
+                    ParameterError, match=f"^position {position} outside ground of size 3$"
+                ):
+                    ground.label(position)
+            for position, shown in ((1.5, "1.5"), ("1", "'1'"), (None, "None")):
+                with pytest.raises(
+                    ParameterError, match=f"^position must be an integer, got {shown}$"
+                ):
+                    ground.label(position)
+
     def test_subset_helpers(self):
         g = GroundSet(4)
         s = g.subset([0, 2])
@@ -134,6 +150,12 @@ class TestElementSet:
         assert not (a <= b)
         assert len(a) == 2
         assert 0 in a and 2 not in a
+
+    def test_containment_of_anything_else_is_false(self):
+        s = GroundSet(3).subset([1])
+        assert 1 in s and True in s
+        for element in (1.5, 1.0, "1", None, -1, 3, (1,)):
+            assert element not in s
 
     def test_ground_mismatch_rejected(self):
         a = GroundSet(3).subset([0])
