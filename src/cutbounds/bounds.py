@@ -62,7 +62,8 @@ MAX_SEARCH_SINKS = 5
 # 255 (3040 rows and 4367 bounds of four rules; tracemalloc).  One pass of
 # the `report` benchmark holds 2248 rows and 1261 bounds; a larger table,
 # such as a 14-sink cor3 report's 69576 rows or its rule table's 114688
-# bounds, is used once and not kept
+# bounds, is used once and not kept.  A row whose rule table is not held
+# holds its bound alone, so the worst case is about 6.6 MB (`_row_tables`)
 MAX_CACHED_ROWS = 8192
 
 ENUMERATION_RULES = ("csb", "gcsb3", "cor3")
@@ -635,8 +636,12 @@ class _RowTableCache:
     of (rules, sink count, cut layout, message layout) and the rule tables
     of (rule, sink count) (`_rule_bounds`), each sized by `len`, a rule
     table's bounds counting as rows.  A table of more rows is built and used
-    but not kept.  Nor is an empty one, which costs nothing to build and
-    would count for nothing against the budget."""
+    but not kept, and drops nothing.  Nor is an empty one kept, which costs
+    nothing to build and would count for nothing against the budget.  A
+    row-table build stores each rule table it builds before its row table,
+    so its rule tables that fit are kept even when its row table is not,
+    and they, or the row table, can drop any table held, those rule tables
+    too."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -673,10 +678,12 @@ class _RowTableCache:
 
 
 # the row and rule tables met last in this process; a row shares its bound
-# with a rule table, held or not, so it holds its vector, its dedupe key and
-# its slots, about 110 B plus 1.3 B per occupied cell; a thm2 row holds its
-# bound too, about 280 B more; a rule table's bound takes 400 to 700 B
-# (tracemalloc)
+# with a rule table, so it holds its vector, its dedupe key and its slots,
+# about 110 B plus 1.3 B per occupied cell; a thm2 row holds its bound too,
+# about 280 B more; a rule table's bound takes 400 to 700 B.  A row whose
+# rule table was dropped, or never kept, holds its bound alone: 630 to 810
+# B a row in all on 9- and 10-sink reports, so 8192 such rows hold about
+# 6.6 MB, the budget's worst case (tracemalloc)
 _row_tables = _RowTableCache(MAX_CACHED_ROWS)
 
 

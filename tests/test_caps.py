@@ -94,50 +94,65 @@ def complete_families(K):
 def test_row_table_budget(monkeypatch):
     """The row-path tables hold MAX_CACHED_ROWS rows in all at most, a
     rule table's bounds counting as rows, so one budget bounds all state
-    the row path keeps: a full budget holds about 3.4 MB at the complete
-    K=5 network's 31 occupied cells and 3.6 MB at K=8's 255, where one
-    pass of the `report` benchmark holds 3509 (2248 rows, 1261 bounds).
-    The least recently used tables go first; a table of more rows than the
-    budget, row table or rule table, is used but not kept and drops
-    nothing, so a one-shot large report leaves the tables as they were; so
-    does an empty table, which would count for nothing.  Shown at a budget
-    of 80 rows."""
+    the row path keeps; one pass of the `report` benchmark holds 3509
+    (2248 rows, 1261 bounds).  The least recently used tables go first.
+    A table of more rows than the budget, row table or rule table, is used
+    but not kept and drops nothing; nor is an empty table kept, which would
+    count for nothing.  A build stores each rule table it builds as it
+    goes, before its row table: so a build whose row table is past the
+    budget still keeps those of its rule tables that fit, and they can
+    drop every table there before.  Shown at a budget of 80 rows."""
     assert MAX_CACHED_ROWS == 8192 and bounds._row_tables.budget == MAX_CACHED_ROWS
     _, *families = complete_families(4)
     cache = bounds._row_tables
     monkeypatch.setattr(cache, "budget", 80)
     cache.clear()
+
+    def held():
+        return [key[:2] for key in cache._tables], cache.rows, cache.hits
+
     # the csb rule table holds 15 bounds, and the csb row build finds it
     assert len(enumerate_bounds(4, ["csb"])) == 15
-    assert (len(cache), cache.rows, cache.hits) == (1, 15, 0)
-    held = []
+    assert held() == ([("csb", 4)], 15, 0)
+    counts = []
     for rules in ("csb", "gcsb3", "cor3", "cor2", "csb,gcsb3,cor3"):
         bound_rows(rules.split(","), *families)
-        held.append((len(cache), cache.rows))
-    assert cache.hits == 1
+        counts.append((len(cache), cache.rows))
     # each build stores its rules' tables, then its row table: csb's 15
     # rows; gcsb3's 32 bounds drop nothing, its 32 rows the csb rule table;
     # cor3's 32 bounds drop csb's rows and gcsb3's bounds, its 32 rows
     # gcsb3's rows; cor2's 40 bounds drop cor3's, its 40 rows cor3's rows;
     # the csb, gcsb3 and cor3 rule tables come back, and their 60 rows drop
-    # all else
-    assert held == [(2, 30), (3, 79), (2, 64), (2, 80), (1, 60)]
-    # 324 thm2 rows, and the 192 cor3 bounds of six sinks with their 192
-    # rows, are used but not kept, and drop nothing
+    # all else, the rule tables they were built from too
+    assert counts == [(2, 30), (3, 79), (2, 64), (2, 80), (1, 60)]
+    assert held() == ([(ENUMERATION_RULES, 4)], 60, 1)
+    # 324 thm2 rows, which have no rule table, and the 192 cor3 bounds of
+    # six sinks, alone and with their 192 rows, are used but not kept, and
+    # drop nothing
     assert len(bound_rows(("thm2",), *families)) == 324
     assert len(enumerate_bounds(6, ["cor3"])) == 192
     assert len(bound_rows(("cor3",), *complete_families(6)[1:])) == 192
-    assert (len(cache), cache.rows) == (1, 60)
     # gcsb3 has no bounds below three sinks
     two = complete_combination_network(2)
     two_families = cut_and_message_families(two, [min_cut(two, k) for k in (1, 2)])
     assert bound_rows(("gcsb3",), *two_families) == []
     assert enumerate_bounds(2, ["gcsb3"]) == []
-    assert (len(cache), cache.rows) == (1, 60)
-    # the row table of the last build is still there to find
-    hits = cache.hits
+    assert held() == ([(ENUMERATION_RULES, 4)], 60, 1)
+    # so the row table of the last build is still there to find
     bound_rows(ENUMERATION_RULES, *families)
-    assert cache.hits == hits + 1 and (len(cache), cache.rows) == (1, 60)
+    assert held() == ([(ENUMERATION_RULES, 4)], 60, 2)
+    # all five rules: the 324 rows are not kept, but the four rule tables
+    # fit and are stored in turn; gcsb3's 32 bounds drop the 60 rows,
+    # cor2's 40 the csb and gcsb3 bounds
+    assert len(bound_rows(BOUND_RULES, *families)) == 324
+    assert held() == ([("cor3", 4), ("cor2", 4)], 72, 2)
+    # run again, the csb and gcsb3 tables drop the cor3 and cor2 tables
+    # before they are looked up, so nothing hits and the same two are left
+    assert len(bound_rows(BOUND_RULES, *families)) == 324
+    assert held() == ([("cor3", 4), ("cor2", 4)], 72, 2)
+    # and the enumeration rules build their row table again
+    bound_rows(ENUMERATION_RULES, *families)
+    assert held() == ([(ENUMERATION_RULES, 4)], 60, 2)
 
 
 def test_budgeted_tables_are_transparent(monkeypatch):
