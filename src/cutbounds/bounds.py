@@ -88,14 +88,15 @@ def alpha(Q, q: int, r: int, r_q: Optional[int] = None) -> Fraction:
     itself and the row for each q sums to 1 at the default position.
     """
     qs = _validate_split_points(Q)
+    _check_int(q, "q")
     if q not in qs:
         raise ParameterError(f"{q} is not one of the split points {qs}")
     if r_q is None:
         r_q = q - 1
+    _check_int(r_q, "split position")
     if r_q < 1:
         raise ParameterError("split position must be at least 1")
-    if not 1 <= r <= r_q:
-        raise ParameterError(f"level must be between 1 and {r_q}, got {r}")
+    _check_int(r, "level", 1, r_q)
     return Fraction(*_alpha_ratio(qs, r, r_q))
 
 
@@ -113,6 +114,7 @@ def _alpha_ratio(qs: tuple, r: int, r_q: int) -> tuple:
 def beta(Q, r: int) -> Fraction:
     """Unnormalized level weight skipping the split set Q entirely."""
     qs = _validate_split_points(Q)
+    _check_int(r, "level")
     if r < 1:
         raise ParameterError("level must be at least 1")
     return Fraction(_beta_weight(qs, r))
@@ -137,8 +139,7 @@ def alpha_beta_identity(Q, r: int) -> bool:
     qs = _validate_split_points(Q)
     if not qs:
         raise ParameterError("at least one split point is required")
-    if not 1 <= r < max(qs):
-        raise ParameterError(f"level must be between 1 and {max(qs) - 1}, got {r}")
+    _check_int(r, "level", 1, max(qs) - 1)
     lhs = sum((alpha(qs, q, r) for q in qs if q > r), Fraction(0))
     if r in qs:
         return lhs == 0
@@ -176,10 +177,7 @@ class BoundInequality:
             indices = frozenset(t.indices)
             if not indices or any(not isinstance(i, int) or i < 1 for i in indices):
                 raise ParameterError("term indices must be positive integers")
-            if not 1 <= t.level <= len(indices):
-                raise ParameterError(
-                    f"level {t.level} is out of range for a set of {len(indices)} indices"
-                )
+            _check_int(t.level, "level", 1, len(indices))
             weight = t.weight
             if type(weight) is not int:
                 weight = exact_rational(weight, "a term weight")
@@ -263,9 +261,7 @@ def union_tail_bound(U, m: int) -> BoundInequality:
     indices = frozenset(U)
     if not indices:
         raise ParameterError("the sink set must be nonempty")
-    _check_int(m, "m")
-    if not 1 <= m <= len(indices):
-        raise ParameterError(f"m must be between 1 and {len(indices)}, got {m}")
+    _check_int(m, "m", 1, len(indices))
     terms = [BoundTerm(1, indices, m)]
     terms.extend(BoundTerm(r, indices, 1) for r in range(m + 1, len(indices) + 1))
     return BoundInequality.build(
@@ -312,14 +308,12 @@ def gcsbK(
     splits = {q: q - 1 for q in qs}
     if r_q_map:
         for q, r_q in r_q_map.items():
+            _check_int(q, "split point")
             if q not in splits:
                 raise ParameterError(f"split position given for {q}, which is not in Q")
             splits[q] = r_q
     for q, r_q in splits.items():
-        if not 1 <= r_q <= len(ids_t):
-            raise ParameterError(
-                f"split position for {q} must be between 1 and {len(ids_t)}, got {r_q}"
-            )
+        _check_int(r_q, f"split position for {q}", 1, len(ids_t))
 
     families = cut_family, msg_family
     levels_u = [level_masks(family.masks, pos_u) for family in families]
@@ -467,10 +461,15 @@ _MISSING = object()
 def _capacity_units(labels: Iterable[str], capacities: Optional[Mapping]) -> tuple:
     """Per label, in the order given, its capacity times the common
     denominator of the bounded ones (None when unbounded, _MISSING when not
-    given), and that denominator; (None, 1) without capacities.  A given
-    capacity must be an int, a Fraction or None."""
+    given), and that denominator; (None, 1) without capacities, which
+    must otherwise be a mapping.  A given capacity must be an int, a
+    Fraction or None."""
     if capacities is None:
         return None, 1
+    if not isinstance(capacities, Mapping):
+        raise ParameterError(
+            f"capacities must be a mapping of arc labels, got {type(capacities).__name__}"
+        )
     values, bounded = [], []
     for label in labels:
         values.append(v := capacities.get(label, _MISSING))

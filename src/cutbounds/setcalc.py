@@ -192,21 +192,17 @@ class SubsetFamily:
     def level_labels(self, level: int, indices) -> tuple[str, ...]:
         """Labels of the elements lying in at least `level` of the members
         named by the 1-based `indices`, in position order; validated."""
-        pos = _check_indices(self, indices)
-        _check_int(level, "level")
-        if not 1 <= level <= len(pos):
-            raise ParameterError(
-                f"level {level} is out of range for a set of {len(pos)} indices"
-            )
-        mask = level_masks(self.masks, pos)[level]
-        label = self.ground._label
-        return tuple(label(p) for p in range(mask.bit_length()) if mask >> p & 1)
+        return intersect_level(self, indices, level).member_labels()
 
 
-def _check_int(value, name: str) -> None:
-    # a bool is an int, as in `BoundInequality.build`
+def _check_int(value, name: str, lo=None, hi=None) -> None:
+    """Refuse a `value` that is not an int, and, with bounds, one outside
+    lo..hi; every level, count and position the library takes from its
+    caller is checked here.  A bool is an int."""
     if not isinstance(value, int):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and not lo <= value <= hi:
+        raise ParameterError(f"{name} must be between {lo} and {hi}, got {value}")
 
 
 def _check_indices(family: SubsetFamily, indices: Iterable[int]) -> tuple[int, ...]:
@@ -275,9 +271,7 @@ def intersect_level(family: SubsetFamily, indices: Iterable[int], r: int) -> Ele
     the tests check that kernel against this definition.
     """
     pos = _check_indices(family, indices)
-    _check_int(r, "level")
-    if not 1 <= r <= len(pos):
-        raise ParameterError(f"level must be in 1..{len(pos)}, got {r}")
+    _check_int(r, "level", 1, len(pos))
     return ElementSet(family.ground, level_masks(family.masks, pos)[r])
 
 

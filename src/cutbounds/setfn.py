@@ -382,11 +382,7 @@ def prefix_multiway_gap(
     An optional anchor set is unioned into every term.
     """
     _check_function_family(f, family)
-    _check_int(count, "count")
-    if not 1 <= count <= family.size:
-        raise ParameterError(
-            f"count must be between 1 and {family.size}, got {count}"
-        )
+    _check_int(count, "count", 1, family.size)
     _check_int(cutoff, "cutoff")
     if not 0 <= cutoff <= count:
         raise ParameterError(
@@ -419,16 +415,8 @@ def cross_level_gap(
     _check_function_family(f, family)
     pos_u = _check_indices(family, U)
     pos_t = _check_indices(family, T)
-    _check_int(u_level, "u_level")
-    if not 1 <= u_level <= len(pos_u):
-        raise ParameterError(
-            f"u_level must be between 1 and {len(pos_u)}, got {u_level}"
-        )
-    _check_int(t_prefix, "t_prefix")
-    if not 1 <= t_prefix <= len(pos_t):
-        raise ParameterError(
-            f"t_prefix must be between 1 and {len(pos_t)}, got {t_prefix}"
-        )
+    _check_int(u_level, "u_level", 1, len(pos_u))
+    _check_int(t_prefix, "t_prefix", 1, len(pos_t))
     masks = family.masks
     gap = _cross_level_core(f._table, masks, pos_u, pos_t, u_level, t_prefix)
     if gap is None:

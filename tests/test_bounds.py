@@ -16,6 +16,7 @@ import json
 import math
 import operator
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -1418,3 +1419,59 @@ class TestSignature:
         row = instantiate(cutset_bound([1]), cut, msg)
         rates = {m: Fraction(1, 2) for m in MESSAGES}
         assert row.lhs_value(rates) == 2
+
+
+class TestCapacityMapping:
+    """Capacities that are not a mapping are refused on every path that
+    reads them, not left to fail on a missing `.get`."""
+
+    @pytest.mark.parametrize("caps", [[1, 2], (1,), "a1"])
+    def test_every_path_refuses(self, caps):
+        cut, msg = cn3_families()
+        text = f"^capacities must be a mapping of arc labels, got {type(caps).__name__}$"
+        for call in (
+            lambda: bound_rows(("csb",), cut, msg, caps),
+            lambda: thm2_search(cut, msg, caps),
+            lambda: instantiate(cutset_bound([1]), cut, msg, caps),
+        ):
+            with pytest.raises(ParameterError, match=text):
+                call()
+
+
+class TestRefusalsNotRunElsewhere:
+    def test_general_split_position_and_its_provenance(self):
+        cut, msg = cn3_families()
+        bound = gcsbK([1, 2, 3], Q={3}, r_q_map={3: 1}, cut_family=cut, msg_family=msg)
+        assert bound.provenance == "thm2(G={1,2,3}, U={1,2,3}, T={1,2,3}, Q={3}, r_q={3:1})"
+        row = instantiate(bound, cut, msg)
+        assert row.signature() == instantiate(
+            BoundInequality.build(bound.terms), cut, msg
+        ).signature()
+
+    def test_split_position_for_a_point_not_in_q(self):
+        cut, msg = cn3_families()
+        with pytest.raises(
+            ParameterError, match="^split position given for 2, which is not in Q$"
+        ):
+            gcsbK([1, 2, 3], Q={3}, r_q_map={2: 1}, cut_family=cut, msg_family=msg)
+
+    def test_lhs_value_without_a_rate(self):
+        cut, msg = cn3_families()
+        row = instantiate(cutset_bound([1]), cut, msg)
+        rates = dict.fromkeys(row.rate_coeffs, 1)
+        assert row.lhs_value(rates) == len(rates)
+        missing = sorted(rates)[0]
+        del rates[missing]
+        with pytest.raises(ParameterError, match=f"^no rate given for message '{missing}'$"):
+            row.lhs_value(rates)
+
+    def test_cut_and_message_families_refusals(self):
+        net = complete_combination_network(2)
+        cuts = [min_cut(net, k) for k in (1, 2)]
+        for given, text in [
+            (cuts[:1], "expected one cut per sink (2), got 1"),
+            ([cuts[0], "a0"], "cuts must be Cut instances"),
+            ([cuts[0], cuts[0]], "two cuts given for sink 1"),
+        ]:
+            with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                cut_and_message_families(net, given)

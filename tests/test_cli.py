@@ -1362,3 +1362,31 @@ class TestMain:
             assert (printed[-1].out, printed[-1].err) == (fresh.stdout, fresh.stderr)
         assert printed[0].err.startswith("usage: cutbounds verify ")
         assert printed[1].out.startswith("usage: cutbounds ")
+
+
+class TestRefusalsNotRunElsewhere:
+    def test_cuts_file_with_an_unbounded_arc_exit3(self, tmp_path, capsys):
+        # a3 and a4 are the unbounded arcs v1->t1 and v12->t1
+        path = write_doc(tmp_path, complete_doc(2))
+        cuts = write_doc(tmp_path, {"t1": ["a3", "a4"], "t2": ["a1", "a2"]}, "cuts.json")
+        assert cli.main(["bounds", path, "--cuts", cuts]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cuts may not contain unbounded arcs" in captured.err
+
+    def test_symmetric_negative_capacity_exit2(self, capsys):
+        assert cli.main(["region", "--symmetric", "2", "1", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_appendix_a_ground_over_its_cap_exit2(self, capsys):
+        assert cli.main(["verify", "--lemma", "appendixA", "--ground", "17"]) == 2
+        assert "--ground must be between 2 and 16 for appendixA" in capsys.readouterr().err
+
+    def test_paper_mismatch_on_a_field_that_is_not_a_list(self, capsys, monkeypatch):
+        doctored = json.loads(cli._load_golden("k3_complete.json"))
+        doctored["rows"] = {"not": "a list"}
+        monkeypatch.setattr(cli, "_load_golden", lambda name: json.dumps(doctored))
+        assert cli.main(["paper", "--case", "k3-complete"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "k3-complete: MISMATCH"
+        assert lines[1].startswith('  rows: stored {"not": "a list"} != regenerated [')

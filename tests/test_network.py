@@ -643,3 +643,16 @@ class TestCompleteCombinationNetwork:
     def test_zero_sinks_refused(self):
         with pytest.raises(ParameterError, match="K must be a positive integer"):
             complete_combination_network(0)
+
+
+@pytest.mark.parametrize(
+    "caps, text",
+    [
+        ({(1, 2): 1, (2, 1): 2}, "duplicate capacity entry for subset (1, 2)"),
+        ({(1, 4): 1}, "subset (1, 4) outside 1..3"),
+        ({(): 1}, "capacity subsets must be nonempty"),
+    ],
+)
+def test_combination_network_refuses_a_bad_subset_key(caps, text):
+    with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+        combination_network(3, caps, {k: ["W"] for k in (1, 2, 3)})

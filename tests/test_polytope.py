@@ -514,3 +514,17 @@ class TestCsv:
         with pytest.raises(ParameterError) as raised:
             parse_rational(text)
         assert str(raised.value) == f"not a rational number: {text!r}"
+
+
+@pytest.mark.parametrize(
+    "variables, rows, nonneg, text",
+    [
+        ((), (), (), "a system needs at least one variable"),
+        (("x", "x"), (), (True, True), "variable names must be distinct"),
+        (("x", "y"), (), (True,), "nonneg flags must align with variables"),
+        (("x", "y"), (Row((1,), 1),), (True, True), "row width must match the variable list"),
+    ],
+)
+def test_linear_system_constructor_refusals(variables, rows, nonneg, text):
+    with pytest.raises(ParameterError, match=f"^{text}$"):
+        LinearSystem(variables, rows, nonneg)

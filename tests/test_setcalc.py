@@ -353,8 +353,8 @@ class TestSubsetFamily:
         g = GroundSet(3)
         fam = family_of(g, [0], [1, 2])
         for level, indices, message in [
-            (0, frozenset({1}), "level 0 is out of range for a set of 1 indices"),
-            (3, frozenset({1, 2}), "level 3 is out of range for a set of 2 indices"),
+            (0, frozenset({1}), "level must be between 1 and 1, got 0"),
+            (3, frozenset({1, 2}), "level must be between 1 and 2, got 3"),
             (1, frozenset(), "index set must be nonempty"),
             (1, frozenset({0, 1}), "indices must lie in 1..2"),
             (1, frozenset({3}), "indices must lie in 1..2"),
