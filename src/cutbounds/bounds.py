@@ -140,11 +140,12 @@ def alpha_beta_identity(Q, r: int) -> bool:
     if not qs:
         raise ParameterError("at least one split point is required")
     _check_int(r, "level", 1, max(qs) - 1)
-    lhs = sum((alpha(qs, q, r) for q in qs if q > r), Fraction(0))
+    # alpha(qs, q, r) at its default split position q - 1 > r - 1, unchecked
+    lhs = sum((Fraction(*_alpha_ratio(qs, r, q - 1)) for q in qs if q > r), Fraction(0))
     if r in qs:
         return lhs == 0
     scale = math.prod(q - 1 for q in qs)
-    return lhs == beta(qs, r) / scale - 1
+    return lhs == Fraction(_beta_weight(qs, r), scale) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +184,7 @@ class BoundInequality:
                 weight = exact_rational(weight, "a term weight")
             if weight < 0:
                 raise ParameterError("term weights must be nonnegative")
-            key = (t.level, indices)
+            key = (int(t.level), indices)
             merged[key] = merged.get(key, 0) + weight
         if not any(merged.values()):
             raise ParameterError("a bound needs at least one term with positive weight")
@@ -314,6 +315,7 @@ def gcsbK(
             splits[q] = r_q
     for q, r_q in splits.items():
         _check_int(r_q, f"split position for {q}", 1, len(ids_t))
+        splits[q] = int(r_q)  # a bool stands for its int in the provenance too
 
     families = cut_family, msg_family
     levels_u = [level_masks(family.masks, pos_u) for family in families]

@@ -1376,7 +1376,9 @@ class TestRefusalsNotRunElsewhere:
 
     def test_symmetric_negative_capacity_exit2(self, capsys):
         assert cli.main(["region", "--symmetric", "2", "1", "-1"]) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: capacities must be nonnegative" in captured.err
 
     def test_appendix_a_ground_over_its_cap_exit2(self, capsys):
         assert cli.main(["verify", "--lemma", "appendixA", "--ground", "17"]) == 2

@@ -35,8 +35,7 @@ K3_FAMILY = SubsetFamily(
 
 
 def thm2(r_q_map):
-    bound = gcsbK([1, 2, 3], Q={2, 3}, r_q_map=r_q_map, cut_family=K3_FAMILY, msg_family=K3_FAMILY)
-    return bound.terms
+    return gcsbK([1, 2, 3], Q={2, 3}, r_q_map=r_q_map, cut_family=K3_FAMILY, msg_family=K3_FAMILY)
 
 
 # (name in the text, call of one argument, an in-range int, its result)
@@ -53,8 +52,8 @@ CASES = [
     ("split position", lambda v: alpha([2, 3], 3, 1, v), 1, Fraction(1)),
     ("level", lambda v: beta([2, 3], v), 1, Fraction(6)),
     ("level", lambda v: alpha_beta_identity([3], v), 1, True),
-    ("split position for 3", lambda v: thm2({3: v}), 1, (BoundTerm(1, frozenset({1, 2, 3}), 1),)),
-    ("split point", lambda v: thm2({v: 1}), 2, (BoundTerm(1, frozenset({1, 2, 3}), 1),)),
+    ("split position for 3", lambda v: thm2({3: v}).terms, 1, (BoundTerm(1, frozenset({1, 2, 3}), 1),)),
+    ("split point", lambda v: thm2({v: 1}).terms, 2, (BoundTerm(1, frozenset({1, 2, 3}), 1),)),
     ("level", lambda v: BoundInequality.build([BoundTerm(v, {1, 2}, 1)]).terms, 1,
      (BoundTerm(1, frozenset({1, 2}), 1),)),
     ("level", lambda v: FAMILY.level_labels(v, {1, 2}), 1, ("a", "b", "c")),
@@ -76,3 +75,10 @@ def test_takes_an_int_and_a_bool(name, call, good, expected):
     assert call(good) == expected
     if good == 1:
         assert call(True) == expected
+
+
+@pytest.mark.parametrize("value", [1, True])
+def test_a_bool_is_stored_as_its_int(value):
+    assert thm2({3: value}).provenance == "thm2(G={1,2,3}, U={1,2,3}, T={1,2,3}, Q={2,3}, r_q={2:1,3:1})"
+    (term,) = BoundInequality.build([BoundTerm(value, {1, 2}, 1)]).terms
+    assert type(term.level) is int
