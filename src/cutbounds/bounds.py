@@ -36,12 +36,12 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ParameterError, PreconditionError, exact_rational
 from .setcalc import (
-    FAMILY_CAP_REASON,
     MAX_FAMILY,
     ElementSet,
     SubsetFamily,
     _check_indices,
     _check_int,
+    _check_sink_count,
     level_masks,
 )
 
@@ -75,10 +75,10 @@ def _format_set(values: Iterable[int]) -> str:
 
 
 def _validate_split_points(Q) -> tuple:
-    qs = sorted(set(Q))
-    if any(not isinstance(q, int) or q < 2 for q in qs):
-        raise ParameterError("split points must be integers >= 2")
-    return tuple(qs)
+    qs = tuple(Q)
+    for q in qs:
+        _check_int(q, "split point", 2)
+    return tuple(sorted(set(qs)))
 
 
 def alpha(Q, q: int, r: int, r_q: Optional[int] = None) -> Fraction:
@@ -93,9 +93,7 @@ def alpha(Q, q: int, r: int, r_q: Optional[int] = None) -> Fraction:
         raise ParameterError(f"{q} is not one of the split points {qs}")
     if r_q is None:
         r_q = q - 1
-    _check_int(r_q, "split position")
-    if r_q < 1:
-        raise ParameterError("split position must be at least 1")
+    _check_int(r_q, "split position", 1)
     _check_int(r, "level", 1, r_q)
     return Fraction(*_alpha_ratio(qs, r, r_q))
 
@@ -114,9 +112,7 @@ def _alpha_ratio(qs: tuple, r: int, r_q: int) -> tuple:
 def beta(Q, r: int) -> Fraction:
     """Unnormalized level weight skipping the split set Q entirely."""
     qs = _validate_split_points(Q)
-    _check_int(r, "level")
-    if r < 1:
-        raise ParameterError("level must be at least 1")
+    _check_int(r, "level", 1)
     return Fraction(_beta_weight(qs, r))
 
 
@@ -175,9 +171,7 @@ class BoundInequality:
         nonnegative rationals; `int` weights are summed as ints."""
         merged: dict = {}
         for t in terms:
-            indices = frozenset(t.indices)
-            if not indices or any(not isinstance(i, int) or i < 1 for i in indices):
-                raise ParameterError("term indices must be positive integers")
+            indices = _sink_set(t.indices)
             _check_int(t.level, "level", 1, len(indices))
             weight = t.weight
             if type(weight) is not int:
@@ -208,41 +202,48 @@ def _canonical_terms(weights: dict) -> tuple:
     return tuple(BoundTerm(level, indices, w // g) for (level, indices), w in alive)
 
 
+def _sink_set(U) -> frozenset:
+    """The sink indices U as a nonempty frozenset of ints, each checked in
+    1..MAX_FAMILY."""
+    return frozenset([p + 1 for p in _check_indices(MAX_FAMILY, U)])
+
+
+# The builders below check their arguments and build the canonical term
+# list of their int weights directly (`_canonical_terms`), as `build` would;
+# the rule tables call `_beta_bound` and `_union_tail_bound` on sink sets
+# they build themselves, so all bounds of one sink set share its frozenset.
+
+
 def cutset_bound(U) -> BoundInequality:
     """Plain cut-set bound over the sink set U: one level-1 union term."""
-    indices = frozenset(U)
-    if not indices:
-        raise ParameterError("the sink set must be nonempty")
-    return BoundInequality.build(
-        [BoundTerm(1, indices, 1)], provenance=f"csb({_format_set(indices)})"
-    )
+    indices = _sink_set(U)
+    return BoundInequality((BoundTerm(1, indices, 1),), f"csb({_format_set(indices)})")
 
 
 def gcsb3(i: int, j: int, k: int, variant: str) -> BoundInequality:
     """The four generalized three-sink bounds; the pair {i, j} is the one
     singled out in variants a and c."""
-    if len({i, j, k}) != 3 or min(i, j, k) < 1:
-        raise ParameterError("three distinct positive sink indices are required")
-    full = frozenset((i, j, k))
+    full = _sink_set((i, j, k))
+    if len(full) != 3:
+        raise ParameterError("three distinct sink indices are required")
+    i, j, k = int(i), int(j), int(k)
     pair = frozenset((i, j))
     if variant == "a":
-        terms = [BoundTerm(1, full, 1), BoundTerm(2, pair, 1)]
+        weights = {(1, full): 1, (2, pair): 1}
     elif variant == "b":
-        terms = [BoundTerm(1, full, 1), BoundTerm(2, full, 1)]
+        weights = {(1, full): 1, (2, full): 1}
     elif variant == "c":
-        terms = [BoundTerm(1, full, 1), BoundTerm(1, pair, 1), BoundTerm(3, full, 1)]
+        weights = {(1, full): 1, (1, pair): 1, (3, full): 1}
     elif variant == "d":
-        terms = [BoundTerm(1, full, 2), BoundTerm(3, full, 1)]
+        weights = {(1, full): 2, (3, full): 1}
     else:
         raise ParameterError(f"unknown variant {variant!r}, expected one of a, b, c, d")
-    return BoundInequality.build(terms, provenance=f"gcsb3{variant}({i},{j},{k})")
+    return BoundInequality(_canonical_terms(weights), f"gcsb3{variant}({i},{j},{k})")
 
 
 def beta_bound(U, Q) -> BoundInequality:
     """Level bound with beta weights skipping the split set Q."""
-    indices = frozenset(U)
-    if not indices:
-        raise ParameterError("the sink set must be nonempty")
+    indices = _sink_set(U)
     if len(indices) > MAX_BETA_SET_SIZE:
         raise ParameterError(
             f"beta weights grow factorially; sink sets are capped at {MAX_BETA_SET_SIZE}"
@@ -250,24 +251,31 @@ def beta_bound(U, Q) -> BoundInequality:
     qs = _validate_split_points(Q)
     if any(q > len(indices) for q in qs):
         raise ParameterError("split points must lie within {2..|U|}")
-    terms = [BoundTerm(r, indices, _beta_weight(qs, r)) for r in range(1, len(indices) + 1)]
-    return BoundInequality.build(
-        terms, provenance=f"cor2({_format_set(indices)}, Q={_format_set(qs)})"
+    return _beta_bound(indices, qs)
+
+
+def _beta_bound(indices: frozenset, qs: tuple) -> BoundInequality:
+    """`beta_bound` on checked sink indices and sorted split points."""
+    weights = {(r, indices): _beta_weight(qs, r) for r in range(1, len(indices) + 1)}
+    return BoundInequality(
+        _canonical_terms(weights), f"cor2({_format_set(indices)}, Q={_format_set(qs)})"
     )
 
 
 def union_tail_bound(U, m: int) -> BoundInequality:
     """m copies of the union term plus all levels above m; the scaled form
     of the beta bound at consecutive split points 2..m."""
-    indices = frozenset(U)
-    if not indices:
-        raise ParameterError("the sink set must be nonempty")
+    indices = _sink_set(U)
     _check_int(m, "m", 1, len(indices))
-    terms = [BoundTerm(1, indices, m)]
-    terms.extend(BoundTerm(r, indices, 1) for r in range(m + 1, len(indices) + 1))
-    return BoundInequality.build(
-        terms, provenance=f"cor3({_format_set(indices)}, m={m})"
-    )
+    return _union_tail_bound(indices, int(m))
+
+
+def _union_tail_bound(indices: frozenset, m: int) -> BoundInequality:
+    """`union_tail_bound` on checked sink indices and m."""
+    weights = {(1, indices): m}
+    for r in range(m + 1, len(indices) + 1):
+        weights[(r, indices)] = 1
+    return BoundInequality(_canonical_terms(weights), f"cor3({_format_set(indices)}, m={m})")
 
 
 def _bits(positions: Iterable[int]) -> int:
@@ -299,9 +307,10 @@ def gcsbK(
     """
     if cut_family.size != msg_family.size:
         raise ParameterError("cut and message families must have the same sink count")
-    pos_g = _check_indices(cut_family, G)
-    pos_u = pos_g if U is None else _check_indices(cut_family, U)
-    pos_t = pos_u if T is None else _check_indices(cut_family, T)
+    K = cut_family.size
+    pos_g = _check_indices(K, G)
+    pos_u = pos_g if U is None else _check_indices(K, U)
+    pos_t = pos_u if T is None else _check_indices(K, T)
     ids_g, ids_u, ids_t = (tuple(p + 1 for p in pos) for pos in (pos_g, pos_u, pos_t))
     qs = _validate_split_points(Q)
     if any(q > len(ids_u) for q in qs):
@@ -787,15 +796,15 @@ def _ordered_subsets(K: int):
 
 
 def check_rules(rules: Iterable[str], known: Sequence[str]) -> tuple:
-    """The rule names as a tuple; raises ParameterError on the first one not
-    in `known`."""
+    """The rule names as a tuple, a repeated name dropped after its first
+    occurrence; raises ParameterError on the first one not in `known`."""
     rules = tuple(rules)
     for rule in rules:
         if rule not in known:
             raise ParameterError(
                 f"unknown rule {rule!r}, expected one of {', '.join(known)}"
             )
-    return rules
+    return tuple(dict.fromkeys(rules))
 
 
 def _first_per_terms(bounds: Iterable[BoundInequality]):
@@ -825,7 +834,7 @@ def _union_tail_bounds(K: int):
     for subset in _ordered_subsets(K):
         indices = frozenset(subset)
         for m in range(1, len(subset) + 1):
-            yield union_tail_bound(indices, m)
+            yield _union_tail_bound(indices, m)
 
 
 def _beta_bounds(K: int):
@@ -837,7 +846,7 @@ def _beta_bounds(K: int):
             pool = range(2, size + 1)
             for q_size in range(size):
                 for qs in itertools.combinations(pool, q_size):
-                    yield beta_bound(indices, qs)
+                    yield _beta_bound(indices, qs)
 
 
 _RULE_BOUNDS = {
@@ -872,11 +881,7 @@ def enumerate_bounds(K: int, rules: Sequence[str]) -> list:
     """All bounds produced by the named rules for K sinks, deduplicated by
     canonical term list with the first origin kept.  Deterministic order:
     rules as given, sink subsets by size then lexicographically."""
-    _check_int(K, "the sink count")
-    if not 1 <= K <= MAX_FAMILY:
-        raise ParameterError(
-            f"the sink count must be between 1 and {MAX_FAMILY}: {FAMILY_CAP_REASON}"
-        )
+    _check_sink_count(K)
     rules = check_rules(rules, ENUMERATION_RULES)
     return list(_first_per_terms(b for rule in rules for b in _rule_bounds(K, rule)))
 

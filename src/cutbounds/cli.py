@@ -70,7 +70,7 @@ from .polytope import (
     substitute,
     vertices_2d,
 )
-from .setcalc import MAX_FAMILY, GroundSet, _check_cutoff, _prefix_identity_masks
+from .setcalc import GroundSet, _check_cutoff, _check_sink_count, _prefix_identity_masks
 from .setfn import (
     MAX_VARIABLES,
     SetFunction,
@@ -507,13 +507,8 @@ def _parse_symmetric(tokens):
         raise ParameterError(
             f"the sink count must be an integer, got {tokens[0]!r}"
         ) from None
-    # the closed forms stand for a K-sink combination network, and no
-    # network carries more than MAX_FAMILY sinks
-    if not 1 <= K <= MAX_FAMILY:
-        raise ParameterError(
-            f"the sink count must be between 1 and {MAX_FAMILY}: networks carry "
-            f"at most {MAX_FAMILY} sinks"
-        )
+    # the closed forms stand for a K-sink combination network
+    _check_sink_count(K)
     caps = [parse_rational(token) for token in tokens[1:]]
     if len(caps) != K:
         raise ParameterError(f"expected {K} capacities after the sink count")

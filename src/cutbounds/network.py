@@ -32,12 +32,11 @@ from .errors import (
     exact_rational,
 )
 from .setcalc import (
-    FAMILY_CAP_REASON,
-    MAX_FAMILY,
     ElementSet,
     GroundSet,
     SubsetFamily,
-    _check_int,
+    _check_indices,
+    _check_sink_count,
 )
 
 Capacity = Optional[Fraction]
@@ -86,6 +85,14 @@ class Cut:
     capacity: Fraction
 
 
+def _labels(labels: Iterable[str], what: str) -> tuple:
+    """`labels` as a tuple; a str is refused, which would give its
+    characters as labels."""
+    if isinstance(labels, str):
+        raise ParameterError(f"{what} must be a collection of labels, got the string {labels!r}")
+    return tuple(labels)
+
+
 class BroadcastNetwork:
     """Immutable single-source multi-sink network over a DAG."""
 
@@ -98,7 +105,7 @@ class BroadcastNetwork:
         messages: Sequence[str],
         demands: Mapping[int, Iterable[str]],
     ):
-        self.nodes = tuple(nodes)
+        self.nodes = _labels(nodes, "nodes")
         # each node's position: the flow and reachability walks run on these
         index = {n: i for i, n in enumerate(self.nodes)}
         if not self.nodes or len(index) != len(self.nodes):
@@ -128,11 +135,8 @@ class BroadcastNetwork:
             raise ParameterError(f"source {source!r} is not a node")
         self.source = source
 
-        self.sinks = tuple(sinks)
-        if not 1 <= len(self.sinks) <= MAX_FAMILY:
-            raise ParameterError(
-                f"networks carry 1..{MAX_FAMILY} sinks: {FAMILY_CAP_REASON}"
-            )
+        self.sinks = _labels(sinks, "sinks")
+        _check_sink_count(len(self.sinks))
         if len(set(self.sinks)) != len(self.sinks):
             raise ParameterError("sinks must be distinct")
         for t in self.sinks:
@@ -141,7 +145,7 @@ class BroadcastNetwork:
             if t == source:
                 raise ParameterError("the source cannot be a sink")
 
-        self.messages = tuple(messages)
+        self.messages = _labels(messages, "messages")
         if not self.messages:
             raise ParameterError("a network needs at least one message")
         if len(set(self.messages)) != len(self.messages):
@@ -152,7 +156,7 @@ class BroadcastNetwork:
             raise ParameterError("demands must be keyed by sink indices 1..K exactly")
         cleaned = {}
         for k in sorted(demands):
-            dem = frozenset(demands[k])
+            dem = frozenset(_labels(demands[k], f"the demands of sink {k}"))
             if not dem:
                 raise ParameterError(f"sink {k} demands no messages")
             unknown = dem.difference(self.messages)
@@ -258,9 +262,9 @@ class BroadcastNetwork:
 
 
 def _check_sink_index(net: BroadcastNetwork, k: int) -> str:
-    if not isinstance(k, int) or not 1 <= k <= net.K:
-        raise ParameterError(f"sink index {k!r} outside 1..{net.K}")
-    return net.sinks[k - 1]
+    """The node of sink k, a 1-based sink index."""
+    (p,) = _check_indices(net.K, (k,))
+    return net.sinks[p]
 
 
 def is_cut(net: BroadcastNetwork, arcs: ElementSet, k: int) -> bool:
@@ -286,7 +290,7 @@ def make_cut(net: BroadcastNetwork, arcs, k: int) -> Cut:
         raise CutVerificationError("cuts may not contain unbounded arcs")
     # summed as integers over the network's common denominator: one
     # Fraction, not one per member
-    return Cut(arcs=arcs, sink=k, capacity=Fraction(sum(units), net._scale))
+    return Cut(arcs=arcs, sink=int(k), capacity=Fraction(sum(units), net._scale))
 
 
 def _blocking_flow(capacity: list, heads: list, admissible: list, source: int, sink: int) -> int:
@@ -423,23 +427,6 @@ def cut_and_message_families(
     return cut_family, msg_family
 
 
-def _subset_key(subset) -> tuple[int, ...]:
-    """A capacity key's sink indices, sorted and distinct; every one must
-    be an int, or the key would match no subset and drop its capacity."""
-    try:
-        members = tuple(subset)
-    except TypeError:
-        raise ParameterError(
-            f"capacity subsets must be collections of sink indices, got {subset!r}"
-        ) from None
-    for i in members:
-        _check_int(i, "a sink index")
-    members = tuple(sorted(set(members)))
-    if not members:
-        raise ParameterError("capacity subsets must be nonempty")
-    return members
-
-
 def _subset_name(members: tuple[int, ...]) -> str:
     return "".join(str(i) for i in members)
 
@@ -456,8 +443,7 @@ def combination_network(
     missing entries omit the mixer node entirely, so its arcs can never show
     up in a cut.  Mixer-to-sink delivery arcs are unbounded.
     """
-    if not isinstance(K, int) or K < 1:
-        raise ParameterError("K must be a positive integer")
+    _check_sink_count(K)
     if K > 9:
         raise ParameterError(
             "combination networks support K <= 9: subsets are named by their "
@@ -466,9 +452,9 @@ def combination_network(
 
     by_subset = {}
     for subset, value in caps.items():
-        members = _subset_key(subset)
-        if members[0] < 1 or members[-1] > K:
-            raise ParameterError(f"subset {members} outside 1..{K}")
+        # every index an int in 1..K, or the key would match no subset and
+        # drop its capacity
+        members = tuple(p + 1 for p in _check_indices(K, subset))
         if members in by_subset:
             raise ParameterError(f"duplicate capacity entry for subset {members}")
         cap = exact_rational(value, "an arc capacity")
@@ -513,8 +499,7 @@ def complete_combination_network(K: int, caps: Optional[Mapping] = None) -> Broa
     Message W_U is demanded by exactly the sinks in U; capacities default
     to 1 on every subset.
     """
-    if not isinstance(K, int) or K < 1:
-        raise ParameterError("K must be a positive integer")
+    _check_sink_count(K)
     subsets = [
         members
         for size in range(1, K + 1)
@@ -535,8 +520,7 @@ def symmetric_combination_network(K: int, c: Sequence) -> BroadcastNetwork:
 
     Message W_0 is demanded by every sink; W_k only by sink k.
     """
-    if not isinstance(K, int) or K < 1:
-        raise ParameterError("K must be a positive integer")
+    _check_sink_count(K)
     c = tuple(c)
     if len(c) != K:
         raise ParameterError(f"capacity list must have length {K}")

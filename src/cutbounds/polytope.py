@@ -47,6 +47,7 @@ from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ParameterError, UnboundedRegionError, exact_rational
+from .setcalc import _check_sink_count
 
 Rational = Union[Fraction, int, str]
 
@@ -694,8 +695,7 @@ def corner_points_symmetric(
     Point r (r = 1..K+1) is
       ( sum_{i=r}^{K} binom(K-1, i-1)*C_i , sum_{i=1}^{r-1} binom(K, i)*C_i ).
     """
-    if not isinstance(K, int) or K < 1:
-        raise ParameterError("K must be a positive integer")
+    _check_sink_count(K)
     caps = [exact_rational(v, "a capacity") for v in c]
     if len(caps) != K:
         raise ParameterError(f"capacity list must have length {K}")

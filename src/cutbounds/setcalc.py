@@ -19,8 +19,9 @@ from typing import Iterable, Sequence
 
 from .errors import GroundMismatchError, ParameterError
 
-# the bound rules walk up to 2^K - 1 sink subsets, and the cor2 rule
-# (`bounds._beta_bounds`) has no sink-count check of its own
+# every sink count the library takes is checked against it in one place,
+# `_check_sink_count`; the cor2 rule (`bounds._beta_bounds`) has no
+# sink-count check of its own
 MAX_FAMILY = 16
 FAMILY_CAP_REASON = "the bound rules walk up to 2^K - 1 sink subsets"
 
@@ -38,8 +39,7 @@ class GroundSet:
     _position: dict | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
-            raise ParameterError("ground size must be a positive integer")
+        _check_int(self.size, "ground size", 1)
         position = None
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
@@ -57,9 +57,7 @@ class GroundSet:
     def label(self, i: int) -> str:
         """The label of position i, its decimal digits on a ground without
         labels; a non-int or out-of-range position is refused."""
-        _check_int(i, "position")
-        if not 0 <= i < self.size:
-            raise ParameterError(f"position {i} outside ground of size {self.size}")
+        _check_int(i, "position", 0, self.size - 1)
         # int(): a bool names its position, as `_check_int` lets it
         return self._label(int(i))
 
@@ -78,9 +76,7 @@ class GroundSet:
     def subset(self, members: Iterable[int]) -> "ElementSet":
         mask = 0
         for m in members:
-            _check_int(m, "element")
-            if not 0 <= m < self.size:
-                raise ParameterError(f"element {m} outside ground of size {self.size}")
+            _check_int(m, "element", 0, self.size - 1)
             mask |= 1 << m
         return ElementSet(self, mask)
 
@@ -106,11 +102,7 @@ class ElementSet:
     mask: int
 
     def __post_init__(self):
-        # a bool is an int, as in `_check_int`
-        if not isinstance(self.mask, int):
-            raise ParameterError(f"mask must be an integer, got {self.mask!r}")
-        if not 0 <= self.mask <= self.ground.full_mask:
-            raise ParameterError("mask outside ground set range")
+        _check_int(self.mask, "mask", 0, self.ground.full_mask)
 
     def _same_ground(self, other: "ElementSet") -> None:
         if self.ground != other.ground:
@@ -174,10 +166,7 @@ class SubsetFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
-        if not 1 <= len(self.sets) <= MAX_FAMILY:
-            raise ParameterError(
-                f"family size must be in 1..{MAX_FAMILY}: {FAMILY_CAP_REASON}"
-            )
+        _check_sink_count(len(self.sets))
         for s in self.sets:
             # the identity test spares the field-by-field equality when the
             # members share the family's ground object, as they mostly do
@@ -196,27 +185,45 @@ class SubsetFamily:
 
 
 def _check_int(value, name: str, lo=None, hi=None) -> None:
-    """Refuse a `value` that is not an int, and, with bounds, one outside
-    lo..hi; every level, count and position the library takes from its
-    caller is checked here.  A bool is an int."""
+    """Refuse a `value` that is not an int, one below `lo` when given, and
+    one above `hi` when given; every level, count, position, mask, sink
+    count and sink index the library takes from its caller is checked here.
+    A bool is an int."""
     if not isinstance(value, int):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if lo is not None and not lo <= value <= hi:
+    if lo is None:
+        return
+    if hi is None:
+        if value < lo:
+            raise ParameterError(f"{name} must be at least {lo}, got {value}")
+    elif not lo <= value <= hi:
         raise ParameterError(f"{name} must be between {lo} and {hi}, got {value}")
 
 
-def _check_indices(family: SubsetFamily, indices: Iterable[int]) -> tuple[int, ...]:
-    """Validate 1-based member indices and return them 0-based, sorted."""
-    idx = set(indices)
+def _check_sink_count(K) -> None:
+    """Refuse a sink count that is not an int in 1..MAX_FAMILY."""
+    _check_int(K, "the sink count", 1)
+    if K > MAX_FAMILY:
+        raise ParameterError(
+            f"the sink count must be at most {MAX_FAMILY}, got {K}: {FAMILY_CAP_REASON}"
+        )
+
+
+def _check_indices(size: int, indices: Iterable[int]) -> tuple[int, ...]:
+    """Validate a nonempty collection of 1-based indices of `size` members
+    and return them 0-based, sorted and distinct, as ints."""
+    try:
+        idx = tuple(indices)
+    except TypeError:
+        raise ParameterError(
+            f"indices must be a collection of integers, got {indices!r}"
+        ) from None
     for i in idx:
-        if not isinstance(i, int):
-            raise ParameterError(f"indices must be integers, got {i!r}")
-    idx = sorted(idx)
+        _check_int(i, "index", 1, size)
     if not idx:
         raise ParameterError("index set must be nonempty")
-    if idx[0] < 1 or idx[-1] > family.size:
-        raise ParameterError(f"indices must lie in 1..{family.size}, got {idx}")
-    return tuple(i - 1 for i in idx)
+    # i - 1 is an int for a bool i too
+    return tuple(sorted({i - 1 for i in idx}))
 
 
 def level_masks(masks: Sequence[int], positions: Iterable[int]) -> list[int]:
@@ -270,7 +277,7 @@ def intersect_level(family: SubsetFamily, indices: Iterable[int], r: int) -> Ele
     intersection of the corresponding family sets, read off `level_masks`;
     the tests check that kernel against this definition.
     """
-    pos = _check_indices(family, indices)
+    pos = _check_indices(family.size, indices)
     _check_int(r, "level", 1, len(pos))
     return ElementSet(family.ground, level_masks(family.masks, pos)[r])
 

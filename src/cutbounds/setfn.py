@@ -32,7 +32,6 @@ from .setcalc import (
     prefix_levels,
 )
 
-MAX_TABLE_GROUND = 20
 MAX_VARIABLES = 6
 VARIABLES_CAP_REASON = "a pmf holds all 2^m outcomes and a campaign draws one per trial"
 PMF_SUM_TOLERANCE = 1e-12
@@ -83,14 +82,13 @@ class SetFunction:
 
     @classmethod
     def from_table(cls, ground: GroundSet, values: Sequence[Number]) -> "SetFunction":
-        if ground.size > MAX_TABLE_GROUND:
-            raise ParameterError(
-                f"table backing is limited to {MAX_TABLE_GROUND} elements"
-            )
         table = tuple(values)
-        if len(table) != 1 << ground.size:
+        # the bit lengths first, and the count written as a power, so a huge
+        # ground size builds no huge int and prints none (past 4300 digits,
+        # str() of an int raises ValueError)
+        if len(table).bit_length() != ground.size + 1 or len(table) != 1 << ground.size:
             raise ParameterError(
-                f"table must have {1 << ground.size} entries, got {len(table)}"
+                f"table must have 2^{ground.size} entries, got {len(table)}"
             )
         # a float NaN compares false both ways, so `v < inf` refuses it; a
         # Decimal NaN signals on an ordering comparison instead, and a value
@@ -362,7 +360,7 @@ def multiway_gap(f: SetFunction, family: SubsetFamily, indices: Iterable[int]):
     """Gap of the multiway exchange: sum of f over the chosen sets minus the
     sum of f over their intersection levels 1..|indices|."""
     _check_function_family(f, family)
-    positions = _check_indices(family, indices)
+    positions = _check_indices(family.size, indices)
     return f._exact(_multiway_core(f._table, family.masks, positions))
 
 
@@ -383,11 +381,7 @@ def prefix_multiway_gap(
     """
     _check_function_family(f, family)
     _check_int(count, "count", 1, family.size)
-    _check_int(cutoff, "cutoff")
-    if not 0 <= cutoff <= count:
-        raise ParameterError(
-            f"cutoff must be between 0 and count={count}, got {cutoff}"
-        )
+    _check_int(cutoff, "cutoff", 0, count)
     if anchor is None:
         amask = 0
     else:
@@ -413,8 +407,8 @@ def cross_level_gap(
     when the containment fails.
     """
     _check_function_family(f, family)
-    pos_u = _check_indices(family, U)
-    pos_t = _check_indices(family, T)
+    pos_u = _check_indices(family.size, U)
+    pos_t = _check_indices(family.size, T)
     _check_int(u_level, "u_level", 1, len(pos_u))
     _check_int(t_prefix, "t_prefix", 1, len(pos_t))
     masks = family.masks

@@ -25,7 +25,9 @@ from cutbounds.network import (
     complete_combination_network,
     cut_and_message_families,
     min_cut,
+    symmetric_combination_network,
 )
+from cutbounds.polytope import corner_points_symmetric
 from cutbounds.setcalc import MAX_FAMILY, GroundSet, SubsetFamily
 from cutbounds.setfn import MAX_VARIABLES, random_joint_distribution
 
@@ -42,22 +44,33 @@ def test_caps_have_their_values():
     assert (MAX_FAMILY, MAX_SEARCH_SINKS, MAX_VARIABLES, MAX_BETA_SET_SIZE) == (16, 5, 6, 6)
 
 
-def test_family_size():
-    ground = GroundSet(2)
-    SubsetFamily(ground, (ground.full(),) * MAX_FAMILY)
-    with pytest.raises(ParameterError, match="walk up to 2\\^K - 1 sink subsets"):
-        SubsetFamily(ground, (ground.full(),) * (MAX_FAMILY + 1))
+# every sink count is checked against MAX_FAMILY in one place, with one text
+SINK_CAP_TEXT = "the sink count must be at most 16, got 17: the bound rules walk up to 2^K - 1 sink subsets"
+FULL = GroundSet(2).full()
+
+# each entry point that takes a sink count, as a call of that count
+SINK_COUNTS = {
+    "SubsetFamily": lambda K: SubsetFamily(GroundSet(2), (FULL,) * K),
+    "BroadcastNetwork": star,
+    "enumerate_bounds": lambda K: enumerate_bounds(K, ["csb"]),
+    "combination_network": lambda K: combination_network(K, {}, {}),
+    "complete_combination_network": complete_combination_network,
+    "symmetric_combination_network": lambda K: symmetric_combination_network(K, [1] * K),
+    "corner_points_symmetric": lambda K: corner_points_symmetric(K, [1] * K),
+}
 
 
-def test_network_sinks():
+@pytest.mark.parametrize("name", sorted(SINK_COUNTS))
+def test_sink_count(name):
+    with pytest.raises(ParameterError) as info:
+        SINK_COUNTS[name](MAX_FAMILY + 1)
+    assert str(info.value) == SINK_CAP_TEXT
+
+
+def test_family_and_network_sinks_pass_at_the_cap():
+    assert SubsetFamily(GroundSet(2), (FULL,) * MAX_FAMILY).size == MAX_FAMILY
     assert star(MAX_FAMILY).K == MAX_FAMILY
-    with pytest.raises(ParameterError, match="^networks carry 1..16 sinks: the bound rules"):
-        star(MAX_FAMILY + 1)
-
-
-def test_enumerated_sinks():
-    with pytest.raises(ParameterError, match="between 1 and 16: the bound rules walk"):
-        enumerate_bounds(MAX_FAMILY + 1, ["csb"])
+    assert len(enumerate_bounds(MAX_FAMILY, ["csb"])) == 2**MAX_FAMILY - 1
 
 
 def test_search_sinks():
@@ -155,6 +168,24 @@ def test_row_table_budget(monkeypatch):
     assert held() == ([(ENUMERATION_RULES, 4)], 60, 2)
 
 
+def test_repeated_rule_names_build_one_table():
+    """A repeated rule name is dropped after its first occurrence, so
+    ("csb", "csb") finds the row table of ("csb",) rather than building a
+    second, identical one."""
+    caps, *families = complete_families(3)
+
+    def report(rules):
+        return [
+            (row.rate_coeffs, row.capacity_coeffs, row.rhs_value, row.provenance)
+            for row in bound_rows(rules, *families, caps)
+        ]
+
+    bounds._row_tables.clear()
+    assert report(("csb", "csb")) == report(("csb",))
+    assert [key[:2] for key in bounds._row_tables._tables] == [("csb", 3), (("csb",), 3)]
+    assert bounds._row_tables.hits == 1
+
+
 def test_budgeted_tables_are_transparent(monkeypatch):
     """At a budget of 80 rows, where the tables of one build drop those of
     the last, each call gives what it gives from empty tables: rows, right
@@ -210,9 +241,7 @@ def test_gap_campaign_ground(capsys):
 def test_symmetric_sinks(capsys):
     assert cli.main(["region", "--symmetric", "16", *["1"] * 16]) == 0
     assert cli.main(["region", "--symmetric", "17", *["1"] * 17]) == 2
-    assert capsys.readouterr().err == (
-        "error: the sink count must be between 1 and 16: networks carry at most 16 sinks\n"
-    )
+    assert capsys.readouterr().err == f"error: {SINK_CAP_TEXT}\n"
 
 
 def test_combination_network_sinks():

@@ -340,7 +340,7 @@ DOCUMENT_REFUSALS = {
     "source-not-a-string": (_set("source", 0), "source must be a node id"),
     "sink-not-a-node": (_swap_sink("t2", "x"), "sink 'x' is not a node"),
     "no-sinks": (lambda doc: doc.update(sinks=[], demands={}),
-                 "networks carry 1..16 sinks: the bound rules walk up to 2^K - 1 sink subsets"),
+                 "the sink count must be at least 1, got 0"),
 }
 
 

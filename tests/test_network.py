@@ -144,8 +144,13 @@ class TestConstruction:
     def test_demand_set_refuses_a_bad_sink_index(self):
         net = complete_combination_network(2)
         assert net.demand_set(2).member_labels() == ("W2", "W12")
-        for k in (0, 3, -1, 1.5, "1"):
-            text = f"sink index {k!r} outside 1..2"
+        for k, text in [
+            (0, "index must be between 1 and 2, got 0"),
+            (3, "index must be between 1 and 2, got 3"),
+            (-1, "index must be between 1 and 2, got -1"),
+            (1.5, "index must be an integer, got 1.5"),
+            ("1", "index must be an integer, got '1'"),
+        ]:
             with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
                 net.demand_set(k)
 
@@ -163,10 +168,10 @@ class TestConstruction:
         # capacity; a string index or a bare int raised a raw TypeError
         demands = {1: ["W"], 2: ["W"]}
         for key, text in [
-            ((1.5,), "a sink index must be an integer, got 1.5"),
-            (("1",), "a sink index must be an integer, got '1'"),
-            ("12", "a sink index must be an integer, got '1'"),
-            (1, "capacity subsets must be collections of sink indices, got 1"),
+            ((1.5,), "index must be an integer, got 1.5"),
+            (("1",), "index must be an integer, got '1'"),
+            ("12", "index must be an integer, got '1'"),
+            (1, "indices must be a collection of integers, got 1"),
         ]:
             with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
                 combination_network(2, {key: 7, (1,): 1, (2,): 1}, demands)
@@ -641,7 +646,7 @@ class TestCompleteCombinationNetwork:
         assert min_cut(net, 1).capacity == 1
 
     def test_zero_sinks_refused(self):
-        with pytest.raises(ParameterError, match="K must be a positive integer"):
+        with pytest.raises(ParameterError, match="^the sink count must be at least 1, got 0$"):
             complete_combination_network(0)
 
 
@@ -649,10 +654,38 @@ class TestCompleteCombinationNetwork:
     "caps, text",
     [
         ({(1, 2): 1, (2, 1): 2}, "duplicate capacity entry for subset (1, 2)"),
-        ({(1, 4): 1}, "subset (1, 4) outside 1..3"),
-        ({(): 1}, "capacity subsets must be nonempty"),
+        ({(1, 4): 1}, "index must be between 1 and 3, got 4"),
+        ({(): 1}, "index set must be nonempty"),
     ],
 )
 def test_combination_network_refuses_a_bad_subset_key(caps, text):
     with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
         combination_network(3, caps, {k: ["W"] for k in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("field", ["nodes", "sinks", "messages", "demand"])
+def test_a_string_is_not_a_label_collection(field):
+    """A str given for a label collection would give its characters as
+    labels: `demands={1: "ab"}` demanding the messages a and b."""
+    args = {
+        "nodes": ["s", "t1"],
+        "arcs": [Arc("a", "s", "t1", 1)],
+        "source": "s",
+        "sinks": ["t1"],
+        "messages": ["a", "b"],
+        "demands": {1: ["a", "b"]},
+    }
+    BroadcastNetwork(**args)
+    if field == "demand":
+        args["demands"] = {1: "ab"}
+        what = "the demands of sink 1"
+    else:
+        args[field] = {"nodes": "st1", "sinks": "t1", "messages": "ab"}[field]
+        what = field
+    with pytest.raises(ParameterError, match=f"^{what} must be a collection of labels, got the string "):
+        BroadcastNetwork(**args)
+
+
+def test_combination_network_invents_no_messages_from_a_string():
+    with pytest.raises(ParameterError, match="^the demands of sink 1 must be a collection"):
+        combination_network(2, {(1,): 1, (2,): 1}, {1: "Wx", 2: ["W"]})

@@ -105,7 +105,7 @@ class TestGroundSet:
             assert ground.label(True) == ground.label(1)
             for position in (-1, 3, 7):
                 with pytest.raises(
-                    ParameterError, match=f"^position {position} outside ground of size 3$"
+                    ParameterError, match=f"^position must be between 0 and 2, got {position}$"
                 ):
                     ground.label(position)
             for position, shown in ((1.5, "1.5"), ("1", "'1'"), (None, "None")):
@@ -356,11 +356,11 @@ class TestSubsetFamily:
             (0, frozenset({1}), "level must be between 1 and 1, got 0"),
             (3, frozenset({1, 2}), "level must be between 1 and 2, got 3"),
             (1, frozenset(), "index set must be nonempty"),
-            (1, frozenset({0, 1}), "indices must lie in 1..2"),
-            (1, frozenset({3}), "indices must lie in 1..2"),
+            (1, frozenset({0, 1}), "index must be between 1 and 2, got 0"),
+            (1, frozenset({3}), "index must be between 1 and 2, got 3"),
             (1.0, frozenset({1, 2}), "level must be an integer, got 1.0"),
-            (1, frozenset({1.5}), "indices must be integers, got 1.5"),
-            (1, ("1",), "indices must be integers, got '1'"),
+            (1, frozenset({1.5}), "index must be an integer, got 1.5"),
+            (1, ("1",), "index must be an integer, got '1'"),
         ]:
             with pytest.raises(ParameterError, match=re.escape(message)):
                 fam.level_labels(level, indices)

@@ -94,8 +94,11 @@ class TestSetFunction:
             SetFunction.from_table(two, (0, -1, 0, 0))
         with pytest.raises(ParameterError):
             SetFunction.from_table(two, (0, 0, 0))
-        with pytest.raises(ParameterError):
-            SetFunction.from_table(GroundSet(21), [0] * (1 << 21))
+        # no cap on the ground size: the length check refuses a short
+        # table at any size
+        for size in (21, 200, 100_000):
+            with pytest.raises(ParameterError, match=f"^table must have 2\\^{size} entries, got 3$"):
+                SetFunction.from_table(GroundSet(size), (0, 1, 2))
 
     # a Decimal NaN signals on `<` rather than comparing false
     @pytest.mark.parametrize(
@@ -420,7 +423,7 @@ class TestMultiwayGap:
     @pytest.mark.parametrize("index", [1.5, "1", 1.0])
     def test_non_int_index_rejected(self, index):
         family = fam(G3, [0], [1], [2])
-        with pytest.raises(ParameterError, match="^indices must be integers, got "):
+        with pytest.raises(ParameterError, match="^index must be an integer, got "):
             multiway_gap(xor_triple(), family, [index])
         # a bool is an int
         assert multiway_gap(xor_triple(), family, [True, 2]) == multiway_gap(xor_triple(), family, [1, 2])
@@ -588,7 +591,7 @@ class TestCrossLevelGap:
             cross_level_gap(f, self.family, [1, 2], [1, 2], 1.5, 1)
         with pytest.raises(ParameterError, match="^t_prefix must be an integer, got 1.0$"):
             cross_level_gap(f, self.family, [1, 2], [1, 2], 1, 1.0)
-        with pytest.raises(ParameterError, match="^indices must be integers, got '2'$"):
+        with pytest.raises(ParameterError, match="^index must be an integer, got '2'$"):
             cross_level_gap(f, self.family, [1], ["2"], 1, 1)
 
 
