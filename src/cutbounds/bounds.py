@@ -42,6 +42,7 @@ from .setcalc import (
     _check_indices,
     _check_int,
     _check_sink_count,
+    _shown,
     level_masks,
 )
 
@@ -90,7 +91,8 @@ def alpha(Q, q: int, r: int, r_q: Optional[int] = None) -> Fraction:
     qs = _validate_split_points(Q)
     _check_int(q, "q")
     if q not in qs:
-        raise ParameterError(f"{q} is not one of the split points {qs}")
+        shown = ", ".join(map(_shown, qs)) + ("," if len(qs) == 1 else "")
+        raise ParameterError(f"{_shown(q)} is not one of the split points ({shown})")
     if r_q is None:
         r_q = q - 1
     _check_int(r_q, "split position", 1)
@@ -171,7 +173,7 @@ class BoundInequality:
         nonnegative rationals; `int` weights are summed as ints."""
         merged: dict = {}
         for t in terms:
-            indices = _sink_set(t.indices)
+            indices = _sink_set(t.indices, "a term's sink set")
             _check_int(t.level, "level", 1, len(indices))
             weight = t.weight
             if type(weight) is not int:
@@ -202,10 +204,10 @@ def _canonical_terms(weights: dict) -> tuple:
     return tuple(BoundTerm(level, indices, w // g) for (level, indices), w in alive)
 
 
-def _sink_set(U) -> frozenset:
-    """The sink indices U as a nonempty frozenset of ints, each checked in
-    1..MAX_FAMILY."""
-    return frozenset([p + 1 for p in _check_indices(MAX_FAMILY, U)])
+def _sink_set(U, name: str = "the sink set") -> frozenset:
+    """The sink indices U, called `name` in texts, as a nonempty frozenset
+    of ints, each checked in 1..MAX_FAMILY."""
+    return frozenset([p + 1 for p in _check_indices(MAX_FAMILY, U, name)])
 
 
 # The builders below check their arguments and build the canonical term
@@ -308,9 +310,9 @@ def gcsbK(
     if cut_family.size != msg_family.size:
         raise ParameterError("cut and message families must have the same sink count")
     K = cut_family.size
-    pos_g = _check_indices(K, G)
-    pos_u = pos_g if U is None else _check_indices(K, U)
-    pos_t = pos_u if T is None else _check_indices(K, T)
+    pos_g = _check_indices(K, G, "G")
+    pos_u = pos_g if U is None else _check_indices(K, U, "U")
+    pos_t = pos_u if T is None else _check_indices(K, T, "T")
     ids_g, ids_u, ids_t = (tuple(p + 1 for p in pos) for pos in (pos_g, pos_u, pos_t))
     qs = _validate_split_points(Q)
     if any(q > len(ids_u) for q in qs):
@@ -320,7 +322,9 @@ def gcsbK(
         for q, r_q in r_q_map.items():
             _check_int(q, "split point")
             if q not in splits:
-                raise ParameterError(f"split position given for {q}, which is not in Q")
+                raise ParameterError(
+                    f"split position given for {_shown(q)}, which is not in Q"
+                )
             splits[q] = r_q
     for q, r_q in splits.items():
         _check_int(r_q, f"split position for {q}", 1, len(ids_t))

@@ -7,7 +7,7 @@ Four subcommands share one exit-code contract:
        differs from its stored golden copy
     2  malformed input: unreadable documents, schema violations, unknown
        rules or axes, parameters outside their domain, unwritable output
-       paths
+       paths, a result with a number past the interpreter's digit limit
     3  a supplied arc set fails cut verification, or a sink admits no
        finite cut at all
     4  the requested region slice is unbounded along some ray
@@ -308,11 +308,23 @@ def _report_text(net: BroadcastNetwork, kernel) -> str:
     return "[\n  " + ",\n  ".join(blocks) + "\n]\n" if blocks else "[]\n"
 
 
+def _printed(text_of, *args) -> str:
+    """`text_of(*args)`, refusing with `ParameterError` (exit 2) the
+    `ValueError` that `str()` of an int past the interpreter's digit limit
+    raises."""
+    try:
+        return text_of(*args)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParameterError(f"a number in the output has more than {limit} digits") from None
+
+
 def cmd_bounds(args) -> int:
     net = load_network_document(args.net_file)
     rules = check_rules((token.strip() for token in args.rules.split(",")), BOUND_RULES)
     families = cut_and_message_families(net, _load_cuts(net, args.cuts))
-    _write_text(_report_text(net, _network_kernel(net, rules, families)), args.out)
+    kernel = _network_kernel(net, rules, families)
+    _write_text(_printed(_report_text, net, kernel), args.out)
     return 0
 
 
@@ -600,7 +612,7 @@ def cmd_region(args) -> int:
 
     primary = build(args.bounds)
     points = vertices_2d(primary)
-    text = _region_csv(points)
+    text = _printed(_region_csv, points)
 
     verdicts = []
     if args.compare:
@@ -668,25 +680,47 @@ def _regen_k3_symmetric() -> dict:
     }
 
 
+class _TableMismatch(Exception):
+    """A regenerated table fails its own check, so `paper` exits 1."""
+
+
+# three-sink cut-set bounds, symbolic in the capacities: a sink set of
+# size s gives R0 + sum_{k in S} Rk <= d1*C1 + d2*C2 + d3*C3, (d1, d2, d3)
+# = _FM_CUTS[s]
+_FM_CUTS = {1: (1, 2, 1), 2: (2, 3, 1), 3: (3, 3, 1)}
+# the partitions of the sinks {1, 2, 3} into 1, 2 and 3 blocks
+_FM_PARTITIONS = (((1, 2, 3),), ((1, 2), (3,)), ((1,), (2,), (3,)))
+
+
 def _regen_fm_derivation() -> dict:
-    # symbolic three-sink cut-set rows, capacities negated onto the left
-    d = {1: (1, 2, 1), 2: (2, 3, 1), 3: (3, 3, 1)}
+    """Row s sums the cut-set bounds over a partition of the sinks into s
+    blocks: the paper's union of cuts.  Each row is a nonnegative sum of
+    the input rows, so it is valid as built; the table must also describe
+    the projection of those rows onto (R0, Rsp = R1 + R2 + R3)."""
     variables = ("R0", "R1", "R2", "R3", "C1", "C2", "C3")
     rows = []
     for size in (1, 2, 3):
-        c1, c2, c3 = d[size]
+        c1, c2, c3 = _FM_CUTS[size]
         for subset in itertools.combinations((1, 2, 3), size):
             coeffs = {"R0": 1, "C1": -c1, "C2": -c2, "C3": -c3}
             coeffs.update({f"R{k}": 1 for k in subset})
             rows.append((coeffs, 0))
     system = LinearSystem.from_rows(variables, rows)
     folded = substitute(system, "R1", {"Rsp": 1, "R2": -1, "R3": -1})
-    reduced = project(folded, ("R0", "C1", "C2", "C3", "Rsp"))
+    keep = ("R0", "C1", "C2", "C3", "Rsp")
+    sums = []
+    for blocks in _FM_PARTITIONS:
+        caps = [sum(_FM_CUTS[len(block)][i] for block in blocks) for i in range(3)]
+        coeffs = {"R0": len(blocks), "Rsp": 1}
+        coeffs.update({f"C{i + 1}": -cap for i, cap in enumerate(caps)})
+        sums.append((coeffs, 0))
+    table = LinearSystem.from_rows(keep, sums)
+    projected = project(folded, keep)
+    if not (contains(table, projected) and contains(projected, table)):
+        raise _TableMismatch("the partition sums and the projection differ as regions")
     payload = []
-    for row in reduced.rows:
-        coeffs = reduced.coeff_map(row)
-        if row.rhs != 0:
-            raise ParameterError("derivation rows must be homogeneous")
+    for row in table.rows:
+        coeffs = table.coeff_map(row)
         payload.append(
             {
                 "rate": {
@@ -718,7 +752,12 @@ _REGENERATORS = {
 def cmd_paper(args) -> int:
     case = args.case
     golden = json.loads(_load_golden(_GOLDEN_FILES[case]))
-    regenerated = _REGENERATORS[case]()
+    try:
+        regenerated = _REGENERATORS[case]()
+    except _TableMismatch as exc:
+        print(f"{case}: MISMATCH")
+        print(f"  {exc}")
+        return 1
     problems = []
     for field, fresh in regenerated.items():
         stored = golden.get(field)

@@ -36,6 +36,7 @@ from .setcalc import (
     GroundSet,
     SubsetFamily,
     _check_indices,
+    _check_int,
     _check_sink_count,
 )
 
@@ -263,8 +264,8 @@ class BroadcastNetwork:
 
 def _check_sink_index(net: BroadcastNetwork, k: int) -> str:
     """The node of sink k, a 1-based sink index."""
-    (p,) = _check_indices(net.K, (k,))
-    return net.sinks[p]
+    _check_int(k, "sink index", 1, net.K)
+    return net.sinks[k - 1]
 
 
 def is_cut(net: BroadcastNetwork, arcs: ElementSet, k: int) -> bool:
@@ -454,7 +455,7 @@ def combination_network(
     for subset, value in caps.items():
         # every index an int in 1..K, or the key would match no subset and
         # drop its capacity
-        members = tuple(p + 1 for p in _check_indices(K, subset))
+        members = tuple(p + 1 for p in _check_indices(K, subset, "a capacity key"))
         if members in by_subset:
             raise ParameterError(f"duplicate capacity entry for subset {members}")
         cap = exact_rational(value, "an arc capacity")

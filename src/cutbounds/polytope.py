@@ -8,7 +8,7 @@ comparisons byte-stable.
 A `Row` is its canonical form from construction: the coprime integer
 vector `(a, b)` that is a positive multiple of the values it was given.
 So two rows for one half-space are equal and hash alike, and elimination,
-the redundancy tiers and the LP run on Python ints alone.  A `Fraction`
+redundancy removal and the LP run on Python ints alone.  A `Fraction`
 enters only through `Row`'s constructor (and through the points given to
 `satisfies` and `substitute`'s expression) and leaves only as an LP
 optimum, a 2-D vertex or a ray.  A system with no point is marked by the
@@ -17,24 +17,24 @@ canonical witness row `0 <= -1`, which `LinearSystem.infeasible` reports.
 One exact LP oracle, `_dual_lp` (a fraction-free simplex, Bland's rule),
 decides feasibility, containment (one LP per direction of the outer rows,
 any dimension), whether a 2-D system with a recession ray is unbounded or
-empty, and tier 4 below.  A 2-D system with no ray needs no LP: it has a
-vertex exactly when it has a point.  The LP always ends with an exact
-verdict: no size budget, no "unknown".
+empty, and the redundancy pass below.  A 2-D system with no ray needs no
+LP: it has a vertex exactly when it has a point.  The LP always ends with
+an exact verdict: no size budget, no "unknown".
 
-Redundancy removal after each elimination runs in tiers:
+Redundancy removal after each elimination runs in two passes:
 
-  1. drop rows that hold identically (including under nonnegativity),
-  2. merge duplicates (equal canonical rows),
-  3. drop rows implied by a single other row (exact multiplier search),
-  3b. drop rows implied by the sum of two other rows at unit multipliers,
-  4. in sorted order, drop each row the rows still left imply over free
+  1. drop rows that hold identically (including under nonnegativity) and
+     merge duplicates (equal canonical rows), then sort;
+  2. in sorted order, drop each row the rows still left imply over free
      variables (or that sits beside rows with no common point), by LP.
 
-Tier 4 alone leaves an irredundant system, but which one depends on the
-rows it gets, since it drops rows one at a time and ignores nonnegativity.
-Tiers 1-3b fix that choice, and the `fm-derivation` golden table is one:
-without 3b its row `2R0+Rsp <= 3C1+5C2+2C3` comes out as `3R0+2Rsp <=
-6C1+9C2+3C3`, and a tier 4 counting `C2 >= 0` would drop that row.
+The result is irredundant over free variables.  Nonnegativity enters only
+through pass 1 and the orthant rows eliminated with each variable, so a
+row that the orthant makes redundant may stay.  Which irredundant list
+comes out depends on the rows pass 2 gets, since it drops them one at a
+time; the region does not.  Callers that need a particular row list, as
+the `fm-derivation` table does, build it and compare regions with
+`contains`.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def satisfies(sys: LinearSystem, point: Mapping[str, Rational]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# redundancy tiers
+# redundancy removal
 
 
 def _holds_identically(row: Row, nonneg: tuple[bool, ...]) -> bool:
@@ -197,7 +197,7 @@ def _holds_identically(row: Row, nonneg: tuple[bool, ...]) -> bool:
 
 
 def _tiers_basic(rows: Iterable[Row], nonneg: tuple[bool, ...]) -> list[Row]:
-    """Tiers 1-2: drop identically-true rows, dedupe, sort.
+    """Pass 1 of `_reduce_rows`: drop identically-true rows, dedupe, sort.
 
     A row with no point, which canonically is `0 <= -1`, stands alone for
     the whole list.
@@ -210,87 +210,6 @@ def _tiers_basic(rows: Iterable[Row], nonneg: tuple[bool, ...]) -> list[Row]:
             return [row]
         seen[(row.coeffs, row.rhs)] = row
     return [seen[key] for key in sorted(seen)]
-
-
-def _single_row_implies(s: Row, r: Row, nonneg: tuple[bool, ...]) -> bool:
-    """Does row s alone (plus nonnegativity) force row r?
-
-    Searches for a multiplier lam > 0 with lam*a_s >= a_r componentwise
-    (equality on free variables) and lam*b_s <= b_r.  The bounds lo <= lam
-    <= hi are kept as pairs (numerator, positive denominator) and compared
-    by cross-multiplication, so integer rows need no division.
-    """
-    lo_n, lo_d = 0, 1
-    hi_n = hi_d = None
-    for a, c, flag in zip(s.coeffs, r.coeffs, nonneg):
-        if a == 0:
-            if c > 0 or (c and not flag):
-                return False
-            continue
-        n, d = (c, a) if a > 0 else (-c, -a)  # lam vs c/a, as n/d with d > 0
-        if a > 0 or not flag:  # lam >= c/a
-            if n * lo_d > lo_n * d:
-                lo_n, lo_d = n, d
-        if a < 0 or not flag:  # lam <= c/a
-            if hi_n is None or n * hi_d < hi_n * d:
-                hi_n, hi_d = n, d
-    if hi_n is not None and (lo_n * hi_d > hi_n * lo_d or hi_n <= 0):
-        return False
-    if s.rhs == 0:
-        return r.rhs >= 0
-    if s.rhs < 0:
-        if hi_n is None:
-            return True  # lam arbitrarily large drives lam*b_s below any bound
-        return hi_n * s.rhs <= r.rhs * hi_d
-    if lo_n > 0:
-        return lo_n * s.rhs <= r.rhs * lo_d
-    return r.rhs > 0  # lam can approach 0 from above, lam*b_s approaches 0
-
-
-def _pair_implies(a: Row, b: Row, r: Row, nonneg: tuple[bool, ...]) -> bool:
-    """Unit-multiplier two-row domination: a + b forces r."""
-    if a.rhs + b.rhs > r.rhs:
-        return False
-    for ca, cb, cr, flag in zip(a.coeffs, b.coeffs, r.coeffs, nonneg):
-        total = ca + cb
-        if flag:
-            if cr > total:
-                return False
-        elif cr != total:
-            return False
-    return True
-
-
-def _tier_single_domination(rows: list[Row], nonneg: tuple[bool, ...]) -> list[Row]:
-    removed = [False] * len(rows)
-    for i, r in enumerate(rows):
-        for j, s in enumerate(rows):
-            if i == j or removed[j]:
-                continue
-            if _single_row_implies(s, r, nonneg):
-                removed[i] = True
-                break
-    return [r for r, gone in zip(rows, removed) if not gone]
-
-
-def _tier_pair_domination(rows: list[Row], nonneg: tuple[bool, ...]) -> list[Row]:
-    removed = [False] * len(rows)
-    for i, r in enumerate(rows):
-        found = False
-        for a_idx in range(len(rows)):
-            if found:
-                break
-            if a_idx == i or removed[a_idx]:
-                continue
-            for b_idx in range(a_idx, len(rows)):
-                if b_idx == i or removed[b_idx]:
-                    continue
-                if _pair_implies(rows[a_idx], rows[b_idx], r, nonneg):
-                    found = True
-                    break
-        if found:
-            removed[i] = True
-    return [r for r, gone in zip(rows, removed) if not gone]
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +340,11 @@ def _orthant_rows(sys: LinearSystem) -> list[Row]:
 
 
 def _reduce_rows(rows: Iterable[Row], nonneg: tuple[bool, ...]) -> list[Row]:
-    # a lone `0 <= -1` from tiers 1-2 passes the later tiers untouched: no
-    # other row can imply it
+    # a lone `0 <= -1` from pass 1 passes the LP untouched: no other row
+    # can imply it
     work = _tiers_basic(rows, nonneg)
-    work = _tier_single_domination(work, nonneg)
-    work = _tier_pair_domination(work, nonneg)
-    # tier 4: implication by the remaining rows alone, in sorted order
-    # (nonnegativity-implied rows were the earlier tiers' job)
+    # pass 2: implication by the remaining rows alone, in sorted order;
+    # nonnegativity counts only through pass 1
     i = 0
     while i < len(work):
         if _implies(work[:i] + work[i + 1 :], work[i]):
@@ -454,10 +371,10 @@ def feasible(sys: LinearSystem) -> bool:
 
 
 def fourier_motzkin(sys: LinearSystem, var: str) -> LinearSystem:
-    """Eliminate one variable exactly; output is reduced (tiers 1-4).
+    """Eliminate one variable exactly; output is reduced by `_reduce_rows`.
 
-    Tiers 1-3b thin the pairwise combinations; tier 4 then runs one exact
-    LP per surviving row, however many rows survive.
+    Pass 1 drops trivial and duplicate pairwise combinations; pass 2 then
+    runs one exact LP per surviving row, however many rows survive.
 
     The variable keeps its slot in the variable list (its coefficients all
     become zero), so eliminating a variable absent from every row is the

@@ -14,6 +14,7 @@ the same counter once for level r of every prefix of the members.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -184,20 +185,32 @@ class SubsetFamily:
         return intersect_level(self, indices, level).member_labels()
 
 
+def _shown(value, text=str) -> str:
+    """`text(value)` for an error text.  Past the interpreter's digit limit
+    `str()` and `repr()` of an int raise `ValueError`, so such a value is
+    described by that limit.  Only a failed check calls this."""
+    try:
+        return text(value)
+    except ValueError:
+        return f"a number with more than {sys.get_int_max_str_digits()} digits"
+
+
 def _check_int(value, name: str, lo=None, hi=None) -> None:
     """Refuse a `value` that is not an int, one below `lo` when given, and
     one above `hi` when given; every level, count, position, mask, sink
     count and sink index the library takes from its caller is checked here.
     A bool is an int."""
     if not isinstance(value, int):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
+        raise ParameterError(f"{name} must be an integer, got {_shown(value, repr)}")
     if lo is None:
         return
     if hi is None:
         if value < lo:
-            raise ParameterError(f"{name} must be at least {lo}, got {value}")
+            raise ParameterError(f"{name} must be at least {lo}, got {_shown(value)}")
     elif not lo <= value <= hi:
-        raise ParameterError(f"{name} must be between {lo} and {hi}, got {value}")
+        raise ParameterError(
+            f"{name} must be between {lo} and {_shown(hi)}, got {_shown(value)}"
+        )
 
 
 def _check_sink_count(K) -> None:
@@ -205,23 +218,24 @@ def _check_sink_count(K) -> None:
     _check_int(K, "the sink count", 1)
     if K > MAX_FAMILY:
         raise ParameterError(
-            f"the sink count must be at most {MAX_FAMILY}, got {K}: {FAMILY_CAP_REASON}"
+            f"the sink count must be at most {MAX_FAMILY}, got {_shown(K)}: {FAMILY_CAP_REASON}"
         )
 
 
-def _check_indices(size: int, indices: Iterable[int]) -> tuple[int, ...]:
-    """Validate a nonempty collection of 1-based indices of `size` members
-    and return them 0-based, sorted and distinct, as ints."""
+def _check_indices(size: int, indices: Iterable[int], name: str) -> tuple[int, ...]:
+    """Validate `name`, a nonempty collection of 1-based indices of `size`
+    members, and return them 0-based, sorted and distinct, as ints."""
     try:
         idx = tuple(indices)
     except TypeError:
         raise ParameterError(
-            f"indices must be a collection of integers, got {indices!r}"
+            f"{name} must be a collection of integers, got {_shown(indices, repr)}"
         ) from None
+    what = f"an index in {name}"
     for i in idx:
-        _check_int(i, "index", 1, size)
+        _check_int(i, what, 1, size)
     if not idx:
-        raise ParameterError("index set must be nonempty")
+        raise ParameterError(f"{name} must be nonempty")
     # i - 1 is an int for a bool i too
     return tuple(sorted({i - 1 for i in idx}))
 
@@ -277,7 +291,7 @@ def intersect_level(family: SubsetFamily, indices: Iterable[int], r: int) -> Ele
     intersection of the corresponding family sets, read off `level_masks`;
     the tests check that kernel against this definition.
     """
-    pos = _check_indices(family.size, indices)
+    pos = _check_indices(family.size, indices, "the index set")
     _check_int(r, "level", 1, len(pos))
     return ElementSet(family.ground, level_masks(family.masks, pos)[r])
 
@@ -314,7 +328,8 @@ def _check_cutoff(size: int, cutoff: int, count: int) -> None:
     _check_int(count, "count")
     if not 0 < cutoff < count <= size:
         raise ParameterError(
-            f"need 0 < cutoff < count <= {size}, got cutoff={cutoff} count={count}"
+            f"need 0 < cutoff < count <= {size},"
+            f" got cutoff={_shown(cutoff)} count={_shown(count)}"
         )
 
 

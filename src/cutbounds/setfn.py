@@ -360,7 +360,7 @@ def multiway_gap(f: SetFunction, family: SubsetFamily, indices: Iterable[int]):
     """Gap of the multiway exchange: sum of f over the chosen sets minus the
     sum of f over their intersection levels 1..|indices|."""
     _check_function_family(f, family)
-    positions = _check_indices(family.size, indices)
+    positions = _check_indices(family.size, indices, "the index set")
     return f._exact(_multiway_core(f._table, family.masks, positions))
 
 
@@ -407,8 +407,8 @@ def cross_level_gap(
     when the containment fails.
     """
     _check_function_family(f, family)
-    pos_u = _check_indices(family.size, U)
-    pos_t = _check_indices(family.size, T)
+    pos_u = _check_indices(family.size, U, "U")
+    pos_t = _check_indices(family.size, T, "T")
     _check_int(u_level, "u_level", 1, len(pos_u))
     _check_int(t_prefix, "t_prefix", 1, len(pos_t))
     masks = family.masks

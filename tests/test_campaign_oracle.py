@@ -49,7 +49,7 @@ def _check_function_family(f, family):
 
 def reference_multiway_gap(f, family, indices):
     _check_function_family(f, family)
-    positions = _check_indices(family.size, indices)
+    positions = _check_indices(family.size, indices, "the index set")
     masks = family.masks
     table = f._table
     lhs = _left_sum(table[masks[p]] for p in positions)
@@ -84,8 +84,8 @@ def reference_prefix_multiway_gap(f, family, cutoff, count, anchor=None):
 
 def reference_cross_level_gap(f, family, U, T, u_level, t_prefix):
     _check_function_family(f, family)
-    pos_u = _check_indices(family.size, U)
-    pos_t = _check_indices(family.size, T)
+    pos_u = _check_indices(family.size, U, "U")
+    pos_t = _check_indices(family.size, T, "T")
     if not 1 <= u_level <= len(pos_u):
         raise ParameterError(f"u_level must be between 1 and {len(pos_u)}, got {u_level}")
     if not 1 <= t_prefix <= len(pos_t):

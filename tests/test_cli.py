@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from cutbounds import bounds, cli, polytope
 from cutbounds.errors import SchemaError
 from cutbounds.network import cut_and_message_families
-from cutbounds.polytope import Row, format_rational
+from cutbounds.polytope import LinearSystem, Row, format_rational
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -1278,6 +1278,30 @@ class TestCmdPaper:
         assert code == 1
         assert "MISMATCH" in out
 
+    @pytest.mark.parametrize("change", ["drop a row", "add a row"])
+    def test_fm_derivation_region_mismatch_exit1(self, change, capsys, monkeypatch):
+        # a projection with a row dropped is strictly larger than the
+        # partition sums' region, one with R0 <= 0 added strictly smaller
+        project = cli.project
+
+        def doctored(system, keep):
+            out = project(system, keep)
+            if change == "drop a row":
+                rows = out.rows[1:]
+            else:
+                rows = out.rows + (Row((1, 0, 0, 0, 0), 0),)
+            return LinearSystem(out.variables, rows, out.nonneg)
+
+        monkeypatch.setattr(cli, "project", doctored)
+        code = cli.main(["paper", "--case", "fm-derivation"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == (
+            "fm-derivation: MISMATCH\n"
+            "  the partition sums and the projection differ as regions\n"
+        )
+        assert captured.err == ""
+
     def test_golden_documents_row13_discrepancy(self):
         golden = json.loads(cli._load_golden("k3_complete.json"))
         assert "symmetric" in golden["note"]
@@ -1308,6 +1332,40 @@ class TestCmdPaper:
                 "capacity": {"C1": "3", "C2": "6", "C3": "3"},
             },
         ]
+
+
+def huge_denominator_doc():
+    """Two parallel s->t1 arcs whose capacities' common denominator, and so
+    t1's cut value, has about 8000 digits; s->t2 has capacity 1."""
+    big = 10**4000
+    caps = [f"1/{big + 1}", f"1/{big + 3}", "1"]
+    return {
+        "nodes": ["s", "t1", "t2"],
+        "arcs": [
+            {"from": "s", "to": to, "capacity": cap}
+            for to, cap in zip(["t1", "t1", "t2"], caps)
+        ],
+        "source": "s",
+        "sinks": ["t1", "t2"],
+        "messages": ["W1", "W2"],
+        "demands": {"t1": ["W1"], "t2": ["W2"]},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds"], ["region", "--axes", "W1,W2"], ["region", "--axes", "W1,W2", "--compare", "cutset"]],
+    ids=["bounds", "region", "region-compare"],
+)
+def test_a_result_past_the_digit_limit_exit2(argv, tmp_path, capsys):
+    # the interpreter refuses `str()` of an int past its digit limit; the
+    # report and the slice then exit 2 with one line and print nothing
+    path = write_doc(tmp_path, huge_denominator_doc())
+    assert cli.main([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == f"error: a number in the output has more than {limit} digits\n"
 
 
 # ---------------------------------------------------------------------------

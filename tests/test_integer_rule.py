@@ -5,11 +5,13 @@ positions, masks, sink indices and sink counts are all checked by
 `setcalc._check_int`.  One table over the entry points that check one:
 each refuses 1.5, 2.0 and "1" with `ParameterError` and the one text of
 `_check_int`, takes a bool as an int, and gives the pinned result for an
-in-range int.  A second table pins the range texts, and an AST test keeps
-the type check itself in that one function.
+in-range int.  A second table pins the range texts, a third the texts
+that show a number past the interpreter's digit limit, and an AST test
+keeps the type check itself in that one function.
 """
 
 import ast
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +38,13 @@ from cutbounds.network import (
     symmetric_combination_network,
 )
 from cutbounds.polytope import corner_points_symmetric
-from cutbounds.setcalc import ElementSet, GroundSet, SubsetFamily, intersect_level
+from cutbounds.setcalc import (
+    ElementSet,
+    GroundSet,
+    SubsetFamily,
+    intersect_level,
+    prefix_extension_identity,
+)
 from cutbounds.setfn import SetFunction, cross_level_gap, multiway_gap, prefix_multiway_gap
 
 GROUND = GroundSet(3, labels=("a", "b", "c"))
@@ -58,8 +66,8 @@ def thm2(r_q_map):
     return gcsbK([1, 2, 3], Q={2, 3}, r_q_map=r_q_map, cut_family=K3_FAMILY, msg_family=K3_FAMILY)
 
 
-def general(G):
-    return gcsbK(G, cut_family=K3_FAMILY, msg_family=K3_FAMILY)
+def general(G, U=None, T=None):
+    return gcsbK(G, U, T, cut_family=K3_FAMILY, msg_family=K3_FAMILY)
 
 
 # (name in the text, call of one argument, an in-range int, its result)
@@ -87,21 +95,28 @@ CASES = [
     ("position", lambda v: GROUND.label(v), 1, "b"),
     ("element", lambda v: GROUND.subset([v]).member_labels(), 1, ("b",)),
     ("mask", lambda v: ElementSet(GROUND, v).member_labels(), 1, ("a",)),
-    # sink indices
-    ("index", lambda v: cutset_bound({v, 2}).provenance, 1, "csb({1,2})"),
-    ("index", lambda v: gcsb3(v, 2, 3, "a").provenance, 1, "gcsb3a(1,2,3)"),
-    ("index", lambda v: beta_bound([v, 2], ()).provenance, 1, "cor2({1,2}, Q={})"),
-    ("index", lambda v: union_tail_bound([v, 2], 1).provenance, 1, "cor3({1,2}, m=1)"),
-    ("index", lambda v: BoundInequality.build([BoundTerm(1, {v, 2}, 1)]).terms, 1,
-     (BoundTerm(1, frozenset({1, 2}), 1),)),
-    ("index", lambda v: general([v, 2, 3]).provenance, 1,
+    # sink indices, each named by the set that holds it
+    ("an index in the sink set", lambda v: cutset_bound({v, 2}).provenance, 1, "csb({1,2})"),
+    ("an index in the sink set", lambda v: gcsb3(v, 2, 3, "a").provenance, 1, "gcsb3a(1,2,3)"),
+    ("an index in the sink set", lambda v: beta_bound([v, 2], ()).provenance, 1, "cor2({1,2}, Q={})"),
+    ("an index in the sink set", lambda v: union_tail_bound([v, 2], 1).provenance, 1,
+     "cor3({1,2}, m=1)"),
+    ("an index in a term's sink set", lambda v: BoundInequality.build([BoundTerm(1, {v, 2}, 1)]).terms,
+     1, (BoundTerm(1, frozenset({1, 2}), 1),)),
+    ("an index in G", lambda v: general([v, 2, 3]).provenance, 1,
      "thm2(G={1,2,3}, U={1,2,3}, T={1,2,3}, Q={})"),
-    ("index", lambda v: multiway_gap(F, FAMILY, [v, 2]), 1, 0),
-    ("index", lambda v: cross_level_gap(F, FAMILY, [v], [1, 2], 1, 1), 1, 0),
-    ("index", lambda v: intersect_level(FAMILY, {v}, 1).member_labels(), 1, ("a", "b")),
-    ("index", lambda v: NET.demand_set(v).member_labels(), 1, ("W1", "W12")),
-    ("index", lambda v: (min_cut(NET, v).sink, min_cut(NET, v).capacity), 1, (1, 2)),
-    ("index", lambda v: [a.capacity for a in combination_network(2, {(v,): 7, (2,): 1}, DEMANDS).arcs[:2]],
+    ("an index in U", lambda v: general([1, 2, 3], [v, 2, 3]).provenance, 1,
+     "thm2(G={1,2,3}, U={1,2,3}, T={1,2,3}, Q={})"),
+    ("an index in T", lambda v: general([1, 2, 3], None, [v, 2, 3]).provenance, 1,
+     "thm2(G={1,2,3}, U={1,2,3}, T={1,2,3}, Q={})"),
+    ("an index in the index set", lambda v: multiway_gap(F, FAMILY, [v, 2]), 1, 0),
+    ("an index in U", lambda v: cross_level_gap(F, FAMILY, [v], [1, 2], 1, 1), 1, 0),
+    ("an index in the index set", lambda v: intersect_level(FAMILY, {v}, 1).member_labels(), 1,
+     ("a", "b")),
+    ("sink index", lambda v: NET.demand_set(v).member_labels(), 1, ("W1", "W12")),
+    ("sink index", lambda v: (min_cut(NET, v).sink, min_cut(NET, v).capacity), 1, (1, 2)),
+    ("an index in a capacity key",
+     lambda v: [a.capacity for a in combination_network(2, {(v,): 7, (2,): 1}, DEMANDS).arcs[:2]],
      1, [7, 1]),
     # sink counts
     ("the sink count", lambda v: len(enumerate_bounds(v, ["csb"])), 1, 1),
@@ -138,13 +153,15 @@ RANGES = [
     ("element must be between 0 and 2, got -1", lambda: GROUND.subset([-1])),
     ("mask must be between 0 and 7, got 8", lambda: ElementSet(GROUND, 8)),
     ("cutoff must be between 0 and 1, got 2", lambda: prefix_multiway_gap(F, FAMILY, 2, 1)),
-    ("index must be between 1 and 16, got 17", lambda: cutset_bound({17})),
-    ("index must be between 1 and 16, got 0", lambda: BoundInequality.build([BoundTerm(1, {0}, 1)])),
-    ("index must be between 1 and 2, got 3", lambda: multiway_gap(F, FAMILY, [3])),
-    ("index must be between 1 and 2, got 3", lambda: NET.demand_set(3)),
-    ("index must be between 1 and 2, got 3", lambda: combination_network(2, {(3,): 1}, DEMANDS)),
-    ("index set must be nonempty", lambda: cutset_bound(())),
-    ("indices must be a collection of integers, got 1", lambda: cutset_bound(1)),
+    ("an index in the sink set must be between 1 and 16, got 17", lambda: cutset_bound({17})),
+    ("an index in a term's sink set must be between 1 and 16, got 0",
+     lambda: BoundInequality.build([BoundTerm(1, {0}, 1)])),
+    ("an index in the index set must be between 1 and 2, got 3", lambda: multiway_gap(F, FAMILY, [3])),
+    ("sink index must be between 1 and 2, got 3", lambda: NET.demand_set(3)),
+    ("an index in a capacity key must be between 1 and 2, got 3",
+     lambda: combination_network(2, {(3,): 1}, DEMANDS)),
+    ("the sink set must be nonempty", lambda: cutset_bound(())),
+    ("the sink set must be a collection of integers, got 1", lambda: cutset_bound(1)),
     ("three distinct sink indices are required", lambda: gcsb3(1, 1, 2, "a")),
     ("the sink count must be at least 1, got 0", lambda: enumerate_bounds(0, ["csb"])),
     ("the sink count must be at least 1, got -1", lambda: complete_combination_network(-1)),
@@ -163,7 +180,7 @@ def test_a_bool_index_is_stored_as_its_int():
     stored frozenset; `gcsb3("1", ...)` is refused, not a raw TypeError
     from comparing a str."""
     assert cutset_bound({True, 2}).provenance == "csb({1,2})"
-    with pytest.raises(ParameterError, match="^index must be an integer, got '1'$"):
+    with pytest.raises(ParameterError, match="^an index in the sink set must be an integer, got '1'$"):
         gcsb3("1", 2, 3, "a")
     (term,) = BoundInequality.build([BoundTerm(1, {True, 2}, 1)]).terms
     assert {type(i) for i in term.indices} == {int}
@@ -176,6 +193,35 @@ def test_a_bool_is_stored_as_its_int(value):
     (term,) = BoundInequality.build([BoundTerm(value, {1, 2}, 1)]).terms
     assert type(term.level) is int
     assert union_tail_bound([1, 2], value).provenance == "cor3({1,2}, m=1)"
+
+
+HUGE = 10**5000
+# `str()` of HUGE raises ValueError, so a text shows it by the digit limit
+PAST = f"a number with more than {sys.get_int_max_str_digits()} digits"
+# (the full text, a call that gives it)
+PAST_THE_LIMIT = [
+    (f"position must be between 0 and 0, got {PAST}", lambda: GroundSet(1).label(HUGE)),
+    (f"position must be an integer, got {PAST}", lambda: GroundSet(1).label(Fraction(HUGE))),
+    (f"level must be at least 1, got {PAST}", lambda: beta([2, 3], -HUGE)),
+    (f"mask must be between 0 and {PAST}, got -1", lambda: ElementSet(GroundSet(20000), -1)),
+    (f"level must be between 1 and {PAST}, got {PAST}", lambda: alpha([2, 3], 3, HUGE + 1, HUGE)),
+    (f"the sink count must be at most 16, got {PAST}: the bound rules walk up to 2^K - 1 sink subsets",
+     lambda: complete_combination_network(HUGE)),
+    (f"an index in G must be between 1 and 3, got {PAST}", lambda: general([HUGE])),
+    (f"the sink set must be a collection of integers, got {PAST}", lambda: cutset_bound(HUGE)),
+    (f"need 0 < cutoff < count <= 2, got cutoff={PAST} count=2",
+     lambda: prefix_extension_identity(FAMILY, HUGE, 2)),
+    (f"{PAST} is not one of the split points (2, 3)", lambda: alpha([2, 3], HUGE, 1)),
+    (f"3 is not one of the split points (2, {PAST})", lambda: alpha([2, HUGE], 3, 1)),
+    (f"split position given for {PAST}, which is not in Q", lambda: thm2({HUGE: 1})),
+]
+
+
+@pytest.mark.parametrize("text, call", PAST_THE_LIMIT, ids=[str(i) for i in range(len(PAST_THE_LIMIT))])
+def test_a_number_past_the_digit_limit_is_described_by_it(text, call):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == text
 
 
 def _int_checks(tree: ast.Module) -> list:

@@ -145,11 +145,11 @@ class TestConstruction:
         net = complete_combination_network(2)
         assert net.demand_set(2).member_labels() == ("W2", "W12")
         for k, text in [
-            (0, "index must be between 1 and 2, got 0"),
-            (3, "index must be between 1 and 2, got 3"),
-            (-1, "index must be between 1 and 2, got -1"),
-            (1.5, "index must be an integer, got 1.5"),
-            ("1", "index must be an integer, got '1'"),
+            (0, "sink index must be between 1 and 2, got 0"),
+            (3, "sink index must be between 1 and 2, got 3"),
+            (-1, "sink index must be between 1 and 2, got -1"),
+            (1.5, "sink index must be an integer, got 1.5"),
+            ("1", "sink index must be an integer, got '1'"),
         ]:
             with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
                 net.demand_set(k)
@@ -168,10 +168,10 @@ class TestConstruction:
         # capacity; a string index or a bare int raised a raw TypeError
         demands = {1: ["W"], 2: ["W"]}
         for key, text in [
-            ((1.5,), "index must be an integer, got 1.5"),
-            (("1",), "index must be an integer, got '1'"),
-            ("12", "index must be an integer, got '1'"),
-            (1, "indices must be a collection of integers, got 1"),
+            ((1.5,), "an index in a capacity key must be an integer, got 1.5"),
+            (("1",), "an index in a capacity key must be an integer, got '1'"),
+            ("12", "an index in a capacity key must be an integer, got '1'"),
+            (1, "a capacity key must be a collection of integers, got 1"),
         ]:
             with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
                 combination_network(2, {key: 7, (1,): 1, (2,): 1}, demands)
@@ -654,8 +654,8 @@ class TestCompleteCombinationNetwork:
     "caps, text",
     [
         ({(1, 2): 1, (2, 1): 2}, "duplicate capacity entry for subset (1, 2)"),
-        ({(1, 4): 1}, "index must be between 1 and 3, got 4"),
-        ({(): 1}, "index set must be nonempty"),
+        ({(1, 4): 1}, "an index in a capacity key must be between 1 and 3, got 4"),
+        ({(): 1}, "a capacity key must be nonempty"),
     ],
 )
 def test_combination_network_refuses_a_bad_subset_key(caps, text):

@@ -14,9 +14,6 @@ the solutions that satisfy the system lists all of them.  From that list:
 - `vertices_2d` lists the vertices of a 2-D system, in the ring order
   around their centroid that it once computed on `Fraction`s.
 
-The domination tiers are checked against the LP instead: whenever tier 3
-or 3b says some rows force a row, the LP must agree.
-
 Box bounds may coincide, and a random row may come with its negation, so
 points, segments and implicit equalities are drawn as well as full-
 dimensional regions; variables may be free.  Coefficients and right-hand
@@ -37,10 +34,6 @@ from hypothesis import strategies as st
 from cutbounds.polytope import (
     LinearSystem,
     Row,
-    _implies,
-    _orthant_rows,
-    _pair_implies,
-    _single_row_implies,
     contains,
     feasible,
     fourier_motzkin,
@@ -280,74 +273,3 @@ def _lifts(sys: LinearSystem, idx: int, fixed: dict) -> bool:
         else:
             low = rest / c if low is None else max(low, rest / c)
     return low is None or high is None or low <= high
-
-
-@st.composite
-def tier_cases(draw, sources):
-    """`sources` random canonical rows, a target row and nonneg flags.
-
-    Half of the targets are built to be forced: a positive multiple of the
-    first source (tier 3) or the sum of two sources (tier 3b), loosened on
-    nonnegative columns and in the right-hand side.  Tier 3b tries unit
-    multipliers only, on the canonical rows `fourier_motzkin` hands it, so
-    a sum target counts as forced only when it is canonical as built.  A
-    sum is loosened by ints, and its right side further until it is
-    coprime to the gcd of its coefficients, so it is canonical unless all
-    its coefficients vanish.
-    """
-    n = draw(st.integers(1, 4))
-    nonneg = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-
-    def random_row():
-        coeffs = tuple(draw(rational(-3, 3)) for _ in range(n))
-        return Row(coeffs, draw(rational(-4, 6)))
-
-    rows = [random_row() for _ in range(sources)]
-    forced = draw(st.booleans())
-    if not forced:
-        return rows, random_row(), nonneg, False
-    lam = draw(rational(F(1, 4), 3)) if sources == 1 else 1
-    slack = rational(0, 2) if sources == 1 else st.integers(0, 2)
-    coeffs = [lam * sum(r.coeffs[j] for r in rows) for j in range(n)]
-    for j, flag in enumerate(nonneg):
-        if flag:
-            coeffs[j] -= draw(slack)
-    rhs = lam * sum(r.rhs for r in rows) + draw(slack)
-    if sources == 2 and any(coeffs):
-        g = math.gcd(*coeffs)
-        rhs += (1 - rhs) % g
-    target = Row(tuple(coeffs), rhs)
-    canonical = (target.coeffs, target.rhs) == (tuple(coeffs), rhs)
-    return rows, target, nonneg, sources == 1 or canonical
-
-
-def _orthant(n, nonneg):
-    return _orthant_rows(LinearSystem(tuple("xyzw"[:n]), (), nonneg))
-
-
-@PROFILE
-@given(tier_cases(1))
-def test_single_row_domination_is_sound(case):
-    (s,), r, nonneg, forced = case
-    found = _single_row_implies(s, r, nonneg)
-    if found:
-        assert _implies([s] + _orthant(len(nonneg), nonneg), r)
-    if forced:
-        assert found
-
-
-def test_single_row_with_positive_rhs_implies_a_row_at_small_positive_rhs():
-    # x + y <= 5 with x, y >= 0 implies -x <= 1: lam approaches 0 from
-    # above, so any positive right side is implied, not only those above 1
-    assert _single_row_implies(Row((1, 1), 5), Row((-1, 0), 1), (True, True))
-
-
-@PROFILE
-@given(tier_cases(2))
-def test_pair_domination_is_sound(case):
-    (a, b), r, nonneg, forced = case
-    found = _pair_implies(a, b, r, nonneg)
-    if found:
-        assert _implies([a, b] + _orthant(len(nonneg), nonneg), r)
-    if forced:
-        assert found

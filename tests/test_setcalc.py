@@ -355,12 +355,12 @@ class TestSubsetFamily:
         for level, indices, message in [
             (0, frozenset({1}), "level must be between 1 and 1, got 0"),
             (3, frozenset({1, 2}), "level must be between 1 and 2, got 3"),
-            (1, frozenset(), "index set must be nonempty"),
-            (1, frozenset({0, 1}), "index must be between 1 and 2, got 0"),
-            (1, frozenset({3}), "index must be between 1 and 2, got 3"),
+            (1, frozenset(), "the index set must be nonempty"),
+            (1, frozenset({0, 1}), "an index in the index set must be between 1 and 2, got 0"),
+            (1, frozenset({3}), "an index in the index set must be between 1 and 2, got 3"),
             (1.0, frozenset({1, 2}), "level must be an integer, got 1.0"),
-            (1, frozenset({1.5}), "index must be an integer, got 1.5"),
-            (1, ("1",), "index must be an integer, got '1'"),
+            (1, frozenset({1.5}), "an index in the index set must be an integer, got 1.5"),
+            (1, ("1",), "an index in the index set must be an integer, got '1'"),
         ]:
             with pytest.raises(ParameterError, match=re.escape(message)):
                 fam.level_labels(level, indices)

@@ -423,7 +423,7 @@ class TestMultiwayGap:
     @pytest.mark.parametrize("index", [1.5, "1", 1.0])
     def test_non_int_index_rejected(self, index):
         family = fam(G3, [0], [1], [2])
-        with pytest.raises(ParameterError, match="^index must be an integer, got "):
+        with pytest.raises(ParameterError, match="^an index in the index set must be an integer, got "):
             multiway_gap(xor_triple(), family, [index])
         # a bool is an int
         assert multiway_gap(xor_triple(), family, [True, 2]) == multiway_gap(xor_triple(), family, [1, 2])
@@ -591,7 +591,7 @@ class TestCrossLevelGap:
             cross_level_gap(f, self.family, [1, 2], [1, 2], 1.5, 1)
         with pytest.raises(ParameterError, match="^t_prefix must be an integer, got 1.0$"):
             cross_level_gap(f, self.family, [1, 2], [1, 2], 1, 1.0)
-        with pytest.raises(ParameterError, match="^index must be an integer, got '2'$"):
+        with pytest.raises(ParameterError, match="^an index in T must be an integer, got '2'$"):
             cross_level_gap(f, self.family, [1], ["2"], 1, 1)
 
 
